@@ -44,7 +44,7 @@ while len(pts) < 48:
         pts.append(p)
 m = kernel_matrix(state, pts)
 res = psd_check(m, 1e-10)
-classes = support_relation(pts, state).classes
+classes = support_relation(m).classes
 print(f"\nkernel on 48 random rational points: min eigenvalue {res['min_eigenvalue']:.2e}"
       f" -> PSD {res['passed']}; {len(classes)} support classes,"
       f" largest {max(len(c) for c in classes)}")
@@ -52,9 +52,10 @@ print(f"\nkernel on 48 random rational points: min eigenvalue {res['min_eigenval
 # support classes group points by the invariant (a+c, b-d); within a class
 # the kernel is a rank-one table of unimodular phases
 pts = [point(0, 0, 0, 0), point(1, 0, -1, 0), point(2, 1, -2, 1), point(1, 0, 0, 0)]
-part = support_relation(pts, state)
+m = kernel_matrix(state, pts)
+part = support_relation(m)
 print("\nsupport classes of", len(pts), "points:", part.classes)
-rank = rank_one_class_check(kernel_matrix(state, pts), part, 1e-10)
+rank = rank_one_class_check(m, part, 1e-10)
 print("rank-one cocycle on classes:", rank["passed"],
       f"(max cocycle dev {rank['max_cocycle_dev']:.1e})")
 

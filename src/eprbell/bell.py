@@ -39,6 +39,7 @@ from .weyl import (
     point,
     tensor_embed,
     to_records,
+    unit_phase,
     weyl_multiply,
 )
 
@@ -120,7 +121,7 @@ def monomial_candidate(
         raise ValueError("the monomial family needs a nonzero point")
 
     def pair(pt: Point, angle: float) -> WeylPolynomial:
-        phase = complex(math.cos(angle), math.sin(angle))
+        phase = unit_phase(angle)
         return WeylPolynomial(
             2, {pt: 0.5 * phase, negate(pt): 0.5 * phase.conjugate()}
         )
@@ -251,51 +252,6 @@ def _slot_orbits(support: Sequence[Point]) -> list[Point]:
     return reps
 
 
-def _slot_param_count(support: Sequence[Point]) -> int:
-    count = 0
-    for rep in _slot_orbits(support):
-        count += 1 if rep == negate(rep) else 2
-    return count
-
-
-def _build_slot(support: Sequence[Point], params: Sequence[float]) -> WeylPolynomial:
-    """Self-adjoint contraction from raw parameters.
-
-    Orbit {x, -x} takes a complex coefficient (two parameters, conjugated
-    on -x); the self-negating zero point takes one real parameter.  The
-    result is scaled down whenever its one-norm exceeds 1, so every built
-    polynomial is a certified contraction.
-    """
-    terms: dict[Point, complex] = {}
-    i = 0
-    for rep in _slot_orbits(support):
-        if rep == negate(rep):
-            terms[rep] = complex(params[i], 0.0)
-            i += 1
-        else:
-            c = complex(params[i], params[i + 1])
-            terms[rep] = terms.get(rep, 0j) + c
-            terms[negate(rep)] = terms.get(negate(rep), 0j) + c.conjugate()
-            i += 2
-    poly = WeylPolynomial(2, terms)
-    norm = one_norm(poly)
-    if norm > 1.0:
-        poly = (1.0 / norm) * poly
-    return poly
-
-
-def _candidate_from_params(
-    cfg: SearchConfig, params: Sequence[float]
-) -> BellCandidate:
-    comps = []
-    offset = 0
-    for support in cfg.supports:
-        n = _slot_param_count(support)
-        comps.append(_build_slot(support, params[offset : offset + n]))
-        offset += n
-    return BellCandidate(*comps)
-
-
 def _candidate_order_key(candidate: BellCandidate):
     """Total order used for deterministic tie-breaking.
 
@@ -335,6 +291,11 @@ class _FastObjective:
                 else:
                     orbits.append((index[rep], index[negate(rep)]))
             self.orbit_specs.append((len(support), orbits))
+        self.n_params = sum(
+            1 if neg_pos is None else 2
+            for _, orbits in self.orbit_specs
+            for _, neg_pos in orbits
+        )
         self.weights = {}
         for i in (0, 1):
             for j in (2, 3):
@@ -345,6 +306,14 @@ class _FastObjective:
                 self.weights[(i, j)] = w
 
     def slot_coeffs(self, slot: int, params, offset: int):
+        """Self-adjoint contraction coefficients of one slot, in support order.
+
+        Orbit {x, -x} takes a complex coefficient (two parameters, conjugated
+        on -x); the self-negating zero point takes one real parameter.  The
+        vector is scaled down whenever its one-norm exceeds 1, so every
+        candidate built from it is a certified contraction.  Returns the
+        vector and the offset of the next slot's parameters.
+        """
         size, orbits = self.orbit_specs[slot]
         coeffs = np.zeros(size, dtype=complex)
         i = offset
@@ -362,13 +331,26 @@ class _FastObjective:
             coeffs = coeffs * (1.0 / norm)
         return coeffs, i
 
-    def __call__(self, params) -> float:
+    def vectors(self, params) -> list[np.ndarray]:
+        """The four slot coefficient vectors, each in support order."""
         offset = 0
         vecs = []
         for slot in range(4):
             coeffs, offset = self.slot_coeffs(slot, params, offset)
             vecs.append(coeffs)
-        a1, a2, b1, b2 = vecs
+        return vecs
+
+    def candidate(self, params) -> BellCandidate:
+        """The candidate whose coefficient vectors ``__call__`` scores."""
+        return BellCandidate(
+            *(
+                WeylPolynomial(2, zip(support, coeffs))
+                for support, coeffs in zip(self.cfg.supports, self.vectors(params))
+            )
+        )
+
+    def __call__(self, params) -> float:
+        a1, a2, b1, b2 = self.vectors(params)
         w = self.weights
         total = (
             a1 @ w[(0, 2)] @ b1
@@ -402,8 +384,8 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
             f" (cap {DEFAULT_TERM_CAP})"
         )
 
-    n_params = sum(_slot_param_count(s) for s in cfg.supports)
     fast = _FastObjective(state, cfg)
+    n_params = fast.n_params
 
     counter = 0
 
@@ -437,7 +419,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
             if not improved:
                 step *= cfg.step_decay
             sweeps += 1
-        key = _candidate_order_key(_candidate_from_params(cfg, params))
+        key = _candidate_order_key(fast.candidate(params))
         if value > best_value or (
             value == best_value and best_key is not None and key < best_key
         ):
@@ -447,7 +429,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
             trace.append((counter, value))
 
     assert best_params is not None
-    best_candidate = _candidate_from_params(cfg, best_params)
+    best_candidate = fast.candidate(best_params)
     best_candidate.validate()
     certified = bell_value(state, best_candidate)
     if abs(certified - best_value) > 1e-10:
@@ -485,10 +467,7 @@ def weyl_double(a: Fraction, b: Fraction, state: StateFunctional) -> dict:
     """
     a, b = Fraction(a), Fraction(b)
     partner_point = point(a, -b)
-    phase = complex(
-        math.cos(float(a) * state.lam + float(b) * state.mu),
-        math.sin(float(a) * state.lam + float(b) * state.mu),
-    )
+    phase = unit_phase(float(a) * state.lam + float(b) * state.mu)
     u = tensor_embed(WeylPolynomial.generator(point(a, b)), 1)
     u_partner = phase * tensor_embed(WeylPolynomial.generator(partner_point), 2)
     deviation = correlation_deviation(state, u, u_partner)

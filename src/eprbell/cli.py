@@ -98,40 +98,105 @@ def _distinct_points(rng: random.Random, n: int, dim: int) -> list[Point]:
     return pts
 
 
-def _check_kernel_psd(
-    state: StateFunctional,
-    rng: random.Random,
-    batteries: int = 5,
-    points_per: int = 64,
-    tol: float = 1e-10,
+KERNEL_PSD_ANCHOR = "F(x,y) = G(x-y) exp(-i s(x,y)) is a positive semidefinite kernel"
+SURROGATE_CHSH_ANCHOR = (
+    "(1/2)<Omega,(A1(B1+B2)+A2(B1-B2))Omega> = 2 cos(pi/4) = sqrt(2)"
+)
+CORRELATION_LAW_ANCHOR = "<Omega,(A(t1)A(t2) x I)Omega> = cos(t1 - t2)"
+MATRIX_DOUBLES_ANCHOR = "<Omega, ((A x I) - (I x gamma(A)))^2 Omega> = 0"
+
+
+# ---------------------------------------------------------------------------
+# measurements shared by verify-all and the single-check commands
+
+
+def _measure_kernel(
+    state: StateFunctional, pts: list[Point], tol: float
+) -> tuple[dict, dict | None]:
+    """Kernel positivity and, for the epr state, the support-class structure,
+    both from one kernel build.
+
+    Returns the psd_check result and, for the epr state, the rank-one class
+    measurements with the class count and verdict, or the support
+    relation's error with a failing verdict; None for other states.
+    """
+    m = kernel_matrix(state, pts)
+    psd = psd_check(m, tol)
+    if state.kind != "epr":
+        return psd, None
+    try:
+        part = support_relation(m)
+    except EquivalenceError as exc:
+        return psd, {"error": str(exc), "passed": False}
+    return psd, {"classes": len(part.classes), **rank_one_class_check(m, part, 1e-9)}
+
+
+def _correlation_grid_dev(model, points: int) -> float:
+    """Worst |correlation - cos(t1 - t2)| over an even grid on [0, 2 pi]."""
+    grid = np.linspace(0.0, 2 * math.pi, points)
+    corr = correlation_grid(model, grid)
+    return float(np.max(np.abs(corr - np.cos(grid[:, None] - grid[None, :]))))
+
+
+def _matrix_doubles(model, nprng, samples: int):
+    """double_of on random Hermitian matrices.
+
+    Returns the worst |deviation| and the first (matrix, double) pair, on
+    which the perturbed-partner control runs.
+    """
+    m = model.m
+    devs = [0.0]
+    first = None
+    for _ in range(samples):
+        raw = nprng.normal(size=(m, m)) + 1j * nprng.normal(size=(m, m))
+        sym = (raw + raw.conj().T) / 2
+        res = double_of(model, sym)
+        devs.append(abs(res["deviation"]))
+        if first is None:
+            first = (sym, res["double"])
+    return max(devs), first
+
+
+def _sampled(
+    name: str, anchor: str, state: StateFunctional, n: int, sample
 ) -> list[CheckRecord]:
+    """Run ``sample(i) -> (deviation, passed)`` for i < n; record the worst."""
+    results = [sample(i) for i in range(n)]
+    worst = max([0.0] + [dev for dev, _ in results])
+    return [
+        CheckRecord(
+            name=name,
+            anchor=anchor,
+            inputs_digest=digest_inputs({"n": n, "state": state.to_spec()}),
+            measured={"max_deviation": worst, "samples": n},
+            tolerance=1e-12,
+            passed=all(ok for _, ok in results),
+        )
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the verify-all sections; each runner takes (state, rng) and returns records
+
+
+def _check_kernel_psd(state: StateFunctional, rng: random.Random) -> list[CheckRecord]:
+    batteries, points_per, tol = 5, 64, 1e-10
     worst_min_eig = math.inf
-    support_ok = True
-    worst_modulus = 0.0
-    worst_cocycle = 0.0
-    worst_leak = 0.0
     psd_ok = True
+    worst = dict.fromkeys(("max_modulus_dev", "max_cocycle_dev", "max_cross_leak"), 0.0)
+    support_ok = True
     for _ in range(batteries):
-        pts = _distinct_points(rng, points_per, 4)
-        m = kernel_matrix(state, pts)
-        res = psd_check(m, tol)
-        worst_min_eig = min(worst_min_eig, res["min_eigenvalue"])
-        psd_ok = psd_ok and res["passed"]
-        if state.kind == "epr":
-            try:
-                part = support_relation(pts, state)
-            except EquivalenceError:
-                support_ok = False
-                continue
-            rank = rank_one_class_check(m, part, 1e-9)
-            worst_modulus = max(worst_modulus, rank["max_modulus_dev"])
-            worst_cocycle = max(worst_cocycle, rank["max_cocycle_dev"])
-            worst_leak = max(worst_leak, rank["max_cross_leak"])
+        psd, rank = _measure_kernel(state, _distinct_points(rng, points_per, 4), tol)
+        worst_min_eig = min(worst_min_eig, psd["min_eigenvalue"])
+        psd_ok = psd_ok and psd["passed"]
+        if rank is not None:
             support_ok = support_ok and rank["passed"]
+            for key in worst:
+                worst[key] = max(worst[key], rank.get(key, 0.0))
     records = [
         CheckRecord(
             name="kernel_psd",
-            anchor="F(x,y) = G(x-y) exp(-i s(x,y)) is a positive semidefinite kernel",
+            anchor=KERNEL_PSD_ANCHOR,
             inputs_digest=digest_inputs(
                 {"batteries": batteries, "points": points_per, "state": state.to_spec()}
             ),
@@ -149,11 +214,7 @@ def _check_kernel_psd(
                 inputs_digest=digest_inputs(
                     {"batteries": batteries, "points": points_per}
                 ),
-                measured={
-                    "max_modulus_dev": worst_modulus,
-                    "max_cocycle_dev": worst_cocycle,
-                    "max_cross_leak": worst_leak,
-                },
+                measured=worst,
                 tolerance=1e-9,
                 passed=support_ok,
             )
@@ -161,76 +222,53 @@ def _check_kernel_psd(
     return records
 
 
-def _check_uniqueness(
-    state: StateFunctional, rng: random.Random, n: int = 200
-) -> CheckRecord:
-    max_dev = 0.0
-    ok = True
-    for i in range(n):
+def _check_uniqueness(state: StateFunctional, rng: random.Random) -> list[CheckRecord]:
+    def sample(i):
         if i % 5 < 3:
             x = _rand_point(rng, 4)
         else:
             a, b = _rand_fraction(rng), _rand_fraction(rng)
             x = (a, b, -a, b)
         res = uniqueness_support_check(state, x)
-        max_dev = max(max_dev, res["deviation"])
-        ok = ok and res["passed"]
-    return CheckRecord(
-        name="uniqueness_support",
-        anchor="omega(W(a,b) x W(c,d)) = 0 unless c = -a and d = b,"
-        " else exp(i(a*lambda + b*mu))",
-        inputs_digest=digest_inputs({"n": n, "state": state.to_spec()}),
-        measured={"max_deviation": max_dev, "samples": n},
-        tolerance=1e-12,
-        passed=ok,
+        return res["deviation"], res["passed"]
+
+    anchor = (
+        "omega(W(a,b) x W(c,d)) = 0 unless c = -a and d = b,"
+        " else exp(i(a*lambda + b*mu))"
     )
+    return _sampled("uniqueness_support", anchor, state, 200, sample)
 
 
 def _check_multiplicativity(
-    state: StateFunctional, rng: random.Random, n: int = 100
-) -> CheckRecord:
-    max_dev = 0.0
-    ok = True
-    for _ in range(n):
+    state: StateFunctional, rng: random.Random
+) -> list[CheckRecord]:
+    def sample(i):
         s, t = _rand_fraction(rng), _rand_fraction(rng)
         res = multiplicativity_check(state, s, t, probes=[_rand_point(rng, 4)])
-        max_dev = max(max_dev, res["max_deviation"])
-        ok = ok and res["passed"]
-    return CheckRecord(
-        name="multiplicativity",
-        anchor="omega(A X) = omega(X A) = omega(A) omega(X) for"
-        " A = W(s,0) x W(-s,0) and B = W(0,t) x W(0,t)",
-        inputs_digest=digest_inputs({"n": n, "state": state.to_spec()}),
-        measured={"max_deviation": max_dev, "samples": n},
-        tolerance=1e-12,
-        passed=ok,
+        return res["max_deviation"], res["passed"]
+
+    anchor = (
+        "omega(A X) = omega(X A) = omega(A) omega(X) for"
+        " A = W(s,0) x W(-s,0) and B = W(0,t) x W(0,t)"
     )
+    return _sampled("multiplicativity", anchor, state, 100, sample)
 
 
-def _check_traciality(
-    state: StateFunctional, rng: random.Random, n: int = 100
-) -> CheckRecord:
-    max_dev = 0.0
-    ok = True
-    for i in range(n):
+def _check_traciality(state: StateFunctional, rng: random.Random) -> list[CheckRecord]:
+    def sample(i):
         a = _rand_point(rng, 2)
         b = tuple(-c for c in a) if i % 10 == 0 else _rand_point(rng, 2)
         res = traciality_check(state, a, b)
-        max_dev = max(max_dev, res["deviation"])
-        ok = ok and res["passed"]
-    return CheckRecord(
-        name="traciality",
-        anchor="omega(W(a)W(b) x I) = omega(W(b)W(a) x I)",
-        inputs_digest=digest_inputs({"n": n, "state": state.to_spec()}),
-        measured={"max_deviation": max_dev, "samples": n},
-        tolerance=1e-12,
-        passed=ok,
-    )
+        return res["deviation"], res["passed"]
+
+    anchor = "omega(W(a)W(b) x I) = omega(W(b)W(a) x I)"
+    return _sampled("traciality", anchor, state, 100, sample)
 
 
 def _check_collinearity(
-    state: StateFunctional, rng: random.Random, n: int = 100
-) -> CheckRecord:
+    state: StateFunctional, rng: random.Random
+) -> list[CheckRecord]:
+    n = 100
     max_mod_dev = 0.0
     max_phase_dev = 0.0
     ok = True
@@ -240,7 +278,7 @@ def _check_collinearity(
         max_mod_dev = max(max_mod_dev, abs(res["modulus"] - 1.0))
         max_phase_dev = max(max_phase_dev, res["phase_deviation"])
         ok = ok and res["passed"]
-    return CheckRecord(
+    record = CheckRecord(
         name="collinearity",
         anchor="|<W(a,b) x W(c,d) Omega, W(a+c,b-d) x I Omega>| = 1 with phase"
         " exp(it) exp(ic*lambda) exp(-id*mu), t = (ad+bc)/2",
@@ -249,9 +287,12 @@ def _check_collinearity(
         tolerance=1e-12,
         passed=ok,
     )
+    return [record]
 
 
-def _check_gram_orthonormality(state: StateFunctional) -> CheckRecord:
+def _check_gram_orthonormality(
+    state: StateFunctional, rng: random.Random
+) -> list[CheckRecord]:
     pts = [
         (Fraction(j, 2), Fraction(k, 3), Fraction(0), Fraction(0))
         for j in range(3)
@@ -263,7 +304,7 @@ def _check_gram_orthonormality(state: StateFunctional) -> CheckRecord:
     comp = compress_operator(state, frame, WeylPolynomial.identity(4))
     comp_dev = float(np.max(np.abs(comp - frame.gram)))
     passed = max_offdiag == 0.0 and comp_dev == 0.0
-    return CheckRecord(
+    record = CheckRecord(
         name="gram_orthonormality",
         anchor="factor-1 generator vectors W(a,b) x I Omega are orthonormal",
         inputs_digest=digest_inputs({"points": [[str(c) for c in p] for p in pts]}),
@@ -271,11 +312,13 @@ def _check_gram_orthonormality(state: StateFunctional) -> CheckRecord:
         tolerance=0.0,
         passed=passed,
     )
+    return [record]
 
 
 def _check_bell_monomial(
-    state: StateFunctional, rng: random.Random, samples: int = 50
+    state: StateFunctional, rng: random.Random
 ) -> list[CheckRecord]:
+    samples = 50
     a, b = Fraction(1), Fraction(2)
     max_agree_dev = 0.0
     for _ in range(samples):
@@ -322,7 +365,8 @@ def _check_bell_monomial(
     return [agree_rec, opt_rec]
 
 
-def _check_surrogate(rng: random.Random, dims=(2, 4, 8, 16)) -> list[CheckRecord]:
+def _check_surrogate(state: StateFunctional, rng: random.Random) -> list[CheckRecord]:
+    dims = (2, 4, 8, 16)
     max_chsh_dev = 0.0
     max_corr_dev = 0.0
     for m in dims:
@@ -334,15 +378,11 @@ def _check_surrogate(rng: random.Random, dims=(2, 4, 8, 16)) -> list[CheckRecord
             max_corr_dev = max(
                 max_corr_dev, abs(correlation(model, t1, t2) - math.cos(t1 - t2))
             )
-    model2 = build_model(2)
-    grid = np.linspace(0.0, 2 * math.pi, 33)
-    corr = correlation_grid(model2, grid)
-    expected = np.cos(grid[:, None] - grid[None, :])
-    max_corr_dev = max(max_corr_dev, float(np.max(np.abs(corr - expected))))
+    max_corr_dev = max(max_corr_dev, _correlation_grid_dev(build_model(2), 33))
     return [
         CheckRecord(
             name="surrogate_chsh",
-            anchor="(1/2)<Omega,(A1(B1+B2)+A2(B1-B2))Omega> = 2 cos(pi/4) = sqrt(2)",
+            anchor=SURROGATE_CHSH_ANCHOR,
             inputs_digest=digest_inputs({"dims": list(dims)}),
             measured={"max_deviation": max_chsh_dev},
             tolerance=1e-12,
@@ -350,7 +390,7 @@ def _check_surrogate(rng: random.Random, dims=(2, 4, 8, 16)) -> list[CheckRecord
         ),
         CheckRecord(
             name="correlation_law",
-            anchor="<Omega,(A(t1)A(t2) x I)Omega> = cos(t1 - t2)",
+            anchor=CORRELATION_LAW_ANCHOR,
             inputs_digest=digest_inputs({"dims": list(dims), "grid": 33}),
             measured={"max_deviation": max_corr_dev},
             tolerance=1e-12,
@@ -359,9 +399,8 @@ def _check_surrogate(rng: random.Random, dims=(2, 4, 8, 16)) -> list[CheckRecord
     ]
 
 
-def _check_doubles(
-    state: StateFunctional, rng: random.Random, n: int = 100
-) -> list[CheckRecord]:
+def _check_doubles(state: StateFunctional, rng: random.Random) -> list[CheckRecord]:
+    n = 100
     records = []
     if state.kind == "epr":
         max_dev = 0.0
@@ -397,18 +436,14 @@ def _check_doubles(
     nprng = np.random.default_rng(rng.randint(0, 2**31 - 1))
     for m in (2, 4, 8):
         model = build_model(m)
-        for _ in range(5):
-            raw = nprng.normal(size=(m, m)) + 1j * nprng.normal(size=(m, m))
-            sym = (raw + raw.conj().T) / 2
-            res = double_of(model, sym)
-            max_matrix_dev = max(max_matrix_dev, abs(res["deviation"]))
-            if control_dev is None:
-                perturbed = res["double"] + 0.1 * np.eye(m)
-                control_dev = double_deviation(model, sym, perturbed)
+        dev, (sym, double) = _matrix_doubles(model, nprng, 5)
+        max_matrix_dev = max(max_matrix_dev, dev)
+        if control_dev is None:
+            control_dev = double_deviation(model, sym, double + 0.1 * np.eye(m))
     records.append(
         CheckRecord(
             name="matrix_doubles",
-            anchor="<Omega, ((A x I) - (I x gamma(A)))^2 Omega> = 0",
+            anchor=MATRIX_DOUBLES_ANCHOR,
             inputs_digest=digest_inputs({"dims": [2, 4, 8]}),
             measured={
                 "max_deviation": max_matrix_dev,
@@ -439,7 +474,11 @@ def _load_state(path: str | None) -> tuple[StateFunctional, dict]:
     return StateFunctional.from_spec(raw), raw
 
 
-def _emit_report(report, out: str | None) -> None:
+def _emit_report(
+    state_spec: dict | None, checks: list[CheckRecord], timings: dict, out: str | None
+) -> int:
+    """Write the report of the checks and return the exit code."""
+    report = build_report(TOOL, state_spec, checks, timings)
     for rec in report.checks:
         verdict = "PASS" if rec.passed else "FAIL"
         print(f"[{verdict}] {rec.name} (tol={rec.tolerance:g})", file=sys.stderr)
@@ -449,6 +488,11 @@ def _emit_report(report, out: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+    if not report.overall_pass:
+        failing = [c.name for c in report.checks if not c.passed]
+        print("failing checks: " + ", ".join(failing), file=sys.stderr)
+        return EXIT_FAIL
+    return EXIT_PASS
 
 
 def cmd_eval(args) -> int:
@@ -465,48 +509,32 @@ def cmd_psd(args) -> int:
     if len(raw) > 256:
         raise ValueError(f"at most 256 points per battery, got {len(raw)}")
     pts = [point(*coords) for coords in raw]
-    timings = {}
     start = time.perf_counter()
-    m = kernel_matrix(state, pts)
-    res = psd_check(m, args.tol)
+    psd, rank = _measure_kernel(state, pts, args.tol)
     checks = [
         CheckRecord(
             name="kernel_psd",
-            anchor="F(x,y) = G(x-y) exp(-i s(x,y)) is a positive semidefinite kernel",
+            anchor=KERNEL_PSD_ANCHOR,
             inputs_digest=digest_inputs({"points": raw, "state": state.to_spec()}),
-            measured={"min_eigenvalue": res["min_eigenvalue"], "points": len(pts)},
+            measured={"min_eigenvalue": psd["min_eigenvalue"], "points": len(pts)},
             tolerance=args.tol,
-            passed=res["passed"],
+            passed=psd["passed"],
         )
     ]
-    if state.kind == "epr":
-        try:
-            part = support_relation(pts, state)
-            rank = rank_one_class_check(m, part, 1e-9)
-            rank_measured = {
-                "classes": len(part.classes),
-                "max_modulus_dev": rank["max_modulus_dev"],
-                "max_cocycle_dev": rank["max_cocycle_dev"],
-                "max_cross_leak": rank["max_cross_leak"],
-            }
-            rank_pass = rank["passed"]
-        except EquivalenceError as exc:
-            rank_measured = {"error": str(exc)}
-            rank_pass = False
+    if rank is not None:
+        passed = rank.pop("passed")
         checks.append(
             CheckRecord(
                 name="support_rank_one",
                 anchor="kernel support classes carry unimodular rank-one phases",
                 inputs_digest=digest_inputs({"points": raw}),
-                measured=rank_measured,
+                measured=rank,
                 tolerance=1e-9,
-                passed=rank_pass,
+                passed=passed,
             )
         )
-    timings["total"] = time.perf_counter() - start
-    report = build_report(TOOL, state_spec, checks, timings)
-    _emit_report(report, args.out)
-    return EXIT_PASS if report.overall_pass else EXIT_FAIL
+    timings = {"total": time.perf_counter() - start}
+    return _emit_report(state_spec, checks, timings, args.out)
 
 
 def cmd_bell(args) -> int:
@@ -538,34 +566,20 @@ def cmd_bell(args) -> int:
         tolerance=1e-10,
         passed=sound,
     )
-    report = build_report(TOOL, state_spec, [record], {"total": elapsed})
-    _emit_report(report, args.out)
-    return EXIT_PASS if report.overall_pass else EXIT_FAIL
+    return _emit_report(state_spec, [record], {"total": elapsed}, args.out)
 
 
 def cmd_surrogate(args) -> int:
     model = build_model(args.dim)
-    rng = random.Random(args.seed)
-    timings = {}
     start = time.perf_counter()
     chsh = chsh_value(model)
-    grid = np.linspace(0.0, 2 * math.pi, 63)
-    corr = correlation_grid(model, grid)
-    corr_dev = float(np.max(np.abs(corr - np.cos(grid[:, None] - grid[None, :]))))
-    nprng = np.random.default_rng(args.seed)
-    max_double_dev = 0.0
-    for _ in range(5):
-        raw = nprng.normal(size=(args.dim, args.dim)) + 1j * nprng.normal(
-            size=(args.dim, args.dim)
-        )
-        sym = (raw + raw.conj().T) / 2
-        res = double_of(model, sym)
-        max_double_dev = max(max_double_dev, abs(res["deviation"]))
-    timings["total"] = time.perf_counter() - start
+    corr_dev = _correlation_grid_dev(model, 63)
+    double_dev, _ = _matrix_doubles(model, np.random.default_rng(args.seed), 5)
+    timings = {"total": time.perf_counter() - start}
     checks = [
         CheckRecord(
             name="surrogate_chsh",
-            anchor="(1/2)<Omega,(A1(B1+B2)+A2(B1-B2))Omega> = 2 cos(pi/4) = sqrt(2)",
+            anchor=SURROGATE_CHSH_ANCHOR,
             inputs_digest=digest_inputs({"dim": args.dim}),
             measured={
                 "value": chsh,
@@ -577,7 +591,7 @@ def cmd_surrogate(args) -> int:
         ),
         CheckRecord(
             name="correlation_law",
-            anchor="<Omega,(A(t1)A(t2) x I)Omega> = cos(t1 - t2)",
+            anchor=CORRELATION_LAW_ANCHOR,
             inputs_digest=digest_inputs({"dim": args.dim, "grid": 63}),
             measured={"max_deviation": corr_dev},
             tolerance=1e-12,
@@ -585,16 +599,29 @@ def cmd_surrogate(args) -> int:
         ),
         CheckRecord(
             name="matrix_doubles",
-            anchor="<Omega, ((A x I) - (I x gamma(A)))^2 Omega> = 0",
+            anchor=MATRIX_DOUBLES_ANCHOR,
             inputs_digest=digest_inputs({"dim": args.dim, "samples": 5}),
-            measured={"max_deviation": max_double_dev},
+            measured={"max_deviation": double_dev},
             tolerance=1e-12,
-            passed=max_double_dev <= 1e-12,
+            passed=double_dev <= 1e-12,
         ),
     ]
-    report = build_report(TOOL, None, checks, timings)
-    _emit_report(report, args.out)
-    return EXIT_PASS if report.overall_pass else EXIT_FAIL
+    return _emit_report(None, checks, timings, args.out)
+
+
+#: verify-all in run order: (section, runs on the regular state, runner).
+#: Section names key the report's wall-clock timings.
+SUITE = (
+    ("kernel_psd", True, _check_kernel_psd),
+    ("gram_orthonormality", False, _check_gram_orthonormality),
+    ("uniqueness_support", False, _check_uniqueness),
+    ("multiplicativity", False, _check_multiplicativity),
+    ("traciality", False, _check_traciality),
+    ("collinearity", False, _check_collinearity),
+    ("bell_monomial", False, _check_bell_monomial),
+    ("surrogate", True, _check_surrogate),
+    ("doubles", True, _check_doubles),
+)
 
 
 def cmd_verify_all(args) -> int:
@@ -602,40 +629,15 @@ def cmd_verify_all(args) -> int:
     rng = random.Random(args.seed)
     checks: list[CheckRecord] = []
     timings: dict[str, float] = {}
-    suite = [
-        ("kernel_psd", lambda: _check_kernel_psd(state, rng)),
-        ("gram_orthonormality", lambda: [_check_gram_orthonormality(state)]),
-        ("uniqueness_support", lambda: [_check_uniqueness(state, rng)]),
-        ("multiplicativity", lambda: [_check_multiplicativity(state, rng)]),
-        ("traciality", lambda: [_check_traciality(state, rng)]),
-        ("collinearity", lambda: [_check_collinearity(state, rng)]),
-        ("bell_monomial", lambda: _check_bell_monomial(state, rng)),
-        ("surrogate", lambda: _check_surrogate(rng)),
-        ("doubles", lambda: _check_doubles(state, rng)),
-    ]
-    epr_only = {
-        "gram_orthonormality",
-        "uniqueness_support",
-        "multiplicativity",
-        "traciality",
-        "collinearity",
-        "bell_monomial",
-    }
     total_start = time.perf_counter()
-    for name, runner in suite:
-        if state.kind != "epr" and name in epr_only:
+    for name, on_regular, runner in SUITE:
+        if state.kind != "epr" and not on_regular:
             continue
         start = time.perf_counter()
-        checks.extend(runner())
+        checks.extend(runner(state, rng))
         timings[name] = time.perf_counter() - start
     timings["total"] = time.perf_counter() - total_start
-    report = build_report(TOOL, state_spec, checks, timings)
-    _emit_report(report, args.out)
-    if not report.overall_pass:
-        failing = [c.name for c in report.checks if not c.passed]
-        print("failing checks: " + ", ".join(failing), file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_PASS
+    return _emit_report(state_spec, checks, timings, args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

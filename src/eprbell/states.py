@@ -169,8 +169,10 @@ def positivity_check(state: StateFunctional, p: WeylPolynomial) -> float:
     """omega(P* P) as a real number.
 
     Positivity of the state makes this nonnegative up to roundoff; tests
-    assert that and also compare against the kernel quadratic form
-    sum_{j,k} c_j conj(c_k) M[j,k] (conjugation on the second index).
+    assert that and also compare against the kernel quadratic form of
+    P* = sum_j d_j W(y_j): omega(P*P) = sum_{j,k} d_j conj(d_k) M[j,k] with
+    M = kernel_matrix(state, [y_j]).  The same form over the terms of P
+    itself is omega(P P*).
     """
     value = eval_poly(state, weyl_multiply(adjoint(p), p))
     return float(value.real)
@@ -194,21 +196,19 @@ class SupportPartition:
             raise ValueError("partition does not cover the index range")
 
 
-def support_relation(
-    points: Sequence[Point], state: StateFunctional, zero_tol: float = 1e-9
-) -> SupportPartition:
-    """Partition indices by the relation (j,k) related iff M[j,k] != 0.
+def support_relation(m: np.ndarray, zero_tol: float = 1e-9) -> SupportPartition:
+    """Partition the indices of a kernel matrix by the relation (j,k)
+    related iff M[j,k] != 0.
 
-    Verifies that the relation really is an equivalence (reflexive,
-    symmetric, transitive) before returning its classes; failure raises
-    ``EquivalenceError``.  For the strictly correlated kernel the relation
-    is the kernel of the invariant map x -> (a+c, b-d), so it always passes;
-    regular kernels with thresholded tails can genuinely fail.
+    ``m`` is the matrix ``kernel_matrix`` built, so each battery's kernel is
+    built once.  Verifies that the relation really is an equivalence
+    (reflexive, symmetric, transitive) before returning its classes;
+    failure raises ``EquivalenceError``.  For the strictly correlated kernel
+    the relation is the kernel of the invariant map x -> (a+c, b-d), so it
+    always passes; regular kernels with thresholded tails can genuinely fail.
     """
-    _check_distinct(points)
-    m = kernel_matrix(state, points)
     related = np.abs(m) > zero_tol
-    n = len(points)
+    n = len(m)
     if not np.all(np.diag(related)):
         raise EquivalenceError("support relation is not reflexive")
     if not np.array_equal(related, related.T):

@@ -89,6 +89,27 @@ class TestPsd:
         )
         assert main(["psd", pts, "--state", state]) == 1
 
+    def test_kernel_built_once(self, tmp_path, epr_state_file, monkeypatch):
+        # the support relation reads the kernel the positivity check built
+        import eprbell.cli
+        import eprbell.states
+
+        calls = []
+        original = eprbell.states.kernel_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (eprbell.cli, eprbell.states):
+            monkeypatch.setattr(module, "kernel_matrix", counting)
+        pts = _write(
+            tmp_path / "pts.json",
+            [["0", "0", "0", "0"], ["1", "0", "-1", "0"], ["1", "0", "0", "0"]],
+        )
+        assert main(["psd", pts, "--state", epr_state_file]) == 0
+        assert len(calls) == 1
+
     def test_duplicate_points_exit_2(self, tmp_path):
         pts = _write(
             tmp_path / "pts.json",

@@ -12,6 +12,7 @@ from eprbell import (
     EquivalenceError,
     StateFunctional,
     WeylPolynomial,
+    adjoint,
     eval_point,
     eval_poly,
     kernel_matrix,
@@ -195,14 +196,23 @@ class TestPositivity:
         assert positivity_check(state, p) == pytest.approx(2 - 2 * math.sin(1), abs=1e-14)
 
     def test_gram_form_identity(self):
-        # omega(P*P) must equal sum_{j,k} c_j conj(c_k) M[j,k]; conjugation
-        # sits on the second index.
+        # omega(P*P) must equal sum_{j,k} d_j conj(d_k) M[j,k] over the terms
+        # d_j W(y_j) of P*, with M the kernel on the y_j.  The same form over
+        # P's own terms is omega(P P*), which differs once several terms
+        # share a support class, so every other P gets four terms in one.
         rng = random.Random(35)
-        for _ in range(60):
+        for i in range(60):
             state = StateFunctional.epr(rng.uniform(-3, 3), rng.uniform(-3, 3))
             p = rand_poly(rng, 4)
-            pts = p.points()
-            coeffs = np.array([p.terms[x] for x in pts])
+            if i % 2:
+                u, v = rand_fraction(rng), rand_fraction(rng)
+                for _ in range(4):
+                    a, b = rand_fraction(rng), rand_fraction(rng)
+                    coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    p = p + WeylPolynomial.generator((a, b, u - a, b - v), coeff)
+            p_star = adjoint(p)
+            pts = p_star.points()
+            coeffs = np.array([p_star.terms[y] for y in pts])
             m = kernel_matrix(state, pts)
             quad = float(np.real(coeffs @ m @ coeffs.conj()))
             direct = positivity_check(state, p)
@@ -211,8 +221,6 @@ class TestPositivity:
 
     def test_imaginary_part_small(self):
         rng = random.Random(36)
-        from eprbell import adjoint
-
         for _ in range(30):
             state = StateFunctional.epr(rng.uniform(-3, 3), rng.uniform(-3, 3))
             p = rand_poly(rng, 4)
@@ -223,23 +231,24 @@ class TestPositivity:
 class TestSupport:
     def test_three_point_example(self):
         pts = [point(0, 0, 0, 0), point(1, 0, -1, 0), point(1, 0, 0, 0)]
-        part = support_relation(pts, StateFunctional.epr())
+        part = support_relation(kernel_matrix(StateFunctional.epr(), pts))
         assert part.classes == ((0, 1), (2,))
 
     def test_singleton(self):
-        part = support_relation([point(5, 1, 2, 2)], StateFunctional.epr())
+        m = kernel_matrix(StateFunctional.epr(), [point(5, 1, 2, 2)])
+        part = support_relation(m)
         assert part.classes == ((0,),)
 
     def test_momentum_pair_single_class(self):
         pts = [point(0, 0, 0, 0), point(0, 1, 0, 1)]
-        part = support_relation(pts, StateFunctional.epr())
+        part = support_relation(kernel_matrix(StateFunctional.epr(), pts))
         assert part.classes == ((0, 1),)
 
     def test_classes_group_by_invariant(self):
         # the relation is the kernel of x -> (a+c, b-d)
         rng = random.Random(37)
         pts = distinct_points(rng, 40, 4)
-        part = support_relation(pts, StateFunctional.epr(0.2, 0.9))
+        part = support_relation(kernel_matrix(StateFunctional.epr(0.2, 0.9), pts))
         invariant = lambda x: (x[0] + x[2], x[1] - x[3])
         for cls in part.classes:
             values = {invariant(pts[j]) for j in cls}
@@ -251,8 +260,9 @@ class TestSupport:
         # chained near/far Gaussian points: x~y and y~z but not x~z once the
         # kernel tail drops below threshold
         pts = [point(0, 0, 0, 0), point(6, 0, 0, 0), point(12, 0, 0, 0)]
+        m = kernel_matrix(StateFunctional.regular(), pts)
         with pytest.raises(EquivalenceError):
-            support_relation(pts, StateFunctional.regular(), zero_tol=1e-6)
+            support_relation(m, zero_tol=1e-6)
 
 
 class TestRankOne:
@@ -260,14 +270,14 @@ class TestRankOne:
         pts = [point(0, 0, 0, 0), point(1, 0, 0, 0)]
         state = StateFunctional.epr()
         m = kernel_matrix(state, pts)
-        part = support_relation(pts, state)
+        part = support_relation(m)
         assert rank_one_class_check(m, part, 1e-12)["passed"]
 
     def test_collinear_class_cocycle(self):
         state = StateFunctional.epr(1.0)
         pts = [point(0, 0, 0, 0), point(1, 0, -1, 0), point(2, 0, -2, 0)]
         m = kernel_matrix(state, pts)
-        part = support_relation(pts, state)
+        part = support_relation(m)
         assert part.classes == ((0, 1, 2),)
         res = rank_one_class_check(m, part, 1e-12)
         assert res["passed"]
@@ -289,7 +299,7 @@ class TestRankOne:
                 if cand not in pts:
                     pts.append(cand)
             m = kernel_matrix(state, pts)
-            part = support_relation(pts, state)
+            part = support_relation(m)
             assert rank_one_class_check(m, part, 1e-10)["passed"]
             assert psd_check(m, 1e-10)["passed"]
 
