@@ -35,7 +35,6 @@ from .gns import (
     collinearity_check,
     compress_operator,
     norm_lower_bound,
-    trace_vector_check,
 )
 from .states import (
     EquivalenceError,
@@ -49,6 +48,7 @@ from .states import (
     psd_check,
     rank_one_class_check,
     support_relation,
+    trace_vector_check,
     traciality_check,
     uniqueness_support_check,
 )

@@ -471,7 +471,10 @@ def _load_state(path: str | None) -> tuple[StateFunctional, dict]:
         state = StateFunctional.epr()
         return state, state.to_spec()
     raw = _load_json(path)
-    return StateFunctional.from_spec(raw), raw
+    try:
+        return StateFunctional.from_spec(raw), raw
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit_report(

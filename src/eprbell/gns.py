@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import StateFunctional, eval_poly
+# trace_vector_check is re-exported here, beside the other vector checks
+from .states import StateFunctional, eval_poly, trace_vector_check
 from .weyl import (
     Point,
     WeylPolynomial,
@@ -128,23 +129,6 @@ def collinearity_check(
         "expected_phase": expected,
         "phase_deviation": float(phase_dev),
         "passed": abs(modulus - 1.0) <= 1e-12 and phase_dev <= 1e-12,
-    }
-
-
-def trace_vector_check(
-    state: StateFunctional, p: WeylPolynomial, q: WeylPolynomial, slot: int
-) -> dict:
-    """omega(embed(PQ)) = omega(embed(QP)) for one-particle polynomials."""
-    if p.dim != 2 or q.dim != 2:
-        raise ValueError("trace_vector_check expects dimension-2 polynomials")
-    forward = eval_poly(state, tensor_embed(weyl_multiply(p, q), slot))
-    reverse = eval_poly(state, tensor_embed(weyl_multiply(q, p), slot))
-    deviation = abs(forward - reverse)
-    return {
-        "forward": forward,
-        "reverse": reverse,
-        "deviation": float(deviation),
-        "passed": deviation <= 1e-10,
     }
 
 

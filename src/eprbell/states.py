@@ -68,6 +68,9 @@ class StateFunctional:
     def __post_init__(self):
         if self.kind not in (KIND_EPR, KIND_REGULAR):
             raise ValueError(f"unknown state kind {self.kind!r}")
+        for field, value in (("lambda", self.lam), ("mu", self.mu)):
+            if not math.isfinite(value):
+                raise ValueError(f"state field {field!r} must be finite, got {value!r}")
 
     @classmethod
     def epr(cls, lam: float = 0.0, mu: float = 0.0) -> "StateFunctional":
@@ -79,6 +82,9 @@ class StateFunctional:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "StateFunctional":
+        if not isinstance(spec, dict):
+            found = type(spec).__name__
+            raise ValueError(f"a state spec must be a JSON object, not {found}")
         kind = spec.get("kind", KIND_EPR)
         return cls(
             kind,
@@ -208,24 +214,17 @@ def support_relation(m: np.ndarray, zero_tol: float = 1e-9) -> SupportPartition:
     always passes; regular kernels with thresholded tails can genuinely fail.
     """
     related = np.abs(m) > zero_tol
-    n = len(m)
     if not np.all(np.diag(related)):
         raise EquivalenceError("support relation is not reflexive")
     if not np.array_equal(related, related.T):
         raise EquivalenceError("support relation is not symmetric")
-    closure = (related.astype(int) @ related.astype(int)) > 0
-    if np.any(closure & ~related):
+    # A reflexive, symmetric relation is transitive exactly when every row
+    # equals the row of its first related index, which then labels the class.
+    first = related.argmax(axis=1) if len(m) else np.zeros(0, dtype=int)
+    if not np.array_equal(related, related[first]):
         raise EquivalenceError("support relation is not transitive")
-    assigned = [-1] * n
-    classes: list[list[int]] = []
-    for i in range(n):
-        if assigned[i] >= 0:
-            continue
-        members = [j for j in range(n) if related[i, j]]
-        for j in members:
-            assigned[j] = len(classes)
-        classes.append(members)
-    return SupportPartition(n, tuple(tuple(c) for c in classes))
+    classes = (tuple(np.flatnonzero(related[r]).tolist()) for r in np.unique(first))
+    return SupportPartition(len(m), tuple(classes))
 
 
 def rank_one_class_check(
@@ -238,29 +237,24 @@ def rank_one_class_check(
     M[j,k] = alpha_j conj(alpha_k) with unimodular alphas; across classes
     the kernel must vanish.
     """
-    max_modulus_dev = 0.0
+    # Moduli via hypot and products written out over real and imaginary
+    # parts: numpy's SIMD abs and complex * differ from scalar arithmetic in
+    # the last bit, and these values match the scalar ones exactly.
+    same = np.zeros((partition.size, partition.size), dtype=bool)
     max_cocycle_dev = 0.0
-    max_cross_leak = 0.0
     for cls in partition.classes:
-        for j in cls:
-            for k in cls:
-                max_modulus_dev = max(max_modulus_dev, abs(abs(m[j, k]) - 1.0))
-                for l in cls:
-                    max_cocycle_dev = max(
-                        max_cocycle_dev, abs(m[j, k] * m[k, l] - m[j, l])
-                    )
-    cls_of = {}
-    for ci, cls in enumerate(partition.classes):
-        for j in cls:
-            cls_of[j] = ci
-    n = partition.size
-    for j in range(n):
-        for k in range(n):
-            if cls_of[j] != cls_of[k]:
-                max_cross_leak = max(max_cross_leak, abs(m[j, k]))
-    max_modulus_dev = float(max_modulus_dev)
-    max_cocycle_dev = float(max_cocycle_dev)
-    max_cross_leak = float(max_cross_leak)
+        block = np.ix_(cls, cls)
+        same[block] = True
+        re, im = m.real[block], m.imag[block]
+        # M[j,k] M[k,l] - M[j,l] over all (j, l) at once, one k at a time,
+        # so memory stays O(class size squared)
+        for k in range(len(cls)):
+            a, b = re[:, k, None], im[:, k, None]
+            dev = np.hypot(a * re[k] - b * im[k] - re, a * im[k] + b * re[k] - im)
+            max_cocycle_dev = max(max_cocycle_dev, float(dev.max()))
+    modulus = np.hypot(m.real, m.imag)
+    max_modulus_dev = float(np.max(np.abs(modulus - 1.0), where=same, initial=0.0))
+    max_cross_leak = float(np.max(modulus, where=~same, initial=0.0))
     passed = (
         max_modulus_dev <= tol and max_cocycle_dev <= tol and max_cross_leak <= tol
     )
@@ -302,17 +296,10 @@ def uniqueness_support_check(state: StateFunctional, x: Point) -> dict:
     }
 
 
-def _correlated_pair(s: Fraction) -> WeylPolynomial:
-    """W(s,0) x W(-s,0) as a dimension-4 polynomial."""
-    left = tensor_embed(WeylPolynomial.generator(point(s, 0)), 1)
-    right = tensor_embed(WeylPolynomial.generator(point(-s, 0)), 2)
-    return weyl_multiply(left, right)
-
-
-def _comomentum_pair(t: Fraction) -> WeylPolynomial:
-    """W(0,t) x W(0,t) as a dimension-4 polynomial."""
-    left = tensor_embed(WeylPolynomial.generator(point(0, t)), 1)
-    right = tensor_embed(WeylPolynomial.generator(point(0, t)), 2)
+def _embedded_pair(x: Point, y: Point) -> WeylPolynomial:
+    """W(x) x W(y) as a dimension-4 polynomial."""
+    left = tensor_embed(WeylPolynomial.generator(x), 1)
+    right = tensor_embed(WeylPolynomial.generator(y), 2)
     return weyl_multiply(left, right)
 
 
@@ -329,8 +316,9 @@ def multiplicativity_check(
     omega(A W(x)) = omega(A) omega(W(x)) and the reversed order, for both
     A and B.
     """
-    a_poly = _correlated_pair(Fraction(s))
-    b_poly = _comomentum_pair(Fraction(t))
+    s, t = Fraction(s), Fraction(t)
+    a_poly = _embedded_pair(point(s, 0), point(-s, 0))
+    b_poly = _embedded_pair(point(0, t), point(0, t))
     wa = eval_poly(state, a_poly)
     wb = eval_poly(state, b_poly)
     deviations = [abs(eval_poly(state, weyl_multiply(a_poly, b_poly)) - wa * wb)]
@@ -348,25 +336,36 @@ def multiplicativity_check(
     return {"max_deviation": max_dev, "passed": max_dev <= 1e-12}
 
 
-def traciality_check(state: StateFunctional, a: Point, b: Point) -> dict:
-    """omega(W(a)W(b) x I) = omega(W(b)W(a) x I) for one-particle points.
-
-    Both orders evaluate through the full product machinery.  When b != -a
-    both sides are exact zeros; when b = -a both reduce to omega(I) = 1.
-    """
-    if len(a) != 2 or len(b) != 2:
-        raise ValueError("traciality_check expects dimension-2 points")
-    pa = WeylPolynomial.generator(a)
-    pb = WeylPolynomial.generator(b)
-    forward = eval_poly(state, tensor_embed(weyl_multiply(pa, pb), 1))
-    reverse = eval_poly(state, tensor_embed(weyl_multiply(pb, pa), 1))
+def trace_vector_check(
+    state: StateFunctional, p: WeylPolynomial, q: WeylPolynomial, slot: int
+) -> dict:
+    """omega(embed(PQ)) = omega(embed(QP)) for one-particle polynomials."""
+    if p.dim != 2 or q.dim != 2:
+        raise ValueError("trace_vector_check expects dimension-2 polynomials")
+    forward = eval_poly(state, tensor_embed(weyl_multiply(p, q), slot))
+    reverse = eval_poly(state, tensor_embed(weyl_multiply(q, p), slot))
     deviation = abs(forward - reverse)
-    passed = deviation <= 1e-12
-    if negate(a) != b:
-        passed = passed and forward == 0 and reverse == 0
     return {
         "forward": forward,
         "reverse": reverse,
         "deviation": float(deviation),
-        "passed": passed,
+        "passed": deviation <= 1e-10,
     }
+
+
+def traciality_check(state: StateFunctional, a: Point, b: Point) -> dict:
+    """omega(W(a)W(b) x I) = omega(W(b)W(a) x I) for one-particle points.
+
+    ``trace_vector_check`` on the two generators in slot 1, with a stricter
+    verdict: when b != -a both sides must be exact zeros; when b = -a both
+    reduce to omega(I) = 1.
+    """
+    if len(a) != 2 or len(b) != 2:
+        raise ValueError("traciality_check expects dimension-2 points")
+    res = trace_vector_check(
+        state, WeylPolynomial.generator(a), WeylPolynomial.generator(b), 1
+    )
+    passed = res["deviation"] <= 1e-12
+    if negate(a) != b:
+        passed = passed and res["forward"] == 0 and res["reverse"] == 0
+    return {**res, "passed": passed}

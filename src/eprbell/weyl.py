@@ -280,9 +280,12 @@ def from_records(records: list[dict], dim: int | None = None) -> WeylPolynomial:
             raise ValueError("cannot infer dimension from an empty record list")
         return WeylPolynomial.zero(dim)
     terms = []
-    for rec in records:
+    for i, rec in enumerate(records):
         pt = tuple(Fraction(s) for s in rec["point"])
-        terms.append((pt, complex(float(rec["re"]), float(rec["im"]))))
+        coeff = complex(float(rec["re"]), float(rec["im"]))
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"record {i}: coefficient {coeff} is not finite")
+        terms.append((pt, coeff))
     inferred = len(terms[0][0])
     if dim is not None and dim != inferred:
         raise ValueError(f"records have dimension {inferred}, expected {dim}")

@@ -49,6 +49,19 @@ class TestEval:
     def test_missing_file_exits_2(self):
         assert main(["eval", "/nonexistent/poly.json"]) == 2
 
+    def test_infinite_coefficient_exits_2(self, tmp_path, capsys):
+        poly = _write(
+            tmp_path / "p.json",
+            [
+                {"point": ["0", "0", "0", "0"], "re": 1.0, "im": 0.0},
+                {"point": ["1", "0", "-1", "0"], "re": "inf", "im": 0.0},
+            ],
+        )
+        assert main(["eval", poly]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "record 1" in captured.err
+
 
 class TestPsd:
     def test_two_point_example_passes(self, tmp_path, capsys):
@@ -238,6 +251,30 @@ class TestModuleEntry:
         out = str(tmp_path / "rep.json")
         assert main(["psd", pts, "--state", state, "--out", out]) == 0
         assert report_from_json(open(out).read()).state_spec == spec
+
+
+class TestMalformedStateSpec:
+    @pytest.mark.parametrize("command", ["psd", "verify-all"])
+    @pytest.mark.parametrize(
+        "spec, names",
+        [
+            ([1, 2], "JSON object"),
+            ({"lambda": "nan"}, "'lambda'"),
+            ({"lambda": "inf"}, "'lambda'"),
+            ({"mu": "-inf"}, "'mu'"),
+        ],
+    )
+    def test_exits_2_naming_file_and_field(
+        self, tmp_path, capsys, command, spec, names
+    ):
+        state = _write(tmp_path / "state.json", spec)
+        pts = _write(
+            tmp_path / "pts.json", [["0", "0", "0", "0"], ["1", "0", "-1", "0"]]
+        )
+        argv = ["psd", pts] if command == "psd" else ["verify-all"]
+        assert main(argv + ["--state", state]) == 2
+        err = capsys.readouterr().err
+        assert state in err and names in err
 
 
 class TestVerifyAll:

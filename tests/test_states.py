@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import distinct_points, rand_fraction, rand_point, rand_poly
 from eprbell import (
     EquivalenceError,
     StateFunctional,
+    SupportPartition,
     WeylPolynomial,
     adjoint,
     eval_point,
@@ -265,6 +268,62 @@ class TestSupport:
             support_relation(m, zero_tol=1e-6)
 
 
+def _closure_classes(related) -> tuple[tuple[int, ...], ...]:
+    """Brute-force support classes: every axiom checked entry by entry,
+    transitivity through a Warshall closure."""
+    n = len(related)
+    rel = [[bool(related[j][k]) for k in range(n)] for j in range(n)]
+    if not all(rel[j][j] for j in range(n)):
+        raise EquivalenceError("support relation is not reflexive")
+    if any(rel[j][k] != rel[k][j] for j in range(n) for k in range(n)):
+        raise EquivalenceError("support relation is not symmetric")
+    closure = [row[:] for row in rel]
+    for k in range(n):
+        for j in range(n):
+            for l in range(n):
+                closure[j][l] = closure[j][l] or (closure[j][k] and closure[k][l])
+    if closure != rel:
+        raise EquivalenceError("support relation is not transitive")
+    classes = []
+    for j in range(n):
+        if not any(j in cls for cls in classes):
+            classes.append(tuple(k for k in range(n) if rel[j][k]))
+    return tuple(classes)
+
+
+@st.composite
+def _relations(draw):
+    """A partition's relation with a few entries flipped, mirrored or not, so
+    that all three axioms fail in some draws and hold in others."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    related = np.equal.outer(labels, labels)
+    index = st.integers(0, n - 1)
+    flips = st.lists(st.tuples(index, index, st.booleans()), max_size=3)
+    for j, k, mirror in draw(flips):
+        related[j, k] = not related[j, k]
+        if mirror:
+            related[k, j] = related[j, k]
+    return related
+
+
+class TestSupportProperties:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_relations())
+    def test_matches_brute_force_closure(self, related):
+        m = np.where(related, 0.6 - 0.8j, 0j)
+        try:
+            expected = _closure_classes(related)
+        except EquivalenceError as exc:
+            with pytest.raises(EquivalenceError) as raised:
+                support_relation(m)
+            assert str(raised.value) == str(exc)
+            return
+        part = support_relation(m)
+        assert part.classes == expected
+        assert all(type(j) is int for cls in part.classes for j in cls)
+
+
 class TestRankOne:
     def test_singleton_classes_pass(self):
         pts = [point(0, 0, 0, 0), point(1, 0, 0, 0)]
@@ -302,6 +361,53 @@ class TestRankOne:
             part = support_relation(m)
             assert rank_one_class_check(m, part, 1e-10)["passed"]
             assert psd_check(m, 1e-10)["passed"]
+
+
+    def test_matches_triple_loop_on_wide_clustered_batteries(self):
+        # the array check reproduces the entry-by-entry reference bit for bit,
+        # also where wide coordinates make the cocycle deviations nonzero
+        rng = random.Random(41)
+        for battery in range(24):
+            num, den = ((8, 6), (10**6, 10**3), (10**8, 7))[battery % 3]
+            frac = lambda: Fraction(rng.randint(-num, num), rng.randint(1, den))
+            invariants = [(frac(), frac()) for _ in range(rng.randint(1, 4))]
+            pts, n = set(), rng.randint(2, 36)
+            while len(pts) < n:
+                u, v = rng.choice(invariants)
+                a, b = frac(), frac()
+                pts.add((a, b, u - a, b - v))
+            state = StateFunctional.epr(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            m = kernel_matrix(state, sorted(pts))
+            part = support_relation(m)
+            if battery % 2:
+                j, k = rng.randrange(len(pts)), rng.randrange(len(pts))
+                m[j, k] += complex(rng.gauss(0, 1e-7), rng.gauss(0, 1e-7))
+            assert rank_one_class_check(m, part, 1e-9) == _rank_one_reference(
+                m, part, 1e-9
+            )
+
+
+def _rank_one_reference(m, partition: SupportPartition, tol: float) -> dict:
+    """rank_one_class_check written entry by entry with scalar arithmetic."""
+    modulus_dev = cocycle_dev = cross_leak = 0.0
+    for cls in partition.classes:
+        for j in cls:
+            for k in cls:
+                modulus_dev = max(modulus_dev, abs(abs(m[j, k]) - 1.0))
+                for l in cls:
+                    cocycle_dev = max(cocycle_dev, abs(m[j, k] * m[k, l] - m[j, l]))
+    cls_of = {j: ci for ci, cls in enumerate(partition.classes) for j in cls}
+    for j in range(partition.size):
+        for k in range(partition.size):
+            if cls_of[j] != cls_of[k]:
+                cross_leak = max(cross_leak, abs(m[j, k]))
+    values = [float(modulus_dev), float(cocycle_dev), float(cross_leak)]
+    return {
+        "max_modulus_dev": values[0],
+        "max_cocycle_dev": values[1],
+        "max_cross_leak": values[2],
+        "passed": all(v <= tol for v in values),
+    }
 
 
 class TestUniqueness:
