@@ -112,23 +112,32 @@ MATRIX_DOUBLES_ANCHOR = "<Omega, ((A x I) - (I x gamma(A)))^2 Omega> = 0"
 
 def _measure_kernel(
     state: StateFunctional, pts: list[Point], tol: float
-) -> tuple[dict, dict | None]:
+) -> tuple[dict, dict | None, dict]:
     """Kernel positivity and, for the epr state, the support-class structure,
     both from one kernel build.
 
-    Returns the psd_check result and, for the epr state, the rank-one class
+    Returns the psd_check result; for the epr state, the rank-one class
     measurements with the class count and verdict, or the support
-    relation's error with a failing verdict; None for other states.
+    relation's error with a failing verdict, and None for other states; and
+    the wall-clock seconds of the kernel build (kernel_s), the eigenvalue
+    check (psd_s) and the support checks (support_s, 0 for other states).
     """
+    start = time.perf_counter()
     m = kernel_matrix(state, pts)
+    built = time.perf_counter()
     psd = psd_check(m, tol)
+    checked = time.perf_counter()
+    timings = {"kernel_s": built - start, "psd_s": checked - built, "support_s": 0.0}
     if state.kind != "epr":
-        return psd, None
+        return psd, None, timings
     try:
         part = support_relation(m)
     except EquivalenceError as exc:
-        return psd, {"error": str(exc), "passed": False}
-    return psd, {"classes": len(part.classes), **rank_one_class_check(m, part, 1e-9)}
+        rank = {"error": str(exc), "passed": False}
+    else:
+        rank = {"classes": len(part.classes), **rank_one_class_check(m, part, 1e-9)}
+    timings["support_s"] = time.perf_counter() - checked
+    return psd, rank, timings
 
 
 def _correlation_grid_dev(model, points: int) -> float:
@@ -186,7 +195,7 @@ def _check_kernel_psd(state: StateFunctional, rng: random.Random) -> list[CheckR
     worst = dict.fromkeys(("max_modulus_dev", "max_cocycle_dev", "max_cross_leak"), 0.0)
     support_ok = True
     for _ in range(batteries):
-        psd, rank = _measure_kernel(state, _distinct_points(rng, points_per, 4), tol)
+        psd, rank, _ = _measure_kernel(state, _distinct_points(rng, points_per, 4), tol)
         worst_min_eig = min(worst_min_eig, psd["min_eigenvalue"])
         psd_ok = psd_ok and psd["passed"]
         if rank is not None:
@@ -513,7 +522,7 @@ def cmd_psd(args) -> int:
         raise ValueError(f"at most 256 points per battery, got {len(raw)}")
     pts = [point(*coords) for coords in raw]
     start = time.perf_counter()
-    psd, rank = _measure_kernel(state, pts, args.tol)
+    psd, rank, timings = _measure_kernel(state, pts, args.tol)
     checks = [
         CheckRecord(
             name="kernel_psd",
@@ -536,7 +545,7 @@ def cmd_psd(args) -> int:
                 passed=passed,
             )
         )
-    timings = {"total": time.perf_counter() - start}
+    timings["total"] = time.perf_counter() - start
     return _emit_report(state_spec, checks, timings, args.out)
 
 

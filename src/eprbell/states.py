@@ -32,7 +32,6 @@ from .weyl import (
     Point,
     WeylPolynomial,
     adjoint,
-    direct_sum_form,
     negate,
     point,
     tensor_embed,
@@ -85,12 +84,16 @@ class StateFunctional:
         if not isinstance(spec, dict):
             found = type(spec).__name__
             raise ValueError(f"a state spec must be a JSON object, not {found}")
-        kind = spec.get("kind", KIND_EPR)
+        corrupt = spec.get("corrupt_kernel", False)
+        if not isinstance(corrupt, bool):
+            raise ValueError(
+                f"state field 'corrupt_kernel' must be true or false, got {corrupt!r}"
+            )
         return cls(
-            kind,
-            float(spec.get("lambda", 0.0)),
-            float(spec.get("mu", 0.0)),
-            bool(spec.get("corrupt_kernel", False)),
+            spec.get("kind", KIND_EPR),
+            _spec_number(spec, "lambda"),
+            _spec_number(spec, "mu"),
+            corrupt,
         )
 
     def to_spec(self) -> dict:
@@ -98,6 +101,18 @@ class StateFunctional:
         if self.corrupt_kernel:
             spec["corrupt_kernel"] = True
         return spec
+
+
+def _spec_number(spec: dict, field: str) -> float:
+    """A numeric state field, as float() reads it; JSON true/false and null
+    are rejected, naming the field."""
+    value = spec.get(field, 0.0)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"state field {field!r} must be a number, got {value!r}")
 
 
 def eval_point(state: StateFunctional, x: Point) -> complex:
@@ -113,7 +128,8 @@ def eval_point(state: StateFunctional, x: Point) -> complex:
         if a + c != 0 or b - d != 0:
             return 0j
         return unit_phase(float(a) * state.lam + float(b) * state.mu)
-    norm_sq = sum(float(t) * float(t) for t in x)
+    fa, fb, fc, fd = (float(t) for t in x)
+    norm_sq = fa * fa + fb * fb + fc * fc + fd * fd
     return complex(math.exp(-norm_sq / 4.0), 0.0)
 
 
@@ -131,28 +147,88 @@ def _check_distinct(points: Sequence[Point]):
         raise ValueError("points must be pairwise distinct")
 
 
+#: Rows of a kernel block computed at once, so temporaries are O(chunk * n).
+_ROW_CHUNK = 32
+
+
 def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray:
     """The twisted kernel M[j,k] = G(x_j - x_k) exp{-i s(x_j, x_k)}.
 
     Hermitian by the hermiticity of G and antisymmetry of the form.  With the
     corrupt flag set, the last diagonal entry is deflated below zero so the
     matrix is guaranteed non-PSD whatever the points.
+
+    Every entry is the double that evaluating eval_point on the exact
+    difference, times unit_phase of the exact form, gives.  The points are
+    scaled by the LCM of their denominators to integers; for the epr state
+    only entries within a class of the invariant (a+c, b-d) are computed,
+    and all others are exact zeros.
     """
     points = [tuple(Fraction(c) for c in p) for p in points]
     _check_distinct(points)
+    if any(len(p) != 4 for p in points):
+        raise ValueError("states are defined on the dimension-4 algebra")
     n = len(points)
-    m = np.empty((n, n), dtype=complex)
-    for j, xj in enumerate(points):
-        for k, xk in enumerate(points):
-            diff = tuple(u - v for u, v in zip(xj, xk))
-            g = eval_point(state, diff)
-            if g == 0:
-                m[j, k] = 0.0
-            else:
-                m[j, k] = g * unit_phase(-direct_sum_form(xj, xk))
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    ints = [[c.numerator * (scale // c.denominator) for c in p] for p in points]
+    big = max(abs(v) for p in ints for v in p)
+    # int64 only while every product, sum and divisor below is an integer a
+    # double holds exactly, so each quotient is correctly rounded, as
+    # float(Fraction) is; Python ints otherwise
+    fits = 4 * big * big < 2**53 and 2 * scale * scale < 2**53
+    coords = np.array(ints, dtype=np.int64 if fits else object)
+    if state.kind == KIND_EPR:
+        classes: dict[tuple[int, int], list[int]] = {}
+        for j, (a, b, c, d) in enumerate(ints):
+            classes.setdefault((a + c, b - d), []).append(j)
+        blocks = list(classes.values())
+    else:
+        blocks = [list(range(n))]
+    m = np.zeros((n, n), dtype=complex)
+    for cols in blocks:
+        for start in range(0, len(cols), _ROW_CHUNK):
+            rows = cols[start : start + _ROW_CHUNK]
+            block = np.ix_(rows, cols)
+            m.real[block], m.imag[block] = _kernel_block(
+                state, coords[rows], coords[cols], scale
+            )
     if state.corrupt_kernel:
         m[n - 1, n - 1] -= 1.5
     return m
+
+
+def _kernel_block(
+    state: StateFunctional, x: np.ndarray, y: np.ndarray, scale: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of M over rows x and columns y of scaled
+    integer coordinates: eval_point of each exact difference times
+    unit_phase of the exact form, computed as Python's complex * does."""
+    sym = x[:, None, 0] * y[None, :, 1] - x[:, None, 1] * y[None, :, 0]
+    sym = sym + x[:, None, 2] * y[None, :, 3] - x[:, None, 3] * y[None, :, 2]
+    twist = np.asarray(-sym / (2 * scale * scale), dtype=float)
+    p_re, p_im = np.cos(twist), np.sin(twist)
+    # float() of each exact coordinate difference
+    diffs = (x[:, None, i] - y[None, :, i] for i in range(4))
+    f = [np.asarray(d / scale, dtype=float) for d in diffs]
+    if state.kind == KIND_EPR:
+        # unit_phase's exact 1 at a zero angle differs from cos/sin only by
+        # sin(-0.0) = -0.0, which the product below absorbs: that zero only
+        # meets a cosine, never zero, or adds to another zero
+        t = f[0] * state.lam + f[1] * state.mu
+        g_re, g_im = np.cos(t), np.sin(t)
+    else:
+        # left to right, as eval_point sums the squares
+        arg = -(f[0] * f[0] + f[1] * f[1] + f[2] * f[2] + f[3] * f[3]) / 4.0
+        # math.exp, not np.exp, whose last bit differs from libm's
+        g_re = np.fromiter(map(math.exp, arg.ravel()), float, arg.size)
+        g_re = g_re.reshape(arg.shape)
+        g_im = np.zeros_like(g_re)
+    # the complex product written out over real and imaginary parts; an
+    # underflowed Gaussian factor gives an exact zero entry
+    zero = (g_re == 0.0) & (g_im == 0.0)
+    re = np.where(zero, 0.0, g_re * p_re - g_im * p_im)
+    im = np.where(zero, 0.0, g_re * p_im + g_im * p_re)
+    return re, im
 
 
 def psd_check(m: np.ndarray, tol: float) -> dict:

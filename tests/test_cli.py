@@ -123,6 +123,18 @@ class TestPsd:
         assert main(["psd", pts, "--state", epr_state_file]) == 0
         assert len(calls) == 1
 
+    def test_wall_clock_splits_kernel_psd_and_support(self, tmp_path, epr_state_file):
+        pts = _write(
+            tmp_path / "pts.json",
+            [["0", "0", "0", "0"], ["1", "0", "-1", "0"], ["1", "0", "0", "0"]],
+        )
+        out = str(tmp_path / "rep.json")
+        assert main(["psd", pts, "--state", epr_state_file, "--out", out]) == 0
+        timings = report_from_json(open(out).read()).wall_clock_s
+        assert set(timings) == {"kernel_s", "psd_s", "support_s", "total"}
+        parts = timings["kernel_s"] + timings["psd_s"] + timings["support_s"]
+        assert min(timings.values()) >= 0 and parts <= timings["total"]
+
     def test_duplicate_points_exit_2(self, tmp_path):
         pts = _write(
             tmp_path / "pts.json",
@@ -275,6 +287,40 @@ class TestMalformedStateSpec:
         assert main(argv + ["--state", state]) == 2
         err = capsys.readouterr().err
         assert state in err and names in err
+
+
+    @pytest.mark.parametrize("command", ["psd", "verify-all"])
+    @pytest.mark.parametrize(
+        "spec, names",
+        [
+            ({"lambda": None}, "'lambda'"),
+            ({"lambda": True}, "'lambda'"),
+            ({"mu": False}, "'mu'"),
+            ({"mu": [0.5]}, "'mu'"),
+            ({"corrupt_kernel": "false"}, "'corrupt_kernel'"),
+            ({"corrupt_kernel": 1}, "'corrupt_kernel'"),
+            ({"corrupt_kernel": None}, "'corrupt_kernel'"),
+        ],
+    )
+    def test_wrong_json_type_exits_2_naming_the_field(
+        self, tmp_path, capsys, command, spec, names
+    ):
+        state = _write(tmp_path / "state.json", spec)
+        pts = _write(
+            tmp_path / "pts.json", [["0", "0", "0", "0"], ["1", "0", "-1", "0"]]
+        )
+        argv = ["psd", pts] if command == "psd" else ["verify-all"]
+        assert main(argv + ["--state", state]) == 2
+        err = capsys.readouterr().err
+        assert state in err and names in err
+
+    def test_numbers_as_ints_and_strings_stay_accepted(self, tmp_path):
+        spec = {"lambda": 2, "mu": "-0.5", "corrupt_kernel": False}
+        state = _write(tmp_path / "state.json", spec)
+        pts = _write(
+            tmp_path / "pts.json", [["0", "0", "0", "0"], ["1", "0", "-1", "0"]]
+        )
+        assert main(["psd", pts, "--state", state]) == 0
 
 
 class TestVerifyAll:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import distinct_points, rand_fraction, rand_point, rand_poly
@@ -30,6 +30,7 @@ from eprbell import (
     uniqueness_support_check,
     weyl_multiply,
 )
+from eprbell.weyl import direct_sum_form, unit_phase
 
 
 class TestEvalPoint:
@@ -160,6 +161,134 @@ class TestKernel:
         res = psd_check(kernel_matrix(state, pts), 1e-10)
         assert not res["passed"]
         assert res["min_eigenvalue"] <= -0.4
+
+
+def _kernel_reference(state: StateFunctional, points) -> np.ndarray:
+    """kernel_matrix as the scalar double loop over exact Fraction points."""
+    points = [tuple(Fraction(c) for c in p) for p in points]
+    if not points:
+        raise ValueError("at least one point is required")
+    if len(set(points)) != len(points):
+        raise ValueError("points must be pairwise distinct")
+    n = len(points)
+    m = np.empty((n, n), dtype=complex)
+    for j, xj in enumerate(points):
+        for k, xk in enumerate(points):
+            diff = tuple(u - v for u, v in zip(xj, xk))
+            g = eval_point(state, diff)
+            if g == 0:
+                m[j, k] = 0.0
+            else:
+                m[j, k] = g * unit_phase(-direct_sum_form(xj, xk))
+    if state.corrupt_kernel:
+        m[n - 1, n - 1] -= 1.5
+    return m
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+#: Coordinate families: (numerator, denominator) bounds of the CLI's own
+#: batteries, of wide ones, and numerators past int64; or JSON floats, read
+#: as their exact binary fractions.
+_COORDS = {
+    "small": st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6)),
+    "wide": st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**3)),
+    "huge": st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 7)),
+    "float": st.floats(-8, 8, allow_nan=False).map(Fraction),
+}
+
+
+@st.composite
+def _kernel_points(draw):
+    """Distinct dimension-4 points, each either on one of a few EPR support
+    classes (a + c, b - d) = (u, v) or anywhere."""
+    coord = _COORDS[draw(st.sampled_from(sorted(_COORDS)))]
+    invariants = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=3))
+    pts = []
+    for _ in range(draw(st.integers(1, 16))):
+        if draw(st.booleans()):
+            u, v = draw(st.sampled_from(invariants))
+            a, b = draw(coord), draw(coord)
+            p = (a, b, u - a, b - v)
+        else:
+            p = tuple(draw(coord) for _ in range(4))
+        if p not in pts:
+            pts.append(p)
+    return pts
+
+
+_PARAMETER = st.floats(-5, 5, allow_nan=False)
+_STATES = st.one_of(
+    st.builds(StateFunctional.epr, _PARAMETER, _PARAMETER),
+    st.just(StateFunctional.regular()),
+    st.builds(
+        StateFunctional,
+        st.sampled_from(["epr", "regular"]),
+        _PARAMETER,
+        _PARAMETER,
+        st.just(True),
+    ),
+)
+
+
+class TestKernelOracle:
+    """kernel_matrix returns bit for bit what the scalar loop returns."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_STATES, _kernel_points())
+    @example(StateFunctional.epr(-0.5, -0.25), [(3, 1, 2, 5)])
+    @example(StateFunctional.regular(), [(0.1, 0.2, -0.1, 0.2), (0.3, 0, 0, 0)])
+    def test_matches_scalar_loop(self, state, pts):
+        assert _same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
+
+    @pytest.mark.parametrize(
+        "state", [StateFunctional.epr(1.3, -0.7), StateFunctional.regular()]
+    )
+    def test_matches_scalar_loop_at_the_int64_limit(self, state):
+        # 4 max|coordinate|^2 and 2 L^2 on either side of 2^53, where the
+        # scaled coordinates leave int64 for Python ints
+        for k in (47453132, 47453133):
+            pts = [(k, 1, -k, 1), (k - 1, 2, 1 - k, 2), (0, 0, 0, 0), (k, -k, 3, 2)]
+            assert _same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
+        for den in (2**26 - 1, 2**26):
+            tiny = Fraction(1, den)
+            pts = [(tiny, 0, -tiny, 0), (1, 2, -1, 2), (0, 0, 0, 0)]
+            assert _same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
+
+    def test_matches_scalar_loop_across_row_chunks(self):
+        # classes and a Gaussian block longer than one chunk of rows
+        rng = random.Random(44)
+        pts = distinct_points(rng, 30, 4)
+        for u, v in ((Fraction(1, 2), Fraction(-2, 3)), (Fraction(3), Fraction(0))):
+            while len(pts) < 30 + 40 * (1 + (u == 3)):
+                a, b = rand_fraction(rng), rand_fraction(rng)
+                if (a, b, u - a, b - v) not in pts:
+                    pts.append((a, b, u - a, b - v))
+        rng.shuffle(pts)
+        for state in (
+            StateFunctional.epr(rng.uniform(-3, 3), rng.uniform(-3, 3)),
+            StateFunctional.regular(),
+            StateFunctional("epr", 0.4, -1.1, True),
+        ):
+            assert _same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
+
+    @pytest.mark.parametrize(
+        "pts, message",
+        [
+            ([], "at least one point is required"),
+            ([(0, 0, 0, 0), (0, 0, 0, 0)], "points must be pairwise distinct"),
+            ([(1, 0), (0, 1)], "states are defined on the dimension-4 algebra"),
+            ([(1, 0, -1, 0), (0, 1)], "states are defined on the dimension-4 algebra"),
+            ([(0, 1), (1, 0, -1, 0)], "states are defined on the dimension-4 algebra"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, pts, message):
+        for build in (kernel_matrix, _kernel_reference):
+            with pytest.raises(ValueError) as raised:
+                build(StateFunctional.epr(), pts)
+            assert str(raised.value) == message
 
 
 class TestPsdCheck:
