@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -237,6 +238,10 @@ class SearchResult:
     value: float
     trace: list[tuple[int, float]] = field(default_factory=list)
     evaluations: int = 0
+    #: wall-clock seconds of the coordinate search and of the engine
+    #: certification of the winner; not part of the result's value
+    search_s: float = field(default=0.0, compare=False)
+    certify_s: float = field(default=0.0, compare=False)
 
 
 def _slot_orbits(support: Sequence[Point]) -> list[Point]:
@@ -268,8 +273,12 @@ def _candidate_order_key(candidate: BellCandidate):
     return (candidate.term_count(), supports, serialized)
 
 
+#: The bilinear terms (i, j) of the Bell value, in the order they are summed.
+_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+
 class _FastObjective:
-    """Precomputed bilinear evaluation of the Bell value.
+    """Precomputed bilinear evaluation of the Bell value, kept incrementally.
 
     Factor-1 and factor-2 embeddings commute without any Weyl phase, so
     omega(R) is bilinear in the slot coefficient vectors with weights
@@ -277,71 +286,73 @@ class _FastObjective:
     The weights come from eval_point itself, and the winning candidate is
     re-certified through the full polynomial engine, so the shortcut can
     only ever speed the search up, not change what gets reported.
+
+    A search point is scored once in full by ``start``; after that it
+    keeps the four slot vectors, the left products a_i @ w[(i, j)] and the
+    real parts of the four terms a_i @ w[(i, j)] @ b_j.  A parameter
+    belongs to one slot, so ``move`` re-derives only that slot's vector
+    and the products and terms that read it, and ``accept`` keeps them.
+    Every number is the same floating-point expression on the same operands
+    as a full evaluation, and the terms are summed in the same order, so
+    the value is bit for bit that of a full evaluation of the moved point.
     """
 
     def __init__(self, state: StateFunctional, cfg: SearchConfig):
         self.cfg = cfg
-        self.orbit_specs = []
-        for support in cfg.supports:
+        # slot s's vector, viewed as interleaved floats (re, im, re, im, ...),
+        # is padded[take[s]] * sign[s]; index -1 is the trailing 0.0 of padded,
+        # the imaginary part of the self-negating zero point
+        self.take, self.sign, self.slot_of = [], [], []
+        for slot, support in enumerate(cfg.supports):
             index = {x: i for i, x in enumerate(support)}
-            orbits = []
+            take = np.full(2 * len(support), -1, dtype=np.intp)
+            sign = np.ones(2 * len(support))
             for rep in _slot_orbits(support):
+                pos, first = index[rep], len(self.slot_of)
+                take[2 * pos] = first
                 if rep == negate(rep):
-                    orbits.append((index[rep], None))
-                else:
-                    orbits.append((index[rep], index[negate(rep)]))
-            self.orbit_specs.append((len(support), orbits))
-        self.n_params = sum(
-            1 if neg_pos is None else 2
-            for _, orbits in self.orbit_specs
-            for _, neg_pos in orbits
-        )
-        self.weights = {}
-        for i in (0, 1):
-            for j in (2, 3):
-                w = np.empty((len(cfg.supports[i]), len(cfg.supports[j])), complex)
-                for r, x in enumerate(cfg.supports[i]):
-                    for c, y in enumerate(cfg.supports[j]):
-                        w[r, c] = eval_point(state, (x[0], x[1], y[0], y[1]))
-                self.weights[(i, j)] = w
+                    self.slot_of.append(slot)
+                    continue
+                neg = index[negate(rep)]
+                take[2 * pos + 1] = first + 1
+                take[2 * neg : 2 * neg + 2] = first, first + 1
+                sign[2 * neg + 1] = -1.0
+                self.slot_of += [slot, slot]
+            self.take.append(take)
+            self.sign.append(sign)
+        self.n_params = len(self.slot_of)
+        self.weights = []
+        for i, j in _PAIRS:
+            w = np.empty((len(cfg.supports[i]), len(cfg.supports[j])), complex)
+            for r, x in enumerate(cfg.supports[i]):
+                for c, y in enumerate(cfg.supports[j]):
+                    w[r, c] = eval_point(state, (x[0], x[1], y[0], y[1]))
+            self.weights.append(w)
 
-    def slot_coeffs(self, slot: int, params, offset: int):
+    def slot_coeffs(self, slot: int, padded: np.ndarray) -> np.ndarray:
         """Self-adjoint contraction coefficients of one slot, in support order.
 
-        Orbit {x, -x} takes a complex coefficient (two parameters, conjugated
-        on -x); the self-negating zero point takes one real parameter.  The
-        vector is scaled down whenever its one-norm exceeds 1, so every
-        candidate built from it is a certified contraction.  Returns the
-        vector and the offset of the next slot's parameters.
+        ``padded`` holds every parameter followed by one 0.0.  Orbit {x, -x}
+        takes a complex coefficient (two parameters, conjugated on -x); the
+        self-negating zero point takes one real parameter.  The vector is
+        scaled down whenever its one-norm exceeds 1, so every candidate
+        built from it is a certified contraction.
         """
-        size, orbits = self.orbit_specs[slot]
-        coeffs = np.zeros(size, dtype=complex)
-        i = offset
-        for pos, neg_pos in orbits:
-            if neg_pos is None:
-                coeffs[pos] += params[i]
-                i += 1
-            else:
-                c = complex(params[i], params[i + 1])
-                coeffs[pos] += c
-                coeffs[neg_pos] += c.conjugate()
-                i += 2
-        norm = float(np.sum(np.abs(coeffs)))
+        flat = padded[self.take[slot]] * self.sign[slot]
+        flat += 0.0  # -0.0 becomes +0.0, as when adding into a zero vector
+        coeffs = flat.view(complex)
+        norm = float(np.add.reduce(np.abs(coeffs)))
         if norm > 1.0:
             coeffs = coeffs * (1.0 / norm)
-        return coeffs, i
+        return coeffs
 
     def vectors(self, params) -> list[np.ndarray]:
         """The four slot coefficient vectors, each in support order."""
-        offset = 0
-        vecs = []
-        for slot in range(4):
-            coeffs, offset = self.slot_coeffs(slot, params, offset)
-            vecs.append(coeffs)
-        return vecs
+        padded = np.array([*params, 0.0])
+        return [self.slot_coeffs(slot, padded) for slot in range(4)]
 
     def candidate(self, params) -> BellCandidate:
-        """The candidate whose coefficient vectors ``__call__`` scores."""
+        """The candidate whose coefficient vectors the search scores."""
         return BellCandidate(
             *(
                 WeylPolynomial(2, zip(support, coeffs))
@@ -349,16 +360,45 @@ class _FastObjective:
             )
         )
 
-    def __call__(self, params) -> float:
-        a1, a2, b1, b2 = self.vectors(params)
-        w = self.weights
-        total = (
-            a1 @ w[(0, 2)] @ b1
-            + a1 @ w[(0, 3)] @ b2
-            + a2 @ w[(1, 2)] @ b1
-            - a2 @ w[(1, 3)] @ b2
-        )
-        return 0.5 * float(total.real)
+    @staticmethod
+    def _value(terms) -> float:
+        return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])
+
+    def start(self, params) -> float:
+        """Score ``params`` in full and make it the current point."""
+        self.padded = np.array([*params, 0.0])
+        self.vecs = [self.slot_coeffs(slot, self.padded) for slot in range(4)]
+        self.left = [self.vecs[i] @ w for (i, _), w in zip(_PAIRS, self.weights)]
+        self.terms = [
+            float((left @ self.vecs[j]).real) for left, (_, j) in zip(self.left, _PAIRS)
+        ]
+        return self._value(self.terms)
+
+    def move(self, i: int, value: float) -> float:
+        """Score the current point with parameter ``i`` set to ``value``.
+
+        The current point stays as it is until ``accept`` is called.
+        """
+        slot = self.slot_of[i]
+        old = self.padded[i]
+        self.padded[i] = value
+        vec = self.slot_coeffs(slot, self.padded)
+        self.padded[i] = old
+        left, terms = list(self.left), list(self.terms)
+        for k, (a, b) in enumerate(_PAIRS):
+            if slot == a:
+                left[k] = vec @ self.weights[k]
+                terms[k] = float((left[k] @ self.vecs[b]).real)
+            elif slot == b:
+                terms[k] = float((left[k] @ vec).real)
+        self.pending = (i, value, slot, vec, left, terms)
+        return self._value(terms)
+
+    def accept(self):
+        """Make the last point scored by ``move`` the current point."""
+        i, value, slot, vec, self.left, self.terms = self.pending
+        self.padded[i] = value
+        self.vecs[slot] = vec
 
 
 def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
@@ -368,7 +408,8 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     to a genuine candidate (self-adjoint components, one-norm <= 1), so each
     value seen during the search is a lower bound for the Bell supremum and
     can never exceed sqrt(2) up to roundoff.  Evaluation inside the loop
-    uses a precomputed bilinear form; the returned value comes from a full
+    uses a precomputed bilinear form, which each one-parameter move updates
+    in the one slot it changes; the returned value comes from a full
     engine re-evaluation of the winning candidate, which must agree with
     the search value to 1e-10.  The trace records (evaluation index, value)
     at every improvement of the global best.
@@ -384,16 +425,11 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
             f" (cap {DEFAULT_TERM_CAP})"
         )
 
+    start = time.perf_counter()
     fast = _FastObjective(state, cfg)
     n_params = fast.n_params
 
     counter = 0
-
-    def objective(params) -> float:
-        nonlocal counter
-        counter += 1
-        return fast(params)
-
     best_value = -math.inf
     best_params: list[float] | None = None
     best_key = None
@@ -402,18 +438,20 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     for restart in range(cfg.restarts):
         rng = random.Random((cfg.seed * 1_000_003 + restart) & 0xFFFFFFFF)
         params = [rng.uniform(-1.0, 1.0) for _ in range(n_params)]
-        value = objective(params)
+        value = fast.start(params)
+        counter += 1
         step = cfg.step_init
         sweeps = 0
         while step >= cfg.step_floor and sweeps < cfg.max_iters:
             improved = False
             for i in range(n_params):
                 for delta in (step, -step):
-                    trial = list(params)
-                    trial[i] += delta
-                    trial_value = objective(trial)
+                    trial = params[i] + delta
+                    trial_value = fast.move(i, trial)
+                    counter += 1
                     if trial_value > value:
-                        value, params = trial_value, trial
+                        fast.accept()
+                        value, params[i] = trial_value, trial
                         improved = True
                         break
             if not improved:
@@ -429,6 +467,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
             trace.append((counter, value))
 
     assert best_params is not None
+    searched = time.perf_counter()
     best_candidate = fast.candidate(best_params)
     best_candidate.validate()
     certified = bell_value(state, best_candidate)
@@ -442,6 +481,8 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
         value=certified,
         trace=trace,
         evaluations=counter,
+        search_s=searched - start,
+        certify_s=time.perf_counter() - searched,
     )
 
 

@@ -164,7 +164,9 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
     only entries within a class of the invariant (a+c, b-d) are computed,
     and all others are exact zeros.
     """
-    points = [tuple(Fraction(c) for c in p) for p in points]
+    points = [
+        tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in points
+    ]
     _check_distinct(points)
     if any(len(p) != 4 for p in points):
         raise ValueError("states are defined on the dimension-4 algebra")

@@ -5,7 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from eprbell import WeylPolynomial
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bits, so -0.0 differs from 0.0 and NaNs compare."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def rand_fraction(rng: random.Random, span: int = 8, max_den: int = 6) -> Fraction:

@@ -1,12 +1,18 @@
 """Bell candidates, the closed-form family, the search, and doubles."""
 
+import importlib.util
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import same_bits
 from eprbell import (
     BellCandidate,
     SearchConfig,
@@ -26,6 +32,8 @@ from eprbell import (
     weyl_double,
     weyl_multiply,
 )
+from eprbell.bell import _FastObjective, _slot_orbits
+from eprbell.states import eval_point
 from eprbell.weyl import negate
 
 SQRT2 = math.sqrt(2.0)
@@ -291,3 +299,164 @@ class TestWeylDoubles:
                 2,
             )
             assert correlation_deviation(state, u, v) >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# the incremental search objective against a full evaluation
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _reference_vectors(cfg, params) -> list:
+    """The slot vectors built orbit by orbit: the reference for slot_coeffs."""
+    vecs, i = [], 0
+    for support in cfg.supports:
+        index = {x: k for k, x in enumerate(support)}
+        coeffs = np.zeros(len(support), dtype=complex)
+        for rep in _slot_orbits(support):
+            if rep == negate(rep):
+                coeffs[index[rep]] += params[i]
+                i += 1
+            else:
+                c = complex(params[i], params[i + 1])
+                coeffs[index[rep]] += c
+                coeffs[index[negate(rep)]] += c.conjugate()
+                i += 2
+        norm = float(np.sum(np.abs(coeffs)))
+        if norm > 1.0:
+            coeffs = coeffs * (1.0 / norm)
+        vecs.append(coeffs)
+    return vecs
+
+
+def _reference_weights(state, cfg) -> dict:
+    weights = {}
+    for i in (0, 1):
+        for j in (2, 3):
+            w = np.empty((len(cfg.supports[i]), len(cfg.supports[j])), complex)
+            for r, x in enumerate(cfg.supports[i]):
+                for c, y in enumerate(cfg.supports[j]):
+                    w[r, c] = eval_point(state, (x[0], x[1], y[0], y[1]))
+            weights[(i, j)] = w
+    return weights
+
+
+def _objective_reference(weights, cfg, params) -> float:
+    """The search objective evaluated in full: all four slots, all four terms."""
+    a1, a2, b1, b2 = _reference_vectors(cfg, params)
+    w = weights
+    total = (
+        a1 @ w[(0, 2)] @ b1
+        + a1 @ w[(0, 3)] @ b2
+        + a2 @ w[(1, 2)] @ b1
+        - a2 @ w[(1, 3)] @ b2
+    )
+    return 0.5 * float(total.real)
+
+
+_COORD = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_STEPS = st.sampled_from([0.5, 0.25, 2.0**-10, 1e-7])
+
+
+@st.composite
+def _searches(draw):
+    """A state, a configuration, a start point and a sequence of moves.
+
+    Each move is (parameter, step, accepted).  Start points scaled by 1/16
+    keep every slot's one-norm below 1 until steps of 0.5 push it over, so
+    moves both skip and trigger the rescale.
+    """
+    state = StateFunctional.epr(draw(st.floats(-3, 3)), draw(st.floats(-3, 3)))
+    supports = []
+    for _ in range(4):
+        reps = []
+        for x in draw(st.lists(st.tuples(_COORD, _COORD), max_size=4)):
+            if any(x) and x not in reps and negate(x) not in reps:
+                reps.append(x)
+        support = [y for x in reps for y in (x, negate(x))]
+        if draw(st.booleans()) or not support:
+            support.append((Fraction(0), Fraction(0)))
+        supports.append(tuple(draw(st.permutations(support))))
+    cfg = SearchConfig(supports=tuple(supports))
+    # two real parameters per orbit {x, -x}, one for the zero point
+    n_params = sum(len(support) for support in supports)
+    scale = draw(st.sampled_from([1.0, 1.0 / 16]))
+    params = [scale * p for p in draw(st.lists(
+        st.floats(-1, 1), min_size=n_params, max_size=n_params))]
+    moves = draw(st.lists(
+        st.tuples(st.integers(0, n_params - 1), _STEPS, st.booleans(), st.booleans()),
+        min_size=1, max_size=30))
+    return state, cfg, params, [(i, -d if neg else d, keep) for i, d, neg, keep in moves]
+
+
+class TestIncrementalObjective:
+    """Each scored move equals the full evaluation of the moved point, bit for bit."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_searches())
+    @example((
+        StateFunctional.epr(0.3, -1.1),
+        SearchConfig(supports=((point(0, 0),),) * 4),
+        [0.75, -0.25, 0.5, 1.0],
+        [(0, 0.5, True), (2, -0.5, False), (3, -0.25, True), (0, -1.5, True)],
+    ))
+    def test_moves_match_full_evaluation(self, search):
+        state, cfg, params, moves = search
+        fast = _FastObjective(state, cfg)
+        weights = _reference_weights(state, cfg)
+        assert fast.n_params == len(params)
+        value = fast.start(params)
+        assert value.hex() == _objective_reference(weights, cfg, params).hex()
+        for i, delta, keep in moves:
+            trial = list(params)
+            trial[i] += delta
+            value = fast.move(i, trial[i])
+            assert value.hex() == _objective_reference(weights, cfg, trial).hex()
+            if keep:
+                fast.accept()
+                params = trial
+        for got, want in zip(fast.vectors(params), _reference_vectors(cfg, params)):
+            assert same_bits(got, want)
+        assert fast.start(params).hex() == _objective_reference(weights, cfg, params).hex()
+
+
+class TestSearchPins:
+    """Searches pinned bit for bit: any change to the search path shows here."""
+
+    def test_verify_all_monomial_config(self):
+        xa, xb = point(1, 2), point(-1, 2)
+        cfg = SearchConfig(
+            supports=((xa, negate(xa)),) * 2 + ((xb, negate(xb)),) * 2,
+            restarts=4,
+            max_iters=120,
+            seed=0,
+        )
+        result = optimize_bell(StateFunctional.epr(0.3, -1.1), cfg)
+        assert result.value.hex() == "0x1.6a09e667f3bcep-1"
+        assert result.evaluations == 4983
+        assert [(i, v.hex()) for i, v in result.trace] == [
+            (862, "0x1.6a09e667f3bccp-1"),
+            (4983, "0x1.6a09e667f3bcep-1"),
+        ]
+
+    def test_support_with_the_zero_point(self):
+        xa, xb, z = point(1, 2), point(-1, 2), point(0, 0)
+        sa = (xa, z, negate(xa), point("1/3", -1), point("-1/3", 1))
+        sb = (negate(xb), xb, z)
+        cfg = SearchConfig(supports=(sa, sa, sb, sb), restarts=3, max_iters=80, seed=5)
+        result = optimize_bell(StateFunctional.epr(-0.7, 0.45), cfg)
+        assert result.value.hex() == "0x1.f54a08fbc4308p-1"
+        assert result.evaluations == 6944
+        assert [(i, v.hex()) for i, v in result.trace] == [(2226, "0x1.f54a08fbc4307p-1")]
+
+    @pytest.mark.parametrize("orbits", [1, 2, 3, 4, 6])
+    def test_catalog_evaluation_counts(self, orbits):
+        # the benchmark's catalog and its recorded counts, read, never written
+        loader = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+        gen = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(gen)
+        counts = json.loads((PERFBENCH / "bell_evaluations.json").read_text())
+        spec = gen.bell_spec(orbits, 0, 0)
+        cfg = SearchConfig.from_spec(dict(spec["config"], seed=spec["search_seed"]))
+        result = optimize_bell(StateFunctional.from_spec(spec["state"]), cfg)
+        assert result.evaluations == counts[spec["key"]]

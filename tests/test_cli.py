@@ -203,6 +203,15 @@ class TestBell:
         body2 = report_body_json(report_from_json(open(out2).read()))
         assert body1 == body2
 
+    def test_wall_clock_splits_search_and_certify(self, tmp_path):
+        cfg = self._family_config(tmp_path)
+        out = str(tmp_path / "rep.json")
+        assert main(["bell", cfg, "--out", out]) == 0
+        timings = report_from_json(open(out).read()).wall_clock_s
+        assert set(timings) == {"search_s", "certify_s", "total"}
+        parts = timings["search_s"] + timings["certify_s"]
+        assert min(timings.values()) > 0 and parts <= timings["total"]
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = self._family_config(tmp_path, seed=11)
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")

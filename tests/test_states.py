@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import distinct_points, rand_fraction, rand_point, rand_poly
+from conftest import distinct_points, rand_fraction, rand_point, rand_poly, same_bits
 from eprbell import (
     EquivalenceError,
     StateFunctional,
@@ -185,10 +185,6 @@ def _kernel_reference(state: StateFunctional, points) -> np.ndarray:
     return m
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 #: Coordinate families: (numerator, denominator) bounds of the CLI's own
 #: batteries, of wide ones, and numerators past int64; or JSON floats, read
 #: as their exact binary fractions.
@@ -241,7 +237,7 @@ class TestKernelOracle:
     @example(StateFunctional.epr(-0.5, -0.25), [(3, 1, 2, 5)])
     @example(StateFunctional.regular(), [(0.1, 0.2, -0.1, 0.2), (0.3, 0, 0, 0)])
     def test_matches_scalar_loop(self, state, pts):
-        assert _same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
+        assert same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
 
     @pytest.mark.parametrize(
         "state", [StateFunctional.epr(1.3, -0.7), StateFunctional.regular()]
@@ -251,11 +247,11 @@ class TestKernelOracle:
         # scaled coordinates leave int64 for Python ints
         for k in (47453132, 47453133):
             pts = [(k, 1, -k, 1), (k - 1, 2, 1 - k, 2), (0, 0, 0, 0), (k, -k, 3, 2)]
-            assert _same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
+            assert same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
         for den in (2**26 - 1, 2**26):
             tiny = Fraction(1, den)
             pts = [(tiny, 0, -tiny, 0), (1, 2, -1, 2), (0, 0, 0, 0)]
-            assert _same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
+            assert same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
 
     def test_matches_scalar_loop_across_row_chunks(self):
         # classes and a Gaussian block longer than one chunk of rows
@@ -272,7 +268,7 @@ class TestKernelOracle:
             StateFunctional.regular(),
             StateFunctional("epr", 0.4, -1.1, True),
         ):
-            assert _same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
+            assert same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
 
     @pytest.mark.parametrize(
         "pts, message",
