@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 
 from .bell import (
     BellCandidate,
+    EvaluationBudgetError,
     SearchConfig,
     SearchResult,
     bell_operator,
@@ -75,6 +76,7 @@ from .weyl import (
     from_records,
     is_self_adjoint,
     one_norm,
+    parse_points,
     point,
     symplectic_form,
     tensor_embed,

@@ -37,6 +37,7 @@ from .weyl import (
     is_self_adjoint,
     negate,
     one_norm,
+    parse_points,
     point,
     tensor_embed,
     to_records,
@@ -47,7 +48,14 @@ from .weyl import (
 SELF_ADJOINT_TOL = 1e-10
 CONTRACTION_TOL = 1e-12
 
+#: Cap on the objective evaluations a search may take in the worst case.
+MAX_EVALUATIONS = 1_000_000
+
 SLOT_NAMES = ("a1", "a2", "b1", "b2")
+
+
+class EvaluationBudgetError(RuntimeError):
+    """A search configuration could exceed the objective evaluation cap."""
 
 
 @dataclass(frozen=True)
@@ -200,13 +208,17 @@ class SearchConfig:
                     )
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
+        for name in ("step_init", "step_decay", "step_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0 < self.step_decay < 1) or self.step_init <= 0:
             raise ValueError("invalid step schedule")
 
     @classmethod
     def from_spec(cls, spec: dict) -> "SearchConfig":
         supports = tuple(
-            tuple(point(*coords) for coords in slot) for slot in spec["supports"]
+            tuple(parse_points(slot, f"support {s} point"))
+            for s, slot in enumerate(spec["supports"])
         )
         return cls(
             supports=supports,
@@ -423,6 +435,14 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
         raise TermBudgetError(
             f"search supports imply products of up to {a_max * b_total} terms"
             f" (cap {DEFAULT_TERM_CAP})"
+        )
+    # a search takes one evaluation per restart and at most two per parameter
+    # in each sweep; there is one parameter per support point (two per orbit)
+    params = sum(len(support) for support in cfg.supports)
+    worst = cfg.restarts * (1 + 2 * cfg.max_iters * params)
+    if worst > MAX_EVALUATIONS:
+        raise EvaluationBudgetError(
+            f"search may take up to {worst} evaluations (cap {MAX_EVALUATIONS})"
         )
 
     start = time.perf_counter()

@@ -40,14 +40,36 @@ class TermBudgetError(RuntimeError):
 def point(*coords: int | str | Fraction) -> Point:
     """Build a phase-space point with exact rational coordinates.
 
-    Accepts ints, Fractions, or strings like "3/4".  Length must be 2
+    Accepts ints, Fractions, or strings like "3/4".  Floats and bools are
+    rejected (a JSON 0.1 is not 1/10, and true is not a number), and so is a
+    zero denominator; the error names the coordinate.  Length must be 2
     (one degree of freedom) or 4 (the composite system).
     """
     if len(coords) not in VALID_DIMS:
         raise ValueError(
             f"phase-space points have 2 or 4 coordinates, got {len(coords)}"
         )
-    return tuple(Fraction(c) for c in coords)
+    return tuple(_coordinate(i, c) for i, c in enumerate(coords))
+
+
+def _coordinate(i: int, c) -> Fraction:
+    if isinstance(c, (bool, float)):
+        raise ValueError(f"coordinate {i} is {c!r}; give it as a string or an int")
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"coordinate {i} is {c!r}: {exc}") from None
+
+
+def parse_points(rows: Iterable, label: str = "point") -> list[Point]:
+    """``point(*row)`` for each row, naming the row's index in any error."""
+    pts = []
+    for i, row in enumerate(rows):
+        try:
+            pts.append(point(*row))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{label} {i}: {exc}") from None
+    return pts
 
 
 def negate(x: Point) -> Point:
@@ -279,16 +301,14 @@ def from_records(records: list[dict], dim: int | None = None) -> WeylPolynomial:
         if dim is None:
             raise ValueError("cannot infer dimension from an empty record list")
         return WeylPolynomial.zero(dim)
+    pts = parse_points((rec["point"] for rec in records), "record")
     terms = []
-    for i, rec in enumerate(records):
-        pt = tuple(Fraction(s) for s in rec["point"])
+    for i, (pt, rec) in enumerate(zip(pts, records)):
         coeff = complex(float(rec["re"]), float(rec["im"]))
         if not cmath.isfinite(coeff):
             raise ValueError(f"record {i}: coefficient {coeff} is not finite")
         terms.append((pt, coeff))
-    inferred = len(terms[0][0])
+    inferred = len(pts[0])
     if dim is not None and dim != inferred:
         raise ValueError(f"records have dimension {inferred}, expected {dim}")
-    if inferred not in VALID_DIMS:
-        raise ValueError(f"records have invalid point length {inferred}")
     return WeylPolynomial(inferred, terms)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import same_bits
 from eprbell import (
     BellCandidate,
+    EvaluationBudgetError,
     SearchConfig,
     StateFunctional,
     WeylPolynomial,
@@ -189,6 +190,13 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(supports=((point(0, 0),),) * 3)
 
+    @pytest.mark.parametrize("field", ["step_init", "step_decay", "step_floor"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_steps(self, field, value):
+        z = (point(0, 0),)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SearchConfig(supports=(z,) * 4, **{field: value})
+
     def test_spec_round_trip(self):
         cfg = SearchConfig(
             supports=(
@@ -236,6 +244,18 @@ class TestOptimizer:
         cfg = SearchConfig(supports=(s3, s3, s3, s3), restarts=6, max_iters=150, seed=2)
         result = optimize_bell(StateFunctional.epr(), cfg)
         assert result.value >= SQRT2 / 2 - 1e-9
+
+    def test_evaluation_cap_bounds_the_worst_case(self, monkeypatch):
+        import eprbell.bell
+
+        # 8 parameters: each restart takes 1 + 2 * 8 * max_iters at most
+        cfg = self._family_config(restarts=3, max_iters=20)
+        worst = 3 * (1 + 2 * 20 * 8)
+        monkeypatch.setattr(eprbell.bell, "MAX_EVALUATIONS", worst)
+        assert optimize_bell(StateFunctional.epr(), cfg).evaluations <= worst
+        monkeypatch.setattr(eprbell.bell, "MAX_EVALUATIONS", worst - 1)
+        with pytest.raises(EvaluationBudgetError, match=f"{worst} evaluations"):
+            optimize_bell(StateFunctional.epr(), cfg)
 
     def test_deterministic_and_sound(self):
         state = StateFunctional.epr(0.4, 0.8)

@@ -221,6 +221,43 @@ class TestBell:
         d2 = report_from_json(open(out2).read()).checks[0].inputs_digest
         assert d1 != d2
 
+    def test_engine_certifies_once(self, tmp_path, monkeypatch):
+        # reproduced_value is the certification optimize_bell already made
+        import eprbell.bell
+        import eprbell.cli
+
+        calls = []
+        original = eprbell.bell.bell_value
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (eprbell.cli, eprbell.bell):
+            monkeypatch.setattr(module, "bell_value", counting)
+        out = str(tmp_path / "rep.json")
+        assert main(["bell", self._family_config(tmp_path), "--out", out]) == 0
+        assert len(calls) == 1
+        measured = report_from_json(open(out).read()).checks[0].measured
+        assert measured["reproduced_value"] == measured["value"]
+
+    def test_evaluation_cap_exits_3(self, tmp_path, capsys):
+        cfg = json.loads(open(self._family_config(tmp_path)).read())
+        path = _write(tmp_path / "big.json", dict(cfg, restarts=100_000_000))
+        assert main(["bell", path]) == 3
+        err = capsys.readouterr().err
+        # 8 parameters, 150 sweeps of two trials each, one start per restart
+        assert f"{100_000_000 * (1 + 2 * 150 * 8)} evaluations" in err
+        assert "cap 1000000" in err
+
+    @pytest.mark.parametrize("field, value", [("step_init", "inf"), ("step_floor", "nan")])
+    def test_non_finite_step_exits_2(self, tmp_path, capsys, field, value):
+        cfg = json.loads(open(self._family_config(tmp_path)).read())
+        path = _write(tmp_path / "steps.json", dict(cfg, **{field: value}))
+        assert main(["bell", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and field in err
+
     def test_oversized_supports_exit_3(self, tmp_path):
         # products over these supports would breach the 4096-term cap
         support = [["0", "0"]]
@@ -272,6 +309,40 @@ class TestModuleEntry:
         out = str(tmp_path / "rep.json")
         assert main(["psd", pts, "--state", state, "--out", out]) == 0
         assert report_from_json(open(out).read()).state_spec == spec
+
+
+class TestCoordinates:
+    """Every input file's coordinates go through one parser: strings and ints
+    only, no zero denominators; the error names the file, the record and the
+    coordinate."""
+
+    BAD = [(0.1, -0.1), (True, -1), ("1/0", "-1/0")]
+
+    def _run(self, tmp_path, loader, bad, negated):
+        if loader == "psd":
+            pts = [["0", "0", "0", "0"], [bad, "0", "-1", "0"]]
+            return _write(tmp_path / "pts.json", pts), ["psd"], "point 1"
+        if loader == "bell":
+            zero = [["0", "0"]]
+            supports = [zero, zero, [[bad, "0"], [negated, "0"]], zero]
+            cfg = {"supports": supports, "restarts": 1, "max_iters": 2}
+            return _write(tmp_path / "cfg.json", cfg), ["bell"], "support 2 point 0"
+        records = [
+            {"point": ["0", "0", "0", "0"], "re": 1.0, "im": 0.0},
+            {"point": [bad, "0", "0", "0"], "re": 1.0, "im": 0.0},
+        ]
+        return _write(tmp_path / "p.json", records), ["eval"], "record 1"
+
+    @pytest.mark.parametrize("loader", ["psd", "bell", "eval"])
+    @pytest.mark.parametrize("bad, negated", BAD)
+    def test_exits_2_naming_file_record_and_coordinate(
+        self, tmp_path, capsys, loader, bad, negated
+    ):
+        path, command, record = self._run(tmp_path, loader, bad, negated)
+        assert main(command + [path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert path in captured.err and f"{record}: coordinate 0" in captured.err
 
 
 class TestMalformedStateSpec:
@@ -377,3 +448,31 @@ class TestVerifyAll:
         body1 = report_body_json(report_from_json(open(out1).read()))
         body2 = report_body_json(report_from_json(open(out2).read()))
         assert body1 == body2
+
+
+class TestRegistry:
+    def test_one_anchor_and_tolerance_per_check(self, tmp_path):
+        pts = _write(
+            tmp_path / "pts.json", [["0", "0", "0", "0"], ["1", "0", "-1", "0"]]
+        )
+        runs = {
+            "psd": ["psd", pts],
+            "surrogate": ["surrogate", "--dim", "2"],
+            "verify-all": ["verify-all", "--seed", "0"],
+        }
+        seen = {}
+        for command, argv in runs.items():
+            out = str(tmp_path / f"{command}.json")
+            assert main(argv + ["--out", out]) == 0
+            for rec in report_from_json(open(out).read()).checks:
+                seen.setdefault(rec.name, {})[command] = (rec.anchor, rec.tolerance)
+        shared = {name: by for name, by in seen.items() if len(by) > 1}
+        assert set(shared) == {
+            "kernel_psd",
+            "support_rank_one",
+            "surrogate_chsh",
+            "correlation_law",
+            "matrix_doubles",
+        }
+        for name, by_command in shared.items():
+            assert len(set(by_command.values())) == 1, (name, by_command)

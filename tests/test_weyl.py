@@ -15,6 +15,7 @@ from eprbell import (
     from_records,
     is_self_adjoint,
     one_norm,
+    parse_points,
     point,
     symplectic_form,
     tensor_embed,
@@ -55,6 +56,28 @@ class TestForms:
         with pytest.raises(ValueError):
             point(1, 2, 3)
         assert point("1/2", 3) == (Fraction(1, 2), Fraction(3))
+
+    @pytest.mark.parametrize(
+        "bad, says",
+        [
+            (0.1, "string or an int"),
+            (1.0, "string or an int"),
+            (True, "string or an int"),
+            ("1/0", "Fraction(1, 0)"),
+            ("1/x", "Invalid literal"),
+            (None, "Rational"),
+        ],
+    )
+    def test_point_rejects_floats_bools_and_zero_denominators(self, bad, says):
+        with pytest.raises(ValueError) as info:
+            point("1", bad, "0", "0")
+        assert f"coordinate 1 is {bad!r}" in str(info.value)
+        assert says in str(info.value)
+
+    def test_parse_points_names_the_row(self):
+        assert parse_points([["1", 2], ["1/2", "0"]]) == [point(1, 2), point("1/2", 0)]
+        with pytest.raises(ValueError, match="record 1: coordinate 0 is 0.5"):
+            parse_points([["1", "2"], [0.5, "0"]], "record")
 
 
 class TestProduct:
