@@ -206,6 +206,10 @@ class SearchConfig:
                     raise ValueError(
                         "supports must be closed under negation"
                     )
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
         for name in ("step_init", "step_decay", "step_floor"):
@@ -222,9 +226,9 @@ class SearchConfig:
         )
         return cls(
             supports=supports,
-            restarts=int(spec.get("restarts", 8)),
-            max_iters=int(spec.get("max_iters", 200)),
-            seed=int(spec.get("seed", 0)),
+            restarts=spec.get("restarts", 8),
+            max_iters=spec.get("max_iters", 200),
+            seed=spec.get("seed", 0),
             step_init=float(spec.get("step_init", 0.5)),
             step_decay=float(spec.get("step_decay", 0.5)),
             step_floor=float(spec.get("step_floor", 1e-7)),

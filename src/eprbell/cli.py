@@ -31,7 +31,7 @@ from .bell import (
     optimize_bell,
     weyl_double,
 )
-from .gns import build_frame, collinearity_check, compress_operator
+from .gns import GramPositivityError, build_frame, collinearity_check, compress_operator
 from .reports import (
     CheckRecord,
     build_report,
@@ -508,6 +508,8 @@ def _points(raw) -> tuple[list, list[Point]]:
 
 
 def cmd_psd(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     state, state_spec = _load_state(args.state)
     raw, pts = _load(args.points, _points)
     start = time.perf_counter()
@@ -658,6 +660,9 @@ def main(argv=None) -> int:
     except (TermBudgetError, EvaluationBudgetError) as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (AssertionError, GramPositivityError) as exc:  # engine self-checks
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

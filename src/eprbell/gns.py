@@ -72,7 +72,7 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
             gram[j, k] = eval_poly(state, weyl_multiply(adjs[j], gens[k]))
     lam_min = float(np.linalg.eigvalsh(gram)[0]) if n else 0.0
     if lam_min < -1e-10:
-        raise GramPositivityError(f"frame Gram has eigenvalue {lam_min}")
+        raise GramPositivityError(f"frame Gram is not positive: eigenvalue {lam_min}")
     if n and np.max(np.abs(np.diag(gram) - 1.0)) > 1e-12:
         raise GramPositivityError("frame Gram diagonal deviates from 1")
     return GnsFrame(pts, gram)

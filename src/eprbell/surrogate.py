@@ -10,9 +10,12 @@ the matched basis is the *-anti-isomorphism onto the commutant that fixes
 Omega, and the four operators A(0), A(pi/2) and their images at angles
 +-pi/4 reach the CHSH expectation 2 cos(pi/4) = sqrt(2), independent of m.
 
-Operators on the bipartite space are applied through the reshape identity
-(A x B) vec(M) = vec(A M B^T), never by forming m^2 x m^2 matrices; tests
-cross-check against explicit Kronecker products at small m.
+With Omega = vec(I)/sqrt(m), every expectation is a pairing
+<Omega, (X x Y) Omega> = tr(X Y^T)/m = sum(X * Y)/m, and a product on one
+factor moves to the other as (X Y x I) Omega = (X x Y^T) Omega.  So each is
+one elementwise trace, O(m^2), with no matrix product that could stall in
+threaded BLAS; tests check the pairings against Kronecker products and the
+reshape identity (A x B) vec(M) = vec(A M B^T).
 """
 
 from __future__ import annotations
@@ -34,27 +37,14 @@ class MatrixModel:
     isometry: np.ndarray  # V with V V* = proj, V* V = I - proj
 
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    return mat.reshape(-1)
-
-
-def _unvec(vec: np.ndarray, m: int) -> np.ndarray:
-    return vec.reshape(m, m)
-
-
-def apply_left(model: MatrixModel, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """(A x I) applied to a bipartite vector."""
-    return _vec(a @ _unvec(vec, model.m))
-
-
-def apply_right(model: MatrixModel, b: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """(I x B) applied to a bipartite vector."""
-    return _vec(_unvec(vec, model.m) @ b.T)
+def _pair(model: MatrixModel, x: np.ndarray, y: np.ndarray) -> complex:
+    """<Omega, (X x Y) Omega> = tr(X Y^T)/m, as one elementwise trace."""
+    return complex(np.sum(x * y)) / model.m
 
 
 def expect_left(model: MatrixModel, a: np.ndarray) -> complex:
-    """<Omega, (A x I) Omega>."""
-    return complex(np.vdot(model.omega, apply_left(model, a, model.omega)))
+    """<Omega, (A x I) Omega> = tr(A)/m."""
+    return _pair(model, a, np.eye(model.m))
 
 
 def build_model(m: int) -> MatrixModel:
@@ -63,24 +53,23 @@ def build_model(m: int) -> MatrixModel:
         raise ValueError(f"factor dimension must be even and in [2, {MAX_DIM}]")
     half = m // 2
     omega_mat = np.eye(m, dtype=complex) / math.sqrt(m)
-    omega = _vec(omega_mat)
     proj = np.zeros((m, m), dtype=complex)
     proj[:half, :half] = np.eye(half)
-    isometry = np.zeros((m, m), dtype=complex)
-    isometry[:half, half:] = np.eye(half)
-    model = MatrixModel(m, omega, proj, isometry)
+    isometry = np.eye(m, k=half, dtype=complex)  # the half shift e_{j+half} -> e_j
+    model = MatrixModel(m, omega_mat.reshape(-1), proj, isometry)
 
-    v, p = isometry, proj
+    v, v_star, p = isometry, isometry.conj().T, proj
     eye = np.eye(m)
+    mul = "ij,jk->ik"  # an unoptimized einsum never calls BLAS
     checks = {
-        "VV* = P": v @ v.conj().T - p,
-        "V*V = I-P": v.conj().T @ v - (eye - p),
-        "V^2 = 0": v @ v,
-        "(V*)^2 = 0": v.conj().T @ v.conj().T,
+        "VV* = P": np.einsum(mul, v, v_star) - p,
+        "V*V = I-P": np.einsum(mul, v_star, v) - (eye - p),
+        "V^2 = 0": np.einsum(mul, v, v),
+        "(V*)^2 = 0": np.einsum(mul, v_star, v_star),
         # Omega implements the normalized trace of factor 1: checking the
         # reshaped identity Omega_mat Omega_mat* = I/m covers all A by
-        # linearity in the matrix units.
-        "trace vector": omega_mat @ omega_mat.conj().T - eye / m,
+        # linearity in the matrix units.  Every pairing relies on it.
+        "trace vector": np.einsum(mul, omega_mat, omega_mat.conj().T) - eye / m,
     }
     for label, residue in checks.items():
         dev = float(np.max(np.abs(residue)))
@@ -107,25 +96,20 @@ def gamma(model: MatrixModel, a: np.ndarray) -> np.ndarray:
 
 
 def correlation(model: MatrixModel, theta1: float, theta2: float) -> float:
-    """<Omega, (A(theta1) A(theta2) x I) Omega>; equals cos(theta1 - theta2)."""
-    product = a_theta(model, theta1) @ a_theta(model, theta2)
-    return float(expect_left(model, product).real)
+    """<Omega, (A(theta1) A(theta2) x I) Omega> = <Omega, (A(theta1) x
+    gamma(A(theta2))) Omega>; equals cos(theta1 - theta2)."""
+    a1, a2 = a_theta(model, theta1), a_theta(model, theta2)
+    return _pair(model, a1, gamma(model, a2)).real
 
 
 def correlation_grid(model: MatrixModel, thetas: np.ndarray) -> np.ndarray:
     """correlation() over all angle pairs, batched.
 
-    Builds every A(theta) once and contracts the same expectation as
-    expect_left; agreement with pointwise correlation() is part of the
-    test suite.
+    Builds every A(theta) once and takes the same pairing as correlation();
+    agreement with pointwise correlation() is part of the test suite.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    mats = np.stack([a_theta(model, t) for t in thetas])
-    omega_mat = _unvec(model.omega, model.m)
-    rho = omega_mat @ omega_mat.conj().T
-    # <Omega,(X x I)Omega> = tr(X rho) with rho = Omega_mat Omega_mat*
-    weighted = mats @ rho
-    return np.real(np.einsum("jab,kba->jk", mats, weighted))
+    mats = np.stack([a_theta(model, t) for t in np.asarray(thetas, dtype=float)])
+    return np.real(np.einsum("jab,kba->jk", mats, mats)) / model.m
 
 
 def bell_expectation(
@@ -136,12 +120,7 @@ def bell_expectation(
     b2: np.ndarray,
 ) -> float:
     """(1/2) <Omega, (A1(B1+B2) + A2(B1-B2)) Omega> with B_i on factor 2."""
-    omega = model.omega
-    vec = apply_right(model, b1 + b2, omega)
-    vec = apply_left(model, a1, vec)
-    vec2 = apply_right(model, b1 - b2, omega)
-    vec2 = apply_left(model, a2, vec2)
-    return float(np.real(np.vdot(omega, 0.5 * (vec + vec2))))
+    return 0.5 * (_pair(model, a1, b1 + b2) + _pair(model, a2, b1 - b2)).real
 
 
 def chsh_value(model: MatrixModel) -> float:
@@ -158,15 +137,12 @@ def double_deviation(
 ) -> float:
     """<Omega, D^2 Omega> with D = (A x I) - (I x partner).
 
-    Computed by applying D twice, not from any closed form, so perturbed
-    partners report their true quadratic deviation.
+    D applied twice, for any partner: D Omega = vec(X)/sqrt(m) with X = A -
+    partner^T, and D once more pairs to tr(A X - X partner^T)/m = tr(X X)/m,
+    so perturbed partners report their true quadratic deviation.
     """
-
-    def apply_d(vec: np.ndarray) -> np.ndarray:
-        return apply_left(model, a, vec) - apply_right(model, partner, vec)
-
-    image = apply_d(model.omega)
-    return float(np.real(np.vdot(model.omega, apply_d(image))))
+    x = np.asarray(a) - np.asarray(partner).T
+    return _pair(model, x, x.T).real
 
 
 def double_of(model: MatrixModel, a: np.ndarray) -> dict:

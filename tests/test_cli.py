@@ -153,6 +153,13 @@ class TestPsd:
         pts = _write(tmp_path / "pts.json", [])
         assert main(["psd", pts]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
+        # a nan tolerance would run the check and report a false FAIL
+        pts = _write(tmp_path / "pts.json", [["0", "0", "0", "0"], ["1", "0", "-1", "0"]])
+        assert main(["psd", pts, "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestBell:
     def _family_config(self, tmp_path, seed=0):
@@ -258,6 +265,26 @@ class TestBell:
         err = capsys.readouterr().err
         assert path in err and field in err
 
+    @pytest.mark.parametrize(
+        "field, raw",
+        [
+            ("restarts", "1e400"),  # json reads it as inf
+            ("restarts", "2.7"),
+            ("restarts", "true"),
+            ("max_iters", "150.5"),
+            ("seed", "false"),
+            ("seed", '"7"'),
+        ],
+    )
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, field, raw):
+        cfg = json.loads(open(self._family_config(tmp_path)).read())
+        text = json.dumps(dict(cfg, **{field: "VALUE"})).replace('"VALUE"', raw)
+        path = tmp_path / "counts.json"
+        path.write_text(text)
+        assert main(["bell", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"{field} must be an integer" in err
+
     def test_oversized_supports_exit_3(self, tmp_path):
         # products over these supports would breach the 4096-term cap
         support = [["0", "0"]]
@@ -268,6 +295,42 @@ class TestBell:
             {"supports": [support] * 4, "restarts": 1, "max_iters": 2, "seed": 0},
         )
         assert main(["bell", cfg]) == 3
+
+
+class TestEngineSelfChecks:
+    """A failed engine self-check exits 1 with a one-line message, not a traceback."""
+
+    def test_search_diverging_from_the_engine_exits_1(self, tmp_path, capsys, monkeypatch):
+        import eprbell.bell
+
+        original = eprbell.bell.bell_value
+        monkeypatch.setattr(
+            eprbell.bell, "bell_value", lambda *args: original(*args) + 1.0
+        )
+        cfg = _write(
+            tmp_path / "cfg.json",
+            {"supports": [[["0", "0"]]] * 4, "restarts": 1, "max_iters": 2},
+        )
+        assert main(["bell", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "verification failed: search evaluation diverged from the engine" in err
+
+    def test_matrix_model_invariant_exits_1(self, capsys, monkeypatch):
+        import eprbell.surrogate
+
+        monkeypatch.setattr(eprbell.surrogate, "BUILD_TOL", -1.0)
+        assert main(["surrogate", "--dim", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "verification failed: model invariant VV* = P fails" in err
+
+    def test_frame_gram_positivity_exits_1(self, capsys, monkeypatch):
+        import eprbell.gns
+
+        # an all -1 Gram matrix has eigenvalue -9 on the 9-point frame
+        monkeypatch.setattr(eprbell.gns, "eval_poly", lambda state, p: -1.0)
+        assert main(["verify-all", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "verification failed: frame Gram is not positive" in err
 
 
 class TestSurrogate:

@@ -1,7 +1,9 @@
 """Matrix model: construction invariants, correlation law, CHSH, doubles."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from eprbell import (
     double_of,
     gamma,
 )
-from eprbell.surrogate import apply_left, apply_right, expect_left
+from eprbell.surrogate import expect_left
 
 SQRT2 = math.sqrt(2.0)
 
@@ -25,6 +27,58 @@ SQRT2 = math.sqrt(2.0)
 def _random_hermitian(rng: np.random.Generator, m: int) -> np.ndarray:
     raw = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     return (raw + raw.conj().T) / 2
+
+
+# The reshape identity (A x B) vec(M) = vec(A M B^T) applies bipartite
+# operators without forming m^2 x m^2 matrices; it is the oracle for the
+# elementwise pairings of eprbell.surrogate above the sizes where explicit
+# Kronecker products are cheap.
+
+
+def apply_left(model, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(A x I) applied to a bipartite vector."""
+    return (a @ vec.reshape(model.m, model.m)).reshape(-1)
+
+
+def apply_right(model, b: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(I x B) applied to a bipartite vector."""
+    return (vec.reshape(model.m, model.m) @ b.T).reshape(-1)
+
+
+def _reshape_bell(model, a1, a2, b1, b2) -> float:
+    omega = model.omega
+    vec = apply_left(model, a1, apply_right(model, b1 + b2, omega))
+    vec2 = apply_left(model, a2, apply_right(model, b1 - b2, omega))
+    return float(np.real(np.vdot(omega, 0.5 * (vec + vec2))))
+
+
+def _reshape_double(model, a, partner) -> float:
+    def apply_d(vec):
+        return apply_left(model, a, vec) - apply_right(model, partner, vec)
+
+    return float(np.real(np.vdot(model.omega, apply_d(apply_d(model.omega)))))
+
+
+def _kron_bell(model, a1, a2, b1, b2) -> float:
+    dense = 0.5 * (np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2))
+    return float(np.real(np.vdot(model.omega, dense @ model.omega)))
+
+
+def _kron_double(model, a, partner) -> float:
+    eye = np.eye(model.m)
+    d = np.kron(a, eye) - np.kron(eye, partner)
+    return float(np.real(np.vdot(model.omega, d @ (d @ model.omega))))
+
+
+def _dense_forms(m: int):
+    """Explicit Kronecker products where they are small, else the reshape identity."""
+    return (_kron_bell, _kron_double) if m <= 4 else (_reshape_bell, _reshape_double)
+
+
+def _random_contraction(rng: np.random.Generator, m: int) -> np.ndarray:
+    """A random Hermitian matrix of operator norm 1, so pairings are O(1)."""
+    h = _random_hermitian(rng, m)
+    return h / np.linalg.norm(h, 2)
 
 
 class TestBuildModel:
@@ -134,6 +188,67 @@ class TestKroneckerOracle:
         d = np.kron(a, eye) - np.kron(eye, partner)
         dense = float(np.real(np.vdot(model.omega, d @ (d @ model.omega))))
         assert abs(double_deviation(model, a, partner) - dense) <= 1e-13
+
+
+class TestPairingAgainstDenseForms:
+    """The elementwise pairings agree with the dense forms within 1e-13."""
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 42, 64])
+    def test_chsh_value(self, m):
+        model = build_model(m)
+        bell, _ = _dense_forms(m)
+        a1 = a_theta(model, 0.0)
+        a2 = a_theta(model, math.pi / 2)
+        b1 = gamma(model, a_theta(model, math.pi / 4))
+        b2 = gamma(model, a_theta(model, -math.pi / 4))
+        assert abs(chsh_value(model) - bell(model, a1, a2, b1, b2)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 42, 64])
+    def test_bell_expectation(self, m):
+        rng = np.random.default_rng(1000 + m)
+        model = build_model(m)
+        bell, _ = _dense_forms(m)
+        for _ in range(3):
+            ops = [_random_contraction(rng, m) for _ in range(4)]
+            assert abs(bell_expectation(model, *ops) - bell(model, *ops)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 42, 64])
+    def test_double_deviation(self, m):
+        rng = np.random.default_rng(2000 + m)
+        model = build_model(m)
+        _, double = _dense_forms(m)
+        for _ in range(3):
+            a = _random_contraction(rng, m)
+            for partner in (
+                _random_contraction(rng, m),
+                gamma(model, a),
+                gamma(model, a) + 0.1 * np.eye(m),
+            ):
+                value = double_deviation(model, a, partner)
+                assert abs(value - double(model, a, partner)) <= 1e-13
+
+    def test_grid_matches_pointwise_at_largest_dimension(self):
+        model = build_model(64)
+        thetas = np.linspace(0.0, 2 * math.pi, 24)
+        grid = correlation_grid(model, thetas)
+        for j, t1 in enumerate(thetas):
+            for k, t2 in enumerate(thetas):
+                assert abs(grid[j, k] - correlation(model, t1, t2)) <= 1e-13
+
+
+class TestNoMatrixProducts:
+    def test_source_has_no_blas_product(self):
+        """Matrix products from m = 42 reach threaded BLAS, which can stall a
+        surrogate run past a second; the module computes none."""
+        import eprbell.surrogate
+
+        tree = ast.parse(Path(eprbell.surrogate.__file__).read_text())
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.MatMult)
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"dot", "matmul", "vdot", "tensordot"}
+            if isinstance(node, ast.keyword):
+                assert node.arg != "optimize"
 
 
 class TestATheta:
