@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -50,6 +50,10 @@ CONTRACTION_TOL = 1e-12
 
 #: Cap on the objective evaluations a search may take in the worst case.
 MAX_EVALUATIONS = 1_000_000
+
+#: The search's step schedule: first step, factor after a sweep without an
+#: improvement, and the step below which a restart ends.
+STEP_INIT, STEP_DECAY, STEP_FLOOR = 0.5, 0.5, 1e-7
 
 SLOT_NAMES = ("a1", "a2", "b1", "b2")
 
@@ -188,9 +192,6 @@ class SearchConfig:
     restarts: int = 8
     max_iters: int = 200
     seed: int = 0
-    step_init: float = 0.5
-    step_decay: float = 0.5
-    step_floor: float = 1e-7
 
     def __post_init__(self):
         if len(self.supports) != 4:
@@ -212,40 +213,26 @@ class SearchConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        for name in ("step_init", "step_decay", "step_floor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (0 < self.step_decay < 1) or self.step_init <= 0:
-            raise ValueError("invalid step schedule")
 
     @classmethod
     def from_spec(cls, spec: dict) -> "SearchConfig":
+        """The configuration a JSON spec describes; keys are the field names,
+        and a key that is not one is rejected, naming it."""
+        unknown = set(spec) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown search config key(s) {sorted(unknown)}")
         supports = tuple(
             tuple(parse_points(slot, f"support {s} point"))
             for s, slot in enumerate(spec["supports"])
         )
-        return cls(
-            supports=supports,
-            restarts=spec.get("restarts", 8),
-            max_iters=spec.get("max_iters", 200),
-            seed=spec.get("seed", 0),
-            step_init=float(spec.get("step_init", 0.5)),
-            step_decay=float(spec.get("step_decay", 0.5)),
-            step_floor=float(spec.get("step_floor", 1e-7)),
-        )
+        return cls(**{**spec, "supports": supports})
 
     def to_spec(self) -> dict:
-        return {
-            "supports": [
-                [[str(c) for c in pt] for pt in slot] for slot in self.supports
-            ],
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "seed": self.seed,
-            "step_init": self.step_init,
-            "step_decay": self.step_decay,
-            "step_floor": self.step_floor,
-        }
+        spec = {f.name: getattr(self, f.name) for f in fields(self)}
+        spec["supports"] = [
+            [[str(c) for c in pt] for pt in slot] for slot in self.supports
+        ]
+        return spec
 
 
 @dataclass
@@ -464,9 +451,9 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
         params = [rng.uniform(-1.0, 1.0) for _ in range(n_params)]
         value = fast.start(params)
         counter += 1
-        step = cfg.step_init
+        step = STEP_INIT
         sweeps = 0
-        while step >= cfg.step_floor and sweeps < cfg.max_iters:
+        while step >= STEP_FLOOR and sweeps < cfg.max_iters:
             improved = False
             for i in range(n_params):
                 for delta in (step, -step):
@@ -479,7 +466,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
                         improved = True
                         break
             if not improved:
-                step *= cfg.step_decay
+                step *= STEP_DECAY
             sweeps += 1
         key = _candidate_order_key(fast.candidate(params))
         if value > best_value or (

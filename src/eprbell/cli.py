@@ -39,6 +39,7 @@ from .reports import (
     report_to_json,
 )
 from .states import (
+    IDENTITY_TOL,
     EquivalenceError,
     StateFunctional,
     eval_poly,
@@ -82,8 +83,8 @@ SQRT2 = math.sqrt(2.0)
 # randomized batteries
 
 
-def _rand_fraction(rng: random.Random, span: int = 8, max_den: int = 6) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+def _rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
 
 
 def _rand_point(rng: random.Random, dim: int) -> Point:
@@ -107,23 +108,22 @@ def _distinct_points(rng: random.Random, n: int, dim: int) -> list[Point]:
 
 @dataclass(frozen=True)
 class Check:
-    """A named check: its default tolerance and the identity it verifies."""
+    """A named check: its tolerance and the identity it verifies."""
 
     name: str
     tolerance: float
     anchor: str  # the verified identity, in plain ASCII math
 
-    def record(self, inputs, measured: dict, passed: bool, tolerance=None):
+    def record(self, inputs, measured: dict, passed: bool):
         """The report record of one run, with ``inputs`` digested."""
-        if tolerance is None:
-            tolerance = self.tolerance
+        digest = digest_inputs(inputs)
         return CheckRecord(
-            self.name, self.anchor, digest_inputs(inputs), measured, tolerance, passed
+            self.name, self.anchor, digest, measured, self.tolerance, passed
         )
 
 
-#: Every check a report can hold, by name.  Each anchor and default tolerance
-#: is declared here once, whichever command runs the check.
+#: Every check a report can hold, by name.  Each anchor and tolerance is
+#: declared here once, whichever command runs the check.
 CHECKS = {check.name: check for check in (
     Check("kernel_psd", 1e-10,
           "F(x,y) = G(x-y) exp(-i s(x,y)) is a positive semidefinite kernel"),
@@ -131,13 +131,13 @@ CHECKS = {check.name: check for check in (
           " rank-one phases M[j,k] M[k,l] = M[j,l]"),
     Check("gram_orthonormality", 0.0,
           "factor-1 generator vectors W(a,b) x I Omega are orthonormal"),
-    Check("uniqueness_support", 1e-12, "omega(W(a,b) x W(c,d)) = 0 unless"
+    Check("uniqueness_support", IDENTITY_TOL, "omega(W(a,b) x W(c,d)) = 0 unless"
           " c = -a and d = b, else exp(i(a*lambda + b*mu))"),
-    Check("multiplicativity", 1e-12, "omega(A X) = omega(X A) = omega(A) omega(X)"
-          " for A = W(s,0) x W(-s,0) and B = W(0,t) x W(0,t)"),
-    Check("traciality", 1e-12, "omega(W(a)W(b) x I) = omega(W(b)W(a) x I)"),
-    Check("collinearity", 1e-12, "|<W(a,b) x W(c,d) Omega, W(a+c,b-d) x I Omega>| = 1"
-          " with phase exp(it) exp(ic*lambda) exp(-id*mu), t = (ad+bc)/2"),
+    Check("multiplicativity", IDENTITY_TOL, "omega(A X) = omega(X A) ="
+          " omega(A) omega(X) for A = W(s,0) x W(-s,0) and B = W(0,t) x W(0,t)"),
+    Check("traciality", IDENTITY_TOL, "omega(W(a)W(b) x I) = omega(W(b)W(a) x I)"),
+    Check("collinearity", IDENTITY_TOL, "|<W(a,b) x W(c,d) Omega, W(a+c,b-d) x I"
+          " Omega>| = 1 with phase exp(it) exp(ic*lambda) exp(-id*mu), t = (ad+bc)/2"),
     Check("bell_monomial_agreement", 1e-10, "closed-form family value"
           " [cos p11 + cos p12 + cos p21 - cos p22]/4 matches the engine"),
     Check("bell_monomial_optimum", 1e-6, "search over the monomial family attains"
@@ -158,7 +158,7 @@ CHECKS = {check.name: check for check in (
 
 
 def _measure_kernel(
-    state: StateFunctional, pts: list[Point], tol: float
+    state: StateFunctional, pts: list[Point]
 ) -> tuple[dict, dict | None, dict]:
     """Kernel positivity and, for the epr state, the support-class structure,
     both from one kernel build.
@@ -172,7 +172,7 @@ def _measure_kernel(
     start = time.perf_counter()
     m = kernel_matrix(state, pts)
     built = time.perf_counter()
-    psd = psd_check(m, tol)
+    psd = psd_check(m, CHECKS["kernel_psd"].tolerance)
     checked = time.perf_counter()
     timings = {"kernel_s": built - start, "psd_s": checked - built, "support_s": 0.0}
     if state.kind != "epr":
@@ -240,7 +240,7 @@ def _check_kernel_psd(state: StateFunctional, rng: random.Random) -> list[CheckR
     support_ok = True
     for _ in range(batteries):
         pts = _distinct_points(rng, points_per, 4)
-        psd, rank, _ = _measure_kernel(state, pts, kernel.tolerance)
+        psd, rank, _ = _measure_kernel(state, pts)
         worst_min_eig = min(worst_min_eig, psd["min_eigenvalue"])
         psd_ok = psd_ok and psd["passed"]
         if rank is not None:
@@ -508,18 +508,15 @@ def _points(raw) -> tuple[list, list[Point]]:
 
 
 def cmd_psd(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     state, state_spec = _load_state(args.state)
     raw, pts = _load(args.points, _points)
     start = time.perf_counter()
-    psd, rank, timings = _measure_kernel(state, pts, args.tol)
+    psd, rank, timings = _measure_kernel(state, pts)
     checks = [
         CHECKS["kernel_psd"].record(
             {"points": raw, "state": state.to_spec()},
             {"min_eigenvalue": psd["min_eigenvalue"], "points": len(pts)},
             psd["passed"],
-            tolerance=args.tol,
         )
     ]
     if rank is not None:
@@ -631,12 +628,11 @@ def _build_parser() -> argparse.ArgumentParser:
     state = ("--state", {"default": None, "help": "JSON state spec"})
     seed = ("--seed", {"type": int, "default": 0})
     out = ("--out", {"default": None, "help": "write the report to this file"})
-    tol = ("--tol", {"type": float, "default": CHECKS["kernel_psd"].tolerance})
     for name, func, help_, arguments in (
         ("eval", cmd_eval, "evaluate the state on a polynomial file",
          [("polynomial", {"help": "JSON polynomial records"}), state]),
         ("psd", cmd_psd, "kernel positivity on a points file",
-         [("points", {"help": "JSON list of points"}), state, tol, out]),
+         [("points", {"help": "JSON list of points"}), state, out]),
         ("bell", cmd_bell, "run the Bell lower-bound search",
          [("config", {"help": "JSON search configuration"}), state,
           ("--seed", {"type": int, "default": None}), out]),

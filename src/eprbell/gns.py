@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 # trace_vector_check is re-exported here, beside the other vector checks
-from .states import StateFunctional, eval_poly, trace_vector_check
+from .states import IDENTITY_TOL, StateFunctional, eval_poly, trace_vector_check
 from .weyl import (
     Point,
     WeylPolynomial,
@@ -128,15 +128,12 @@ def collinearity_check(
         "modulus": float(modulus),
         "expected_phase": expected,
         "phase_deviation": float(phase_dev),
-        "passed": abs(modulus - 1.0) <= 1e-12 and phase_dev <= 1e-12,
+        "passed": abs(modulus - 1.0) <= IDENTITY_TOL and phase_dev <= IDENTITY_TOL,
     }
 
 
 def norm_lower_bound(
-    state: StateFunctional,
-    frame: GnsFrame,
-    p: WeylPolynomial,
-    floor: float = GRAM_EIGENVALUE_FLOOR,
+    state: StateFunctional, frame: GnsFrame, p: WeylPolynomial
 ) -> float:
     """Largest singular value of the Gram-whitened compression of P.
 
@@ -150,7 +147,7 @@ def norm_lower_bound(
     if not len(frame):
         return 0.0
     evals, vecs = np.linalg.eigh(frame.gram)
-    keep = evals > floor
+    keep = evals > GRAM_EIGENVALUE_FLOOR
     if float(evals[0]) <= 1e-8:
         warnings.warn(
             "frame Gram is numerically singular; whitening on the"

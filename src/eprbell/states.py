@@ -42,6 +42,13 @@ from .weyl import (
 KIND_EPR = "epr"
 KIND_REGULAR = "regular"
 
+#: Entries of modulus at most this are outside the kernel's support relation.
+SUPPORT_ZERO_TOL = 1e-9
+
+#: Tolerance of the uniqueness, multiplicativity, traciality and collinearity
+#: checks: each compares doubles against a value the identity fixes exactly.
+IDENTITY_TOL = 1e-12
+
 
 class EquivalenceError(Exception):
     """The kernel support relation failed to be an equivalence relation."""
@@ -280,9 +287,9 @@ class SupportPartition:
             raise ValueError("partition does not cover the index range")
 
 
-def support_relation(m: np.ndarray, zero_tol: float = 1e-9) -> SupportPartition:
+def support_relation(m: np.ndarray) -> SupportPartition:
     """Partition the indices of a kernel matrix by the relation (j,k)
-    related iff M[j,k] != 0.
+    related iff |M[j,k]| > SUPPORT_ZERO_TOL.
 
     ``m`` is the matrix ``kernel_matrix`` built, so each battery's kernel is
     built once.  Verifies that the relation really is an equivalence
@@ -291,7 +298,7 @@ def support_relation(m: np.ndarray, zero_tol: float = 1e-9) -> SupportPartition:
     the relation is the kernel of the invariant map x -> (a+c, b-d), so it
     always passes; regular kernels with thresholded tails can genuinely fail.
     """
-    related = np.abs(m) > zero_tol
+    related = np.abs(m) > SUPPORT_ZERO_TOL
     if not np.all(np.diag(related)):
         raise EquivalenceError("support relation is not reflexive")
     if not np.array_equal(related, related.T):
@@ -348,7 +355,7 @@ def uniqueness_support_check(state: StateFunctional, x: Point) -> dict:
     """The exact value trichotomy on a single generator.
 
     Off the manifold {c = -a, d = b} the value must be an exact zero; on it
-    the value must be exp{i(a*lambda + b*mu)} within 1e-12.
+    the value must be exp{i(a*lambda + b*mu)} within IDENTITY_TOL.
     """
     if state.kind != KIND_EPR:
         raise ValueError("uniqueness support check applies to the epr state")
@@ -360,7 +367,7 @@ def uniqueness_support_check(state: StateFunctional, x: Point) -> dict:
     if on_manifold:
         expected = unit_phase(float(a) * state.lam + float(b) * state.mu)
         deviation = abs(value - expected)
-        passed = deviation <= 1e-12
+        passed = deviation <= IDENTITY_TOL
     else:
         expected = 0j
         deviation = abs(value)
@@ -411,7 +418,7 @@ def multiplicativity_check(
                 abs(eval_poly(state, weyl_multiply(x_poly, fixed)) - wx * wf)
             )
     max_dev = float(max(deviations))
-    return {"max_deviation": max_dev, "passed": max_dev <= 1e-12}
+    return {"max_deviation": max_dev, "passed": max_dev <= IDENTITY_TOL}
 
 
 def trace_vector_check(
@@ -443,7 +450,7 @@ def traciality_check(state: StateFunctional, a: Point, b: Point) -> dict:
     res = trace_vector_check(
         state, WeylPolynomial.generator(a), WeylPolynomial.generator(b), 1
     )
-    passed = res["deviation"] <= 1e-12
+    passed = res["deviation"] <= IDENTITY_TOL
     if negate(a) != b:
         passed = passed and res["forward"] == 0 and res["reverse"] == 0
     return {**res, "passed": passed}

@@ -27,14 +27,14 @@ Point = tuple[Fraction, ...]
 #: Coefficients below this modulus are dropped during canonicalization.
 ZERO_THRESHOLD = 1e-15
 
-#: Default bound on term counts accepted by products (term counts square).
+#: Bound on term counts accepted by products (term counts square).
 DEFAULT_TERM_CAP = 4096
 
 VALID_DIMS = (2, 4)
 
 
 class TermBudgetError(RuntimeError):
-    """A product would exceed the configured polynomial term cap."""
+    """A product would exceed the polynomial term cap."""
 
 
 def point(*coords: int | str | Fraction) -> Point:
@@ -223,21 +223,18 @@ class WeylPolynomial:
         return " + ".join(parts)
 
 
-def weyl_multiply(
-    p: WeylPolynomial, q: WeylPolynomial, term_cap: int = DEFAULT_TERM_CAP
-) -> WeylPolynomial:
+def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
     """Product of two polynomials under W(x)W(y) = exp{i s(x,y)} W(x+y).
 
     The bilinear extension is exact in the points and accumulates phases in
-    double precision.  Raises ``TermBudgetError`` when the pairwise expansion
-    would exceed ``term_cap`` terms.
+    double precision.  Raises ``TermBudgetError`` when a factor or the
+    pairwise expansion would exceed ``DEFAULT_TERM_CAP`` terms.
     """
     if p.dim != q.dim:
         raise ValueError("cannot multiply polynomials of different dimension")
-    if len(p) > term_cap or len(q) > term_cap or len(p) * len(q) > term_cap:
-        raise TermBudgetError(
-            f"product of {len(p)} x {len(q)} terms exceeds cap {term_cap}"
-        )
+    cap = DEFAULT_TERM_CAP
+    if len(p) > cap or len(q) > cap or len(p) * len(q) > cap:
+        raise TermBudgetError(f"product of {len(p)} x {len(q)} terms exceeds cap {cap}")
     acc: dict[Point, complex] = {}
     for x, a in p.terms.items():
         for y, b in q.terms.items():

@@ -15,8 +15,8 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def rand_fraction(rng: random.Random, span: int = 8, max_den: int = 6) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+def rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
 
 
 def rand_point(rng: random.Random, dim: int) -> tuple:

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from eprbell.cli import main
+from eprbell.cli import CHECKS, main
 from eprbell.reports import report_body_json, report_from_json
+from eprbell.states import IDENTITY_TOL
 
 
 def _write(path, data):
@@ -153,33 +154,28 @@ class TestPsd:
         pts = _write(tmp_path / "pts.json", [])
         assert main(["psd", pts]) == 2
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
-        # a nan tolerance would run the check and report a false FAIL
-        pts = _write(tmp_path / "pts.json", [["0", "0", "0", "0"], ["1", "0", "-1", "0"]])
-        assert main(["psd", pts, "--tol", tol]) == 2
-        assert "--tol" in capsys.readouterr().err
+
+def _family_config(tmp_path, seed=0):
+    """A search over the monomial family, whose maximum is sqrt(2)/2."""
+    return _write(
+        tmp_path / "cfg.json",
+        {
+            "supports": [
+                [["1", "2"], ["-1", "-2"]],
+                [["1", "2"], ["-1", "-2"]],
+                [["-1", "2"], ["1", "-2"]],
+                [["-1", "2"], ["1", "-2"]],
+            ],
+            "restarts": 5,
+            "max_iters": 150,
+            "seed": seed,
+        },
+    )
 
 
 class TestBell:
-    def _family_config(self, tmp_path, seed=0):
-        return _write(
-            tmp_path / "cfg.json",
-            {
-                "supports": [
-                    [["1", "2"], ["-1", "-2"]],
-                    [["1", "2"], ["-1", "-2"]],
-                    [["-1", "2"], ["1", "-2"]],
-                    [["-1", "2"], ["1", "-2"]],
-                ],
-                "restarts": 5,
-                "max_iters": 150,
-                "seed": seed,
-            },
-        )
-
     def test_family_reaches_analytic_maximum(self, tmp_path):
-        cfg = self._family_config(tmp_path)
+        cfg = _family_config(tmp_path)
         out = str(tmp_path / "rep.json")
         assert main(["bell", cfg, "--out", out]) == 0
         report = report_from_json(open(out).read())
@@ -202,7 +198,7 @@ class TestBell:
         assert report.checks[0].measured["value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_seeds_identical_bodies(self, tmp_path):
-        cfg = self._family_config(tmp_path, seed=11)
+        cfg = _family_config(tmp_path, seed=11)
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert main(["bell", cfg, "--out", out1]) == 0
         assert main(["bell", cfg, "--out", out2]) == 0
@@ -211,7 +207,7 @@ class TestBell:
         assert body1 == body2
 
     def test_wall_clock_splits_search_and_certify(self, tmp_path):
-        cfg = self._family_config(tmp_path)
+        cfg = _family_config(tmp_path)
         out = str(tmp_path / "rep.json")
         assert main(["bell", cfg, "--out", out]) == 0
         timings = report_from_json(open(out).read()).wall_clock_s
@@ -220,7 +216,7 @@ class TestBell:
         assert min(timings.values()) > 0 and parts <= timings["total"]
 
     def test_seed_flag_overrides_config(self, tmp_path):
-        cfg = self._family_config(tmp_path, seed=11)
+        cfg = _family_config(tmp_path, seed=11)
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert main(["bell", cfg, "--seed", "12", "--out", out1]) == 0
         assert main(["bell", cfg, "--seed", "11", "--out", out2]) == 0
@@ -243,13 +239,13 @@ class TestBell:
         for module in (eprbell.cli, eprbell.bell):
             monkeypatch.setattr(module, "bell_value", counting)
         out = str(tmp_path / "rep.json")
-        assert main(["bell", self._family_config(tmp_path), "--out", out]) == 0
+        assert main(["bell", _family_config(tmp_path), "--out", out]) == 0
         assert len(calls) == 1
         measured = report_from_json(open(out).read()).checks[0].measured
         assert measured["reproduced_value"] == measured["value"]
 
     def test_evaluation_cap_exits_3(self, tmp_path, capsys):
-        cfg = json.loads(open(self._family_config(tmp_path)).read())
+        cfg = json.loads(open(_family_config(tmp_path)).read())
         path = _write(tmp_path / "big.json", dict(cfg, restarts=100_000_000))
         assert main(["bell", path]) == 3
         err = capsys.readouterr().err
@@ -257,13 +253,15 @@ class TestBell:
         assert f"{100_000_000 * (1 + 2 * 150 * 8)} evaluations" in err
         assert "cap 1000000" in err
 
-    @pytest.mark.parametrize("field, value", [("step_init", "inf"), ("step_floor", "nan")])
-    def test_non_finite_step_exits_2(self, tmp_path, capsys, field, value):
-        cfg = json.loads(open(self._family_config(tmp_path)).read())
-        path = _write(tmp_path / "steps.json", dict(cfg, **{field: value}))
+    @pytest.mark.parametrize("key", ["step_init", "step_decay", "step_floor", "restart"])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, key):
+        # the step schedule is fixed, so a config that sets one fails loudly
+        # instead of running with a value it ignores, and so does a typo
+        cfg = json.loads(open(_family_config(tmp_path)).read())
+        path = _write(tmp_path / "keys.json", dict(cfg, **{key: 0.25}))
         assert main(["bell", path]) == 2
         err = capsys.readouterr().err
-        assert path in err and field in err
+        assert path in err and f"'{key}'" in err
 
     @pytest.mark.parametrize(
         "field, raw",
@@ -277,7 +275,7 @@ class TestBell:
         ],
     )
     def test_non_integer_count_exits_2(self, tmp_path, capsys, field, raw):
-        cfg = json.loads(open(self._family_config(tmp_path)).read())
+        cfg = json.loads(open(_family_config(tmp_path)).read())
         text = json.dumps(dict(cfg, **{field: "VALUE"})).replace('"VALUE"', raw)
         path = tmp_path / "counts.json"
         path.write_text(text)
@@ -539,3 +537,29 @@ class TestRegistry:
         }
         for name, by_command in shared.items():
             assert len(set(by_command.values())) == 1, (name, by_command)
+
+    def test_every_record_carries_its_registry_tolerance(self, tmp_path):
+        # no command overrides a tolerance, so every report states the one
+        # threshold the registry declares for its check
+        pts = _write(
+            tmp_path / "pts.json", [["0", "0", "0", "0"], ["1", "0", "-1", "0"]]
+        )
+        regular = _write(tmp_path / "regular.json", {"kind": "regular"})
+        runs = [
+            ["verify-all", "--seed", "0"],
+            ["verify-all", "--seed", "0", "--state", regular],
+            ["psd", pts],
+            ["bell", _family_config(tmp_path)],
+            ["surrogate", "--dim", "4"],
+        ]
+        names = set()
+        for i, argv in enumerate(runs):
+            out = str(tmp_path / f"rep{i}.json")
+            assert main(argv + ["--out", out]) == 0
+            for rec in report_from_json(open(out).read()).checks:
+                assert rec.tolerance == CHECKS[rec.name].tolerance, rec.name
+                names.add(rec.name)
+        assert names == set(CHECKS)
+        for name in ("uniqueness_support", "multiplicativity", "traciality"):
+            assert CHECKS[name].tolerance == IDENTITY_TOL
+        assert CHECKS["collinearity"].tolerance == IDENTITY_TOL

@@ -10,10 +10,36 @@ with its size, in its CHANGES.md entry.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from eprbell.cli import main
+
+#: The psd battery: three support classes of ten points each, the classes
+#: of the invariant (a+c, b-d) = (s/2, 0) for s = 0, 1, 2.
+_PSD_POINTS = [
+    [str(c) for c in (Fraction(a, 2), Fraction(b, 3), Fraction(s - a, 2), Fraction(b, 3))]
+    for a in range(-2, 3)
+    for b in range(2)
+    for s in range(3)
+]
+
+#: The bell configuration: two orbits in each factor-1 slot, one orbit and
+#: the zero point in each factor-2 slot.
+_BELL_CONFIG = {
+    "supports": [[["1", "2"], ["-1", "-2"], ["1/3", "-1"], ["-1/3", "1"]]] * 2
+    + [[["-1", "2"], ["1", "-2"], ["0", "0"]]] * 2,
+    "restarts": 3,
+    "max_iters": 80,
+}
+
+_INPUTS = {
+    "regular": {"kind": "regular"},
+    "epr": {"kind": "epr", "lambda": 0.3, "mu": -1.1},
+    "points": _PSD_POINTS,
+    "config": _BELL_CONFIG,
+}
 
 
 def _body_digest(tmp_path, argv) -> str:
@@ -28,16 +54,20 @@ def _body_digest(tmp_path, argv) -> str:
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["verify-all", "--seed", "0"], "f0405622fe7da7b3"),
-        (["verify-all", "--seed", "7"], "36275074b4f9e92d"),
+        (["verify-all", "--seed", "0"], "b6c8e188d6fa455e"),
+        (["verify-all", "--seed", "7"], "9671676e7242c4d9"),
         (["verify-all", "--seed", "0", "--state", "{regular}"], "69b228ad1ff1263e"),
         (["surrogate", "--dim", "2"], "71be3afe87af3ea0"),
         (["surrogate", "--dim", "8"], "ede75da65c54d05d"),
         (["surrogate", "--dim", "64"], "db19fb28f9d0c3a2"),
+        (["psd", "{points}", "--state", "{epr}"], "8204605ddb952839"),
+        (["bell", "{config}", "--seed", "0", "--state", "{epr}"], "9ff5e7184bdfab88"),
     ],
 )
 def test_report_body_digest(tmp_path, argv, digest):
-    regular = tmp_path / "regular.json"
-    regular.write_text(json.dumps({"kind": "regular"}))
-    argv = [a.format(regular=regular) for a in argv]
+    paths = {}
+    for name, content in _INPUTS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(content))
+    argv = [a.format(**paths) for a in argv]
     assert _body_digest(tmp_path, argv) == digest

@@ -369,13 +369,15 @@ class TestChsh:
         # sweep the other three angles on a 1e-2 grid.
         model = build_model(2)
         thetas = np.arange(0.0, 2 * math.pi, 1e-2)
+        # every cosine the sweep adds, computed once: cos_diff[j, k] is
+        # cos(thetas[j] - thetas[k])
+        cos_t = np.cos(thetas)
+        cos_diff = np.cos(thetas[:, None] - thetas[None, :])
         best = -np.inf
-        for tb1 in thetas:
-            # vectorize over (tA2, tB2) for fixed tB1
-            term = np.cos(tb1) + np.cos(thetas[:, None] - tb1)
-            term = term + np.cos(thetas[None, :]) - np.cos(
-                thetas[:, None] - thetas[None, :]
-            )
+        for k in range(len(thetas)):
+            # vectorize over (tA2, tB2) for fixed tB1 = thetas[k]
+            term = cos_t[k] + cos_diff[:, k, None]
+            term = term + cos_t[None, :] - cos_diff
             best = max(best, float(np.max(term)) / 2)
         assert best <= SQRT2 + 1e-9
         assert best >= SQRT2 - 1e-4
