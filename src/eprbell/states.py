@@ -32,6 +32,7 @@ from .weyl import (
     Point,
     WeylPolynomial,
     adjoint,
+    lattice,
     negate,
     point,
     tensor_embed,
@@ -167,7 +168,7 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
 
     Every entry is the double that evaluating eval_point on the exact
     difference, times unit_phase of the exact form, gives.  The points are
-    scaled by the LCM of their denominators to integers; for the epr state
+    put on the integer lattice of ``weyl.lattice``; for the epr state
     only entries within a class of the invariant (a+c, b-d) are computed,
     and all others are exact zeros.
     """
@@ -178,8 +179,7 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
     if any(len(p) != 4 for p in points):
         raise ValueError("states are defined on the dimension-4 algebra")
     n = len(points)
-    scale = math.lcm(*(c.denominator for p in points for c in p))
-    ints = [[c.numerator * (scale // c.denominator) for c in p] for p in points]
+    scale, ints = lattice(points)
     big = max(abs(v) for p in ints for v in p)
     # int64 only while every product, sum and divisor below is an integer a
     # double holds exactly, so each quotient is correctly rounded, as

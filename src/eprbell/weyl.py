@@ -10,14 +10,17 @@ such forms on R^4.  Finite complex combinations of generators make up the
 dense polynomial subalgebra that every other module evaluates against.
 
 Support decisions (does a point vanish, do two points coincide) must be
-exact, so coordinates are `fractions.Fraction`.  Coefficients and the
-transcendental phases exp{i s(x, y)} live in double precision; exactness is
-reserved for the rational support logic.
+exact, so coordinates are exact rationals: a polynomial holds its points as
+Python ints over one common denominator, and hands them out as
+`fractions.Fraction`.  Coefficients and the transcendental phases
+exp{i s(x, y)} live in double precision; exactness is reserved for the
+rational support logic.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -96,13 +99,6 @@ def direct_sum_form(x: Point, y: Point) -> Fraction:
     return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) / 2
 
 
-def phase_form(x: Point, y: Point) -> Fraction:
-    """Dispatch to the form matching the point dimension."""
-    if len(x) == 2:
-        return symplectic_form(x, y)
-    return direct_sum_form(x, y)
-
-
 def unit_phase(angle: Fraction | float) -> complex:
     """exp(i*angle), returning an exact 1 when the angle is exactly zero."""
     t = float(angle)
@@ -115,11 +111,15 @@ class WeylPolynomial:
     """A finite combination sum_k c_k W(x_k), stored sparsely in canonical form.
 
     Canonical form keeps at most one term per point and drops coefficients
-    with modulus below ``ZERO_THRESHOLD``.  Instances are immutable by
-    convention: all arithmetic returns new polynomials.
+    with modulus below ``ZERO_THRESHOLD``.  Points are stored on an integer
+    lattice: ``_den`` is the least common denominator L of all coordinates
+    and each key of ``_terms`` is a point times L, as Python ints, so sums,
+    forms and hashes are integer arithmetic.  ``terms`` and ``points`` give
+    the reduced ``Fraction`` points.  Instances are immutable by convention:
+    all arithmetic returns new polynomials.
     """
 
-    __slots__ = ("_dim", "_terms")
+    __slots__ = ("_dim", "_den", "_terms")
 
     def __init__(
         self,
@@ -131,34 +131,44 @@ class WeylPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Point, complex] = {}
         for pt, coeff in items:
-            pt = tuple(Fraction(c) for c in pt)
+            pt = tuple(_coordinate(i, c) for i, c in enumerate(pt))
             if len(pt) != dim:
                 raise ValueError(
                     f"point of length {len(pt)} in a dimension-{dim} polynomial"
                 )
             acc[pt] = acc.get(pt, 0j) + complex(coeff)
+        kept = {p: c for p, c in acc.items() if abs(c) >= ZERO_THRESHOLD}
         self._dim = dim
-        self._terms = {p: c for p, c in acc.items() if abs(c) >= ZERO_THRESHOLD}
+        self._den, ints = lattice(kept)
+        self._terms = dict(zip(ints, kept.values()))
 
     @classmethod
-    def _raw(cls, dim: int, terms: dict[Point, complex]) -> "WeylPolynomial":
-        """Trusted constructor for internal arithmetic: the terms dict must
-        already have canonical points; only the zero-threshold filter runs."""
+    def _raw(
+        cls, dim: int, den: int, terms: dict[tuple[int, ...], complex]
+    ) -> "WeylPolynomial":
+        """Trusted constructor for internal arithmetic on lattice points over
+        the denominator ``den``: drops coefficients below the zero threshold,
+        then divides out the gcd of ``den`` and every coordinate so ``den``
+        is least again."""
         self = object.__new__(cls)
         self._dim = dim
-        self._terms = {p: c for p, c in terms.items() if abs(c) >= ZERO_THRESHOLD}
+        terms = {p: c for p, c in terms.items() if abs(c) >= ZERO_THRESHOLD}
+        g = math.gcd(den, *(v for p in terms for v in p))
+        if g > 1:
+            den //= g
+            terms = {tuple(v // g for v in p): c for p, c in terms.items()}
+        self._den = den
+        self._terms = terms
         return self
 
     @classmethod
     def generator(cls, pt: Point, coefficient: complex = 1.0) -> "WeylPolynomial":
         """The single term coefficient * W(pt)."""
-        pt = tuple(Fraction(c) for c in pt)
-        return cls(len(pt), {pt: complex(coefficient)})
+        return cls(len(pt), [(pt, coefficient)])
 
     @classmethod
     def identity(cls, dim: int) -> "WeylPolynomial":
-        zero = (Fraction(0),) * dim
-        return cls(dim, {zero: 1.0 + 0j})
+        return cls(dim, {(0,) * dim: 1.0 + 0j})
 
     @classmethod
     def zero(cls, dim: int) -> "WeylPolynomial":
@@ -170,10 +180,20 @@ class WeylPolynomial:
 
     @property
     def terms(self) -> Mapping[Point, complex]:
-        return MappingProxyType(self._terms)
+        den = self._den
+        return MappingProxyType(
+            {tuple(Fraction(v, den) for v in p): c for p, c in self._terms.items()}
+        )
 
     def points(self) -> list[Point]:
-        return list(self._terms.keys())
+        return list(self.terms.keys())
+
+    def _over(self, den: int) -> dict[tuple[int, ...], complex]:
+        """The terms with points over ``den``, a multiple of ``_den``."""
+        k = den // self._den
+        if k == 1:
+            return self._terms
+        return {tuple(v * k for v in p): c for p, c in self._terms.items()}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -181,11 +201,15 @@ class WeylPolynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylPolynomial):
             return NotImplemented
-        return self._dim == other._dim and self._terms == other._terms
+        return (
+            self._dim == other._dim
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __neg__(self) -> "WeylPolynomial":
         return WeylPolynomial._raw(
-            self._dim, {p: -c for p, c in self._terms.items()}
+            self._dim, self._den, {p: -c for p, c in self._terms.items()}
         )
 
     def __add__(self, other: "WeylPolynomial") -> "WeylPolynomial":
@@ -193,10 +217,11 @@ class WeylPolynomial:
             return NotImplemented
         if self._dim != other._dim:
             raise ValueError("cannot add polynomials of different dimension")
-        acc = dict(self._terms)
-        for p, c in other._terms.items():
+        den = math.lcm(self._den, other._den)
+        acc = dict(self._over(den))
+        for p, c in other._over(den).items():
             acc[p] = acc.get(p, 0j) + c
-        return WeylPolynomial._raw(self._dim, acc)
+        return WeylPolynomial._raw(self._dim, den, acc)
 
     def __sub__(self, other: "WeylPolynomial") -> "WeylPolynomial":
         return self + (-other)
@@ -205,12 +230,16 @@ class WeylPolynomial:
         if isinstance(other, WeylPolynomial):
             return weyl_multiply(self, other)
         return WeylPolynomial._raw(
-            self._dim, {p: c * complex(other) for p, c in self._terms.items()}
+            self._dim,
+            self._den,
+            {p: c * complex(other) for p, c in self._terms.items()},
         )
 
     def __rmul__(self, other) -> "WeylPolynomial":
         return WeylPolynomial._raw(
-            self._dim, {p: complex(other) * c for p, c in self._terms.items()}
+            self._dim,
+            self._den,
+            {p: complex(other) * c for p, c in self._terms.items()},
         )
 
     def __repr__(self) -> str:
@@ -218,35 +247,60 @@ class WeylPolynomial:
             return f"WeylPolynomial(dim={self._dim}, 0)"
         parts = [
             f"({c:.6g})*W({', '.join(str(x) for x in p)})"
-            for p, c in sorted(self._terms.items())
+            for p, c in sorted(self.terms.items())
         ]
         return " + ".join(parts)
+
+
+def lattice(points: Iterable[Point]) -> tuple[int, list[tuple[int, ...]]]:
+    """The least common denominator L of the points' rational coordinates,
+    and each point times L as a tuple of ints, in the given order."""
+    points = list(points)
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    return den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in points]
 
 
 def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
     """Product of two polynomials under W(x)W(y) = exp{i s(x,y)} W(x+y).
 
-    The bilinear extension is exact in the points and accumulates phases in
-    double precision.  Raises ``TermBudgetError`` when a factor or the
-    pairwise expansion would exceed ``DEFAULT_TERM_CAP`` terms.
+    Both factors are put over one denominator L, so each sum point is exact
+    integer addition and each form is an integer s over 2 L^2.  Python's int
+    division is correctly rounded, so ``s / (2 L^2)`` is the double that
+    ``float`` gives of the exact form.  Coefficients and phases accumulate
+    in double precision, p-major and q-minor.  Raises ``TermBudgetError``
+    when a factor or the pairwise expansion would exceed
+    ``DEFAULT_TERM_CAP`` terms.
     """
     if p.dim != q.dim:
         raise ValueError("cannot multiply polynomials of different dimension")
     cap = DEFAULT_TERM_CAP
     if len(p) > cap or len(q) > cap or len(p) * len(q) > cap:
         raise TermBudgetError(f"product of {len(p)} x {len(q)} terms exceeds cap {cap}")
-    acc: dict[Point, complex] = {}
-    for x, a in p.terms.items():
-        for y, b in q.terms.items():
-            z = add_points(x, y)
-            acc[z] = acc.get(z, 0j) + a * b * unit_phase(phase_form(x, y))
-    return WeylPolynomial._raw(p.dim, acc)
+    den = math.lcm(p._den, q._den)
+    two_l2 = 2 * den * den
+    ps, qs = p._over(den).items(), q._over(den).items()
+    acc: dict[tuple[int, ...], complex] = {}
+    if p.dim == 2:
+        for (x0, x1), a in ps:
+            for (y0, y1), b in qs:
+                z = (x0 + y0, x1 + y1)
+                s = x0 * y1 - x1 * y0
+                acc[z] = acc.get(z, 0j) + a * b * unit_phase(s / two_l2)
+    else:
+        for (x0, x1, x2, x3), a in ps:
+            for (y0, y1, y2, y3), b in qs:
+                z = (x0 + y0, x1 + y1, x2 + y2, x3 + y3)
+                s = x0 * y1 - x1 * y0 + x2 * y3 - x3 * y2
+                acc[z] = acc.get(z, 0j) + a * b * unit_phase(s / two_l2)
+    return WeylPolynomial._raw(p.dim, den, acc)
 
 
 def adjoint(p: WeylPolynomial) -> WeylPolynomial:
     """sum c_k W(x_k)  ->  sum conj(c_k) W(-x_k); the generators are unitary."""
     return WeylPolynomial._raw(
-        p.dim, {negate(x): c.conjugate() for x, c in p.terms.items()}
+        p.dim,
+        p._den,
+        {tuple(-v for v in x): c.conjugate() for x, c in p._terms.items()},
     )
 
 
@@ -261,12 +315,11 @@ def tensor_embed(p: WeylPolynomial, slot: int) -> WeylPolynomial:
         raise ValueError("tensor_embed expects a dimension-2 polynomial")
     if slot not in (1, 2):
         raise ValueError(f"slot must be 1 or 2, got {slot}")
-    zero = Fraction(0)
     if slot == 1:
-        terms = {(x[0], x[1], zero, zero): c for x, c in p.terms.items()}
+        terms = {(a, b, 0, 0): c for (a, b), c in p._terms.items()}
     else:
-        terms = {(zero, zero, x[0], x[1]): c for x, c in p.terms.items()}
-    return WeylPolynomial._raw(4, terms)
+        terms = {(0, 0, a, b): c for (a, b), c in p._terms.items()}
+    return WeylPolynomial._raw(4, p._den, terms)
 
 
 def one_norm(p: WeylPolynomial) -> float:

@@ -4,12 +4,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_point, rand_poly
+from conftest import rand_point, rand_poly, same_bits
 from eprbell import (
+    ZERO_THRESHOLD,
     TermBudgetError,
     WeylPolynomial,
     adjoint,
@@ -24,6 +26,7 @@ from eprbell import (
     to_records,
     weyl_multiply,
 )
+from eprbell.weyl import add_points, unit_phase
 
 
 class TestForms:
@@ -259,6 +262,65 @@ class TestCanonicalForm:
         g = WeylPolynomial.generator(point(1, 0))
         assert len(g - g) == 0
 
+    def test_product_lands_on_least_denominator(self):
+        half = WeylPolynomial.generator(point("1/2", 0))
+        square = weyl_multiply(half, half)
+        assert square == WeylPolynomial.generator(point(1, 0))
+        assert square._den == 1
+        third, sixth = point("1/3", 0), point("1/6", 0)
+        prod = weyl_multiply(
+            WeylPolynomial.generator(third), WeylPolynomial.generator(sixth)
+        )
+        assert prod._den == 2
+
+    def test_difference_with_itself_is_zero(self):
+        rng = random.Random(22)
+        for dim in (2, 4):
+            for _ in range(10):
+                p = rand_poly(rng, dim)
+                assert p - p == WeylPolynomial.zero(dim)
+
+    def test_equality_ignores_term_order_and_written_denominators(self):
+        p = WeylPolynomial(2, {("2/4", "3"): 0.5, (1, "6/3"): 1j})
+        q = WeylPolynomial(
+            2, [((Fraction(1), 2), 1j), ((Fraction(3, 6), Fraction(9, 3)), 0.5)]
+        )
+        assert p == q
+        assert p + WeylPolynomial.generator(point("1/4", 0), 0.25) == (
+            WeylPolynomial.generator(point("2/8", 0), 0.25) + q
+        )
+
+    def test_terms_are_reduced_fractions(self):
+        p = WeylPolynomial(4, {("2/4", "3", "-10/15", 0): 1.0, (1, 2, 3, 4): 0.5})
+        assert list(p.terms) == [
+            (Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(0)),
+            (Fraction(1), Fraction(2), Fraction(3), Fraction(4)),
+        ]
+        for pt in p.points():
+            assert all(type(c) is Fraction for c in pt)
+        prod = weyl_multiply(p, adjoint(p))
+        assert all(type(c) is Fraction for pt in prod.terms for c in pt)
+        assert prod.terms[point(0, 0, 0, 0)] == pytest.approx(1.25)
+
+    @pytest.mark.parametrize(
+        "bad, says",
+        [
+            (0.1, "string or an int"),
+            (True, "string or an int"),
+            ("1/0", "Fraction(1, 0)"),
+        ],
+    )
+    def test_constructors_reject_floats_bools_and_zero_denominators(self, bad, says):
+        for build in (
+            lambda: WeylPolynomial.generator(("0", bad)),
+            lambda: WeylPolynomial(2, {("0", bad): 1.0}),
+            lambda: WeylPolynomial(4, [(("0", bad, "0", "0"), 1.0)]),
+        ):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert f"coordinate 1 is {bad!r}" in str(info.value)
+            assert says in str(info.value)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -350,3 +412,50 @@ class TestAlgebraicLaws:
     def test_records_round_trip(self, dim, data):
         p = data.draw(_polys(_WIDE, dim))
         assert from_records(to_records(p), dim=dim) == p
+
+
+def _fraction_product(p: WeylPolynomial, q: WeylPolynomial) -> dict:
+    """The product as formed on ``Fraction`` points, term pair by term pair,
+    p-major and q-minor: the reference for the lattice engine's keys,
+    insertion order and coefficient bits."""
+    form = symplectic_form if p.dim == 2 else direct_sum_form
+    acc = {}
+    for x, a in p.terms.items():
+        for y, b in q.terms.items():
+            z = add_points(x, y)
+            acc[z] = acc.get(z, 0j) + a * b * unit_phase(form(x, y))
+    return {z: c for z, c in acc.items() if abs(c) >= ZERO_THRESHOLD}
+
+
+#: Coordinates past int64 once scaled to a common denominator.
+_HUGE = st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**12))
+_SCALES = {"batteries": _SMALL, "wide": _WIDE, "past_int64": _HUGE}
+
+
+class TestFractionOracle:
+    """Products are bit for bit the ``Fraction`` loop's."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_loop(self, dim, data):
+        coord = _SCALES[data.draw(st.sampled_from(sorted(_SCALES)))]
+        # points are mostly small integer combinations of one or two base
+        # points, so sum points collide; between collinear points the phase
+        # is exactly 1, and coefficients of +-1 and +-1/2 then cancel
+        bases = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=2))
+        combo = st.tuples(*[st.integers(-2, 2)] * len(bases)).map(
+            lambda ks: tuple(sum(k * b[i] for k, b in zip(ks, bases)) for i in range(dim))
+        )
+        pts = st.one_of(combo, combo, st.tuples(*[coord] * dim))
+        coeff = st.one_of(st.sampled_from([1, -1, 0.5, -0.5, 1j]), _COEFF)
+        terms = st.lists(st.tuples(pts, coeff), max_size=8)
+        p = WeylPolynomial(dim, data.draw(terms))
+        q = WeylPolynomial(dim, data.draw(terms))
+        for left, right in ((p, q), (q, p), (p, p), (p, adjoint(p))):
+            got, want = weyl_multiply(left, right).terms, _fraction_product(left, right)
+            assert list(got) == list(want)
+            assert same_bits(
+                np.array(list(got.values()), dtype=complex),
+                np.array(list(want.values()), dtype=complex),
+            )
