@@ -123,11 +123,15 @@ def _spec_number(spec: dict, field: str) -> float:
     raise ValueError(f"state field {field!r} must be a number, got {value!r}")
 
 
-def eval_point(state: StateFunctional, x: Point) -> complex:
-    """Value of the generating functional on a single generator W(x).
+def eval_point(state: StateFunctional, x: Point, den: int = 1) -> complex:
+    """Value of the generating functional on a single generator W(x / den).
 
-    For the strictly correlated state the two delta factors are decided by
-    exact rational equality, so off-manifold values are exact complex zeros.
+    ``x`` holds exact rationals, or ints over the lattice denominator
+    ``den`` of ``WeylPolynomial.lattice_items``.  For the strictly
+    correlated state the two delta factors are decided by exact equality,
+    so off-manifold values are exact complex zeros.  A coordinate's double
+    is the correctly rounded int quotient ``t / den``, which is ``float`` of
+    the exact rational.
     """
     if len(x) != 4:
         raise ValueError("states are defined on the dimension-4 algebra")
@@ -135,17 +139,20 @@ def eval_point(state: StateFunctional, x: Point) -> complex:
     if state.kind == KIND_EPR:
         if a + c != 0 or b - d != 0:
             return 0j
-        return unit_phase(float(a) * state.lam + float(b) * state.mu)
-    fa, fb, fc, fd = (float(t) for t in x)
+        fa, fb = (float(a), float(b)) if den == 1 else (a / den, b / den)
+        return unit_phase(fa * state.lam + fb * state.mu)
+    fa, fb, fc, fd = (float(t) for t in x) if den == 1 else (t / den for t in x)
     norm_sq = fa * fa + fb * fb + fc * fc + fd * fd
     return complex(math.exp(-norm_sq / 4.0), 0.0)
 
 
 def eval_poly(state: StateFunctional, p: WeylPolynomial) -> complex:
-    """Linear extension of eval_point to polynomials."""
+    """Linear extension of eval_point to polynomials, one call per term on
+    the polynomial's lattice points, summed in insertion order."""
     if p.dim != 4:
         raise ValueError("states are defined on the dimension-4 algebra")
-    return sum((c * eval_point(state, x) for x, c in p.terms.items()), 0j)
+    den, items = p.lattice_items()
+    return sum((c * eval_point(state, x, den) for x, c in items), 0j)
 
 
 def _check_distinct(points: Sequence[Point]):

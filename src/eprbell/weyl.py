@@ -23,7 +23,7 @@ import cmath
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import ItemsView, Iterable, Mapping
 
 Point = tuple[Fraction, ...]
 
@@ -56,6 +56,8 @@ def point(*coords: int | str | Fraction) -> Point:
 
 
 def _coordinate(i: int, c) -> Fraction:
+    if type(c) is Fraction:
+        return c
     if isinstance(c, (bool, float)):
         raise ValueError(f"coordinate {i} is {c!r}; give it as a string or an int")
     try:
@@ -114,8 +116,9 @@ class WeylPolynomial:
     with modulus below ``ZERO_THRESHOLD``.  Points are stored on an integer
     lattice: ``_den`` is the least common denominator L of all coordinates
     and each key of ``_terms`` is a point times L, as Python ints, so sums,
-    forms and hashes are integer arithmetic.  ``terms`` and ``points`` give
-    the reduced ``Fraction`` points.  Instances are immutable by convention:
+    forms and hashes are integer arithmetic.  ``lattice_items`` hands out
+    L and those int points; ``terms`` and ``points`` give the reduced
+    ``Fraction`` points.  Instances are immutable by convention:
     all arithmetic returns new polynomials.
     """
 
@@ -129,36 +132,31 @@ class WeylPolynomial:
         if dim not in VALID_DIMS:
             raise ValueError(f"polynomial dimension must be 2 or 4, got {dim}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Point, complex] = {}
+        pts, coeffs = [], []
         for pt, coeff in items:
             pt = tuple(_coordinate(i, c) for i, c in enumerate(pt))
             if len(pt) != dim:
                 raise ValueError(
                     f"point of length {len(pt)} in a dimension-{dim} polynomial"
                 )
-            acc[pt] = acc.get(pt, 0j) + complex(coeff)
-        kept = {p: c for p, c in acc.items() if abs(c) >= ZERO_THRESHOLD}
+            pts.append(pt)
+            coeffs.append(complex(coeff))
+        den, ints = lattice(pts)
+        acc: dict[tuple[int, ...], complex] = {}
+        for p, c in zip(ints, coeffs):
+            acc[p] = acc.get(p, 0j) + c
         self._dim = dim
-        self._den, ints = lattice(kept)
-        self._terms = dict(zip(ints, kept.values()))
+        self._den, self._terms = _reduced(den, acc)
 
     @classmethod
     def _raw(
         cls, dim: int, den: int, terms: dict[tuple[int, ...], complex]
     ) -> "WeylPolynomial":
         """Trusted constructor for internal arithmetic on lattice points over
-        the denominator ``den``: drops coefficients below the zero threshold,
-        then divides out the gcd of ``den`` and every coordinate so ``den``
-        is least again."""
+        the denominator ``den``."""
         self = object.__new__(cls)
         self._dim = dim
-        terms = {p: c for p, c in terms.items() if abs(c) >= ZERO_THRESHOLD}
-        g = math.gcd(den, *(v for p in terms for v in p))
-        if g > 1:
-            den //= g
-            terms = {tuple(v // g for v in p): c for p, c in terms.items()}
-        self._den = den
-        self._terms = terms
+        self._den, self._terms = _reduced(den, terms)
         return self
 
     @classmethod
@@ -180,13 +178,17 @@ class WeylPolynomial:
 
     @property
     def terms(self) -> Mapping[Point, complex]:
-        den = self._den
-        return MappingProxyType(
-            {tuple(Fraction(v, den) for v in p): c for p, c in self._terms.items()}
-        )
+        return MappingProxyType(dict(zip(self.points(), self._terms.values())))
 
     def points(self) -> list[Point]:
-        return list(self.terms.keys())
+        den = self._den
+        return [tuple(Fraction(v, den) for v in p) for p in self._terms]
+
+    def lattice_items(self) -> tuple[int, ItemsView[tuple[int, ...], complex]]:
+        """The least common denominator L and a read-only view of the terms
+        keyed by their points times L, as tuples of ints, in insertion
+        order: term x maps to the point x / L."""
+        return self._den, self._terms.items()
 
     def _over(self, den: int) -> dict[tuple[int, ...], complex]:
         """The terms with points over ``den``, a multiple of ``_den``."""
@@ -250,6 +252,20 @@ class WeylPolynomial:
             for p, c in sorted(self.terms.items())
         ]
         return " + ".join(parts)
+
+
+def _reduced(
+    den: int, terms: dict[tuple[int, ...], complex]
+) -> tuple[int, dict[tuple[int, ...], complex]]:
+    """Canonical form of lattice terms over ``den``: drops coefficients below
+    the zero threshold, then divides out the gcd of ``den`` and every
+    coordinate so ``den`` is least again."""
+    terms = {p: c for p, c in terms.items() if abs(c) >= ZERO_THRESHOLD}
+    g = math.gcd(den, *(v for p in terms for v in p))
+    if g > 1:
+        den //= g
+        terms = {tuple(v // g for v in p): c for p, c in terms.items()}
+    return den, terms
 
 
 def lattice(points: Iterable[Point]) -> tuple[int, list[tuple[int, ...]]]:
@@ -324,7 +340,7 @@ def tensor_embed(p: WeylPolynomial, slot: int) -> WeylPolynomial:
 
 def one_norm(p: WeylPolynomial) -> float:
     """sum |c_k|: an upper bound on the operator norm (each W is unitary)."""
-    return float(sum(abs(c) for c in p.terms.values()))
+    return float(sum(abs(c) for c in p._terms.values()))
 
 
 def is_self_adjoint(p: WeylPolynomial, tol: float) -> bool:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import distinct_points, rand_fraction, rand_point, rand_poly, same_bits
-from test_weyl import _SMALL, _polys
+from test_weyl import _COEFF, _SCALES, _SMALL, _polys
 from eprbell import (
     EquivalenceError,
     StateFunctional,
@@ -31,6 +31,7 @@ from eprbell import (
     uniqueness_support_check,
     weyl_multiply,
 )
+import eprbell.states
 from eprbell.weyl import direct_sum_form, unit_phase
 
 
@@ -105,6 +106,32 @@ class TestEvalPoly:
     def test_dimension_error(self):
         with pytest.raises(ValueError):
             eval_poly(StateFunctional.epr(), WeylPolynomial.identity(2))
+
+    def test_one_eval_point_call_per_term(self, monkeypatch):
+        # the benchmark's tracer counts eval_point calls and nonzero values
+        # by wrapping the module global, as here
+        values = []
+
+        def counted(*args, **kwargs):
+            values.append(eval_point(*args, **kwargs))
+            return values[-1]
+
+        monkeypatch.setattr(eprbell.states, "eval_point", counted)
+        rng = random.Random(45)
+        state = StateFunctional.epr(0.6, -1.3)
+        for _ in range(20):
+            terms = []
+            for _ in range(rng.randint(1, 6)):
+                a, b = rand_fraction(rng), rand_fraction(rng)
+                on = rng.random() < 0.5
+                terms.append(((a, b, -a, b) if on else rand_point(rng, 4), 1.0))
+            p = WeylPolynomial(4, terms)
+            for q in (p, weyl_multiply(adjoint(p), p)):
+                values.clear()
+                eval_poly(state, q)
+                on_manifold = sum(c == -a and d == b for a, b, c, d in q.terms)
+                assert len(values) == len(q)
+                assert sum(v != 0 for v in values) == on_manifold
 
 
 class TestKernel:
@@ -286,6 +313,54 @@ class TestKernelOracle:
             with pytest.raises(ValueError) as raised:
                 build(StateFunctional.epr(), pts)
             assert str(raised.value) == message
+
+
+def _eval_poly_reference(state: StateFunctional, p: WeylPolynomial) -> complex:
+    """eval_poly as it read the reduced ``Fraction`` points: the oracle of
+    evaluation on the lattice."""
+    return sum((c * eval_point(state, x) for x, c in p.terms.items()), 0j)
+
+
+@st.composite
+def _manifold_polys(draw):
+    """Dimension-4 polynomials of zero to eight terms, each on the EPR
+    manifold {c = -a, d = b} or anywhere."""
+    coord = _SCALES[draw(st.sampled_from(sorted(_SCALES)))]
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        a, b = draw(coord), draw(coord)
+        if draw(st.booleans()):
+            pt = (a, b, -a, b)
+        else:
+            pt = (a, b, draw(coord), draw(coord))
+        terms.append((pt, draw(_COEFF)))
+    return WeylPolynomial(4, terms)
+
+
+class TestEvalPolyOracle:
+    """eval_poly on the lattice is bit for bit the ``Fraction`` loop."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(StateFunctional.epr, _PARAMETER, _PARAMETER),
+            st.just(StateFunctional.regular()),
+        ),
+        _manifold_polys(),
+    )
+    @example(StateFunctional.epr(0.3, 0.7), WeylPolynomial.zero(4))
+    @example(
+        StateFunctional.epr(0.3, 0.7),
+        WeylPolynomial(4, {("1/3", "2/7", "-1/3", "2/7"): 0.5, (1, 2, 3, 4): 1j}),
+    )
+    @example(
+        StateFunctional.regular(),
+        WeylPolynomial(4, {(10**20, 1, -(10**20), 1): 1.0, ("1/6", 0, 0, 0): 1.0}),
+    )
+    def test_matches_fraction_loop(self, state, p):
+        for q in (p, weyl_multiply(adjoint(p), p)):
+            got, want = eval_poly(state, q), _eval_poly_reference(state, q)
+            assert same_bits(np.array([got]), np.array([want]))
 
 
 class TestPsdCheck:

@@ -26,7 +26,7 @@ from eprbell import (
     to_records,
     weyl_multiply,
 )
-from eprbell.weyl import add_points, unit_phase
+from eprbell.weyl import add_points, lattice, unit_phase
 
 
 class TestForms:
@@ -459,3 +459,77 @@ class TestFractionOracle:
                 np.array(list(got.values()), dtype=complex),
                 np.array(list(want.values()), dtype=complex),
             )
+
+
+def _fraction_constructor(dim: int, terms) -> tuple[int, dict]:
+    """The constructor as it summed on ``Fraction`` points, then put the kept
+    points on the lattice: the reference for the denominator, keys,
+    insertion order and coefficient bits of the lattice constructor."""
+    items = terms.items() if isinstance(terms, dict) else terms
+    acc = {}
+    for pt, coeff in items:
+        pt = tuple(Fraction(c) for c in pt)
+        acc[pt] = acc.get(pt, 0j) + complex(coeff)
+    kept = {p: c for p, c in acc.items() if abs(c) >= ZERO_THRESHOLD}
+    den, ints = lattice(kept)
+    return den, dict(zip(ints, kept.values()))
+
+
+def _written(f: Fraction):
+    """A coordinate as callers write it: an int, a string or a Fraction."""
+    forms = [str(f), f] + ([int(f)] if f.denominator == 1 else [])
+    return st.sampled_from(forms)
+
+
+def _assert_same_lattice(p: WeylPolynomial, want: tuple[int, dict]):
+    den, terms = want
+    assert p._den == den
+    assert list(p._terms) == list(terms)
+    assert same_bits(
+        np.array(list(p._terms.values()), dtype=complex),
+        np.array(list(terms.values()), dtype=complex),
+    )
+
+
+class TestConstructorOracle:
+    """The constructor sums on the lattice to the ``Fraction`` loop's terms."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_loop(self, dim, data):
+        coord = _SCALES[data.draw(st.sampled_from(sorted(_SCALES)))]
+        # a few distinct points, drawn with repeats so duplicates add up and
+        # coefficients of +-1 and +-1/2 cancel
+        pool = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4))
+        coeff = st.one_of(st.sampled_from([1, -1, 0.5, -0.5, 1j, 0]), _COEFF)
+        terms = data.draw(st.lists(st.tuples(st.sampled_from(pool), coeff), max_size=10))
+        written = [
+            (tuple(data.draw(_written(c)) for c in pt), a) for pt, a in terms
+        ]
+        want = _fraction_constructor(dim, written)
+        _assert_same_lattice(WeylPolynomial(dim, written), want)
+        _assert_same_lattice(WeylPolynomial(dim, iter(written)), want)
+        # a mapping keys each written form once; "1/2" and Fraction(1, 2)
+        # are two keys for one point
+        mapping = dict(written)
+        _assert_same_lattice(WeylPolynomial(dim, mapping), _fraction_constructor(dim, mapping))
+
+    def test_cancelling_the_largest_denominator_lands_on_its_least(self):
+        terms = [(("1/3", 0), 1.0), ((Fraction(1, 3), 0), -1.0), ((1, 0), 1.0)]
+        p = WeylPolynomial(2, terms)
+        assert p._den == 1
+        assert p == WeylPolynomial.generator(point(1, 0))
+        _assert_same_lattice(p, _fraction_constructor(2, terms))
+
+    def test_duplicates_add_in_input_order(self):
+        terms = [((1, "1/2"), 0.1), ((0, 0), 1j), (("2/2", Fraction(2, 4)), 0.2),
+                 ((1, "1/2"), 0.3)]
+        p = WeylPolynomial(2, terms)
+        assert list(p.terms) == [point(1, "1/2"), point(0, 0)]
+        assert p.terms[point(1, "1/2")] == (0.1 + 0.2) + 0.3
+        _assert_same_lattice(p, _fraction_constructor(2, terms))
+
+    def test_fraction_coordinates_are_kept_as_given(self):
+        x = Fraction(3, 4)
+        assert point(x, 1)[0] is x
