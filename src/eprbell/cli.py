@@ -496,6 +496,8 @@ def _emit_report(
 def cmd_eval(args) -> int:
     state, _ = _load_state(args.state)
     value = eval_poly(state, _load(args.polynomial, from_records))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"{args.polynomial}: the value {value} is not finite")
     print(f"({value.real:.15g}, {value.imag:.15g})")
     return EXIT_PASS
 

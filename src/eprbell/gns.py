@@ -18,11 +18,21 @@ from typing import Sequence
 import numpy as np
 
 # trace_vector_check is re-exported here, beside the other vector checks
-from .states import IDENTITY_TOL, StateFunctional, eval_poly, trace_vector_check
+from .states import (
+    IDENTITY_TOL,
+    StateFunctional,
+    compression_matrix,
+    eval_poly,
+    trace_vector_check,
+    twisted_kernel,
+)
 from .weyl import (
+    DEFAULT_TERM_CAP,
     Point,
+    TermBudgetError,
     WeylPolynomial,
     adjoint,
+    negate,
     point,
     tensor_embed,
     unit_phase,
@@ -53,27 +63,26 @@ class GnsFrame:
 
 
 def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
-    """Assemble the Gram matrix of the frame through the product engine.
+    """Assemble the Gram matrix of the frame from the twisted kernel.
 
-    Every entry goes through weyl_multiply + eval_poly rather than any
-    closed-form kernel, so the frame doubles as a consistency probe.  The
-    Gram must come out positive semidefinite within 1e-10 and with unit
-    diagonal, else the engine itself is at fault.
+    gram[j,k] = omega(W(-x_j) W(x_k)) = G(x_k - x_j) exp{-i s(x_j, x_k)},
+    which is the twisted kernel F(-x_j, -x_k): the Gram is the kernel on the
+    negated points, bit for bit what the product engine gives, and never the
+    corrupt control's deflated kernel.  The Gram must come out positive
+    semidefinite within 1e-10 and with unit diagonal, else the engine itself
+    is at fault.
     """
     pts = tuple(tuple(Fraction(c) for c in p) for p in points)
     if len(set(pts)) != len(pts):
         raise ValueError("frame points must be pairwise distinct")
     n = len(pts)
-    gram = np.empty((n, n), dtype=complex)
-    gens = [WeylPolynomial.generator(p) for p in pts]
-    adjs = [adjoint(g) for g in gens]
-    for j in range(n):
-        for k in range(n):
-            gram[j, k] = eval_poly(state, weyl_multiply(adjs[j], gens[k]))
-    lam_min = float(np.linalg.eigvalsh(gram)[0]) if n else 0.0
+    if not n:
+        return GnsFrame(pts, np.empty((0, 0), dtype=complex))
+    gram = twisted_kernel(state, [negate(p) for p in pts])
+    lam_min = float(np.linalg.eigvalsh(gram)[0])
     if lam_min < -1e-10:
         raise GramPositivityError(f"frame Gram is not positive: eigenvalue {lam_min}")
-    if n and np.max(np.abs(np.diag(gram) - 1.0)) > 1e-12:
+    if np.max(np.abs(np.diag(gram) - 1.0)) > 1e-12:
         raise GramPositivityError("frame Gram diagonal deviates from 1")
     return GnsFrame(pts, gram)
 
@@ -83,19 +92,19 @@ def compress_operator(
 ) -> np.ndarray:
     """Matrix elements omega(W(x_j)* P W(x_k)) of P against the frame.
 
-    For self-adjoint P the result is Hermitian up to phase roundoff.
+    ``states.compression_matrix`` computes them term by term on the integer
+    lattice, bit for bit what the product engine gives.  A P of more than
+    ``DEFAULT_TERM_CAP`` terms raises ``TermBudgetError``, as the engine's
+    product would.  For self-adjoint P the result is Hermitian up to phase
+    roundoff.
     """
     if p.dim != 4:
         raise ValueError("compress_operator expects a dimension-4 polynomial")
-    n = len(frame)
-    out = np.empty((n, n), dtype=complex)
-    gens = [WeylPolynomial.generator(x) for x in frame.points]
-    adjs = [adjoint(g) for g in gens]
-    for j in range(n):
-        left = weyl_multiply(adjs[j], p)
-        for k in range(n):
-            out[j, k] = eval_poly(state, weyl_multiply(left, gens[k]))
-    return out
+    if len(p) > DEFAULT_TERM_CAP:
+        raise TermBudgetError(
+            f"product of 1 x {len(p)} terms exceeds cap {DEFAULT_TERM_CAP}"
+        )
+    return compression_matrix(state, frame.points, p)
 
 
 def collinearity_check(

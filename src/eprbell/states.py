@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .weyl import (
+    ZERO_THRESHOLD,
     Point,
     WeylPolynomial,
     adjoint,
@@ -167,17 +168,26 @@ _ROW_CHUNK = 32
 
 
 def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray:
+    """The twisted kernel of ``twisted_kernel``, with the corrupt control.
+
+    With the corrupt flag set, the last diagonal entry is deflated below zero
+    so the matrix is guaranteed non-PSD whatever the points.
+    """
+    m = twisted_kernel(state, points)
+    if state.corrupt_kernel:
+        m[-1, -1] -= 1.5
+    return m
+
+
+def twisted_kernel(state: StateFunctional, points: Sequence[Point]) -> np.ndarray:
     """The twisted kernel M[j,k] = G(x_j - x_k) exp{-i s(x_j, x_k)}.
 
-    Hermitian by the hermiticity of G and antisymmetry of the form.  With the
-    corrupt flag set, the last diagonal entry is deflated below zero so the
-    matrix is guaranteed non-PSD whatever the points.
-
-    Every entry is the double that evaluating eval_point on the exact
-    difference, times unit_phase of the exact form, gives.  The points are
-    put on the integer lattice of ``weyl.lattice``; for the epr state
-    only entries within a class of the invariant (a+c, b-d) are computed,
-    and all others are exact zeros.
+    Hermitian by the hermiticity of G and antisymmetry of the form.  Every
+    entry is the double that evaluating eval_point on the exact difference,
+    times unit_phase of the exact form, gives.  The points are put on the
+    integer lattice of ``weyl.lattice``; for the epr state only entries
+    within a class of the invariant (a+c, b-d) are computed, and all others
+    are exact zeros.
     """
     points = [
         tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in points
@@ -187,12 +197,7 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
         raise ValueError("states are defined on the dimension-4 algebra")
     n = len(points)
     scale, ints = lattice(points)
-    big = max(abs(v) for p in ints for v in p)
-    # int64 only while every product, sum and divisor below is an integer a
-    # double holds exactly, so each quotient is correctly rounded, as
-    # float(Fraction) is; Python ints otherwise
-    fits = 4 * big * big < 2**53 and 2 * scale * scale < 2**53
-    coords = np.array(ints, dtype=np.int64 if fits else object)
+    coords = _lattice_array(ints, max(abs(v) for p in ints for v in p), scale)
     if state.kind == KIND_EPR:
         classes: dict[tuple[int, int], list[int]] = {}
         for j, (a, b, c, d) in enumerate(ints):
@@ -208,9 +213,16 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
             m.real[block], m.imag[block] = _kernel_block(
                 state, coords[rows], coords[cols], scale
             )
-    if state.corrupt_kernel:
-        m[n - 1, n - 1] -= 1.5
     return m
+
+
+def _lattice_array(ints: list[tuple[int, ...]], big: int, scale: int) -> np.ndarray:
+    """Scaled integer points, of largest coordinate ``big``, as int64 only
+    while every product, sum and divisor formed from them is an integer a
+    double holds exactly, so each quotient is correctly rounded, as
+    float(Fraction) is; as Python ints otherwise."""
+    fits = 4 * big * big < 2**53 and 2 * scale * scale < 2**53
+    return np.array(ints, dtype=np.int64 if fits else object)
 
 
 def _kernel_block(
@@ -219,32 +231,110 @@ def _kernel_block(
     """Real and imaginary parts of M over rows x and columns y of scaled
     integer coordinates: eval_point of each exact difference times
     unit_phase of the exact form, computed as Python's complex * does."""
-    sym = x[:, None, 0] * y[None, :, 1] - x[:, None, 1] * y[None, :, 0]
-    sym = sym + x[:, None, 2] * y[None, :, 3] - x[:, None, 3] * y[None, :, 2]
-    twist = np.asarray(-sym / (2 * scale * scale), dtype=float)
-    p_re, p_im = np.cos(twist), np.sin(twist)
-    # float() of each exact coordinate difference
-    diffs = (x[:, None, i] - y[None, :, i] for i in range(4))
-    f = [np.asarray(d / scale, dtype=float) for d in diffs]
-    if state.kind == KIND_EPR:
-        # unit_phase's exact 1 at a zero angle differs from cos/sin only by
-        # sin(-0.0) = -0.0, which the product below absorbs: that zero only
-        # meets a cosine, never zero, or adds to another zero
-        t = f[0] * state.lam + f[1] * state.mu
-        g_re, g_im = np.cos(t), np.sin(t)
-    else:
-        # left to right, as eval_point sums the squares
-        arg = -(f[0] * f[0] + f[1] * f[1] + f[2] * f[2] + f[3] * f[3]) / 4.0
-        # math.exp, not np.exp, whose last bit differs from libm's
-        g_re = np.fromiter(map(math.exp, arg.ravel()), float, arg.size)
-        g_re = g_re.reshape(arg.shape)
-        g_im = np.zeros_like(g_re)
+    # exp{-i s(x, y)} is the unit_phase of s(y, x)
+    p_re, p_im = _phase(y[None, :], x[:, None], scale)
+    diffs = [x[:, None, i] - y[None, :, i] for i in range(4)]
+    g_re, g_im = _state_factor(state, diffs, scale)
     # the complex product written out over real and imaginary parts; an
     # underflowed Gaussian factor gives an exact zero entry
     zero = (g_re == 0.0) & (g_im == 0.0)
     re = np.where(zero, 0.0, g_re * p_re - g_im * p_im)
     im = np.where(zero, 0.0, g_re * p_im + g_im * p_re)
     return re, im
+
+
+def _phase(x: np.ndarray, y: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of unit_phase(s(x, y)) for scaled integer
+    points x and y, coordinates on the last axis, broadcast together.  A
+    zero form gives the angle 0.0, never -0.0, where cos/sin are exactly 1
+    and 0 as unit_phase is."""
+    sym = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+    sym = sym + x[..., 2] * y[..., 3] - x[..., 3] * y[..., 2]
+    angle = np.asarray(sym / (2 * scale * scale), dtype=float)
+    return np.cos(angle), np.sin(angle)
+
+
+def _state_factor(
+    state: StateFunctional, z: list[np.ndarray], scale: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of eval_point on the scaled integer points
+    whose four coordinates are the arrays z, taken on the epr manifold."""
+    # float() of each exact coordinate
+    f = [np.asarray(c / scale, dtype=float) for c in z]
+    if state.kind == KIND_EPR:
+        # on the manifold only: unit_phase's exact 1 at a zero angle differs
+        # from cos/sin only by sin(-0.0) = -0.0, a zero's sign that both
+        # callers' products and sums absorb
+        t = f[0] * state.lam + f[1] * state.mu
+        return np.cos(t), np.sin(t)
+    # left to right, as eval_point sums the squares
+    arg = -(f[0] * f[0] + f[1] * f[1] + f[2] * f[2] + f[3] * f[3]) / 4.0
+    # math.exp, not np.exp, whose last bit differs from libm's
+    g_re = np.fromiter(map(math.exp, arg.ravel()), float, arg.size)
+    return g_re.reshape(arg.shape), np.zeros(arg.shape)
+
+
+#: Entries of the terms-by-(j, k) block one compression pass computes.
+_PASS_ENTRIES = 2**14
+
+
+def compression_matrix(
+    state: StateFunctional, points: Sequence[Point], p: WeylPolynomial
+) -> np.ndarray:
+    """C[j,k] = omega(W(-x_j) P W(x_k)) for the points x_j and a dimension-4 P.
+
+    Each entry is the double eval_poly gives of the engine's product
+    (W(x_j)* P) W(x_k), replayed on the integer lattice a block of P's
+    terms c W(y) at a time: (1-0j) c times the phase of s(-x_j, y), then
+    (1+0j) and the phase of s(y - x_j, x_k), each product's term dropped
+    below ``ZERO_THRESHOLD`` as canonical form drops it, then eval_point at
+    y - x_j + x_k, summed from 0j in P's order.  Every complex * is written
+    out over real and imaginary parts as Python computes it; canonical
+    form's 0j + v only clears a zero's sign, as the sum from 0j does.
+    """
+    n = len(points)
+    out = np.zeros((n, n), dtype=complex)
+    den, items = p.lattice_items()
+    if not n or not items:
+        return out
+    frame_den, frame_ints = lattice(points)
+    scale = math.lcm(den, frame_den)
+    xs = [tuple(v * (scale // frame_den) for v in q) for q in frame_ints]
+    terms, coeffs = zip(*items)
+    ys = [tuple(v * (scale // den) for v in q) for q in terms]
+    # coordinates of y - x_j reach twice the largest input coordinate
+    big = 2 * max(abs(v) for q in xs + ys for v in q)
+    x, y = _lattice_array(xs, big, scale), _lattice_array(ys, big, scale)
+    c = np.array(coeffs)
+    # times the coefficient 1-0j of W(x_j)*
+    a_re, a_im = 1.0 * c.real - -0.0 * c.imag, 1.0 * c.imag + -0.0 * c.real
+    re, im = np.zeros((n, n)), np.zeros((n, n))
+    step = max(1, _PASS_ENTRIES // (n * n))
+    for t in (slice(s, s + step) for s in range(0, len(ys), step)):
+        z1 = y[t, None] - x  # terms by j
+        p_re, p_im = _phase(-x, y[t, None], scale)
+        ar, ai = a_re[t, None], a_im[t, None]
+        re1, im1 = ar * p_re - ai * p_im, ar * p_im + ai * p_re
+        keep = np.hypot(re1, im1) >= ZERO_THRESHOLD
+        # times the coefficient 1+0j of W(x_k), then the phase of s(z1, x_k)
+        b_re = (re1 * 1.0 - im1 * 0.0)[..., None]
+        b_im = (re1 * 0.0 + im1 * 1.0)[..., None]
+        q_re, q_im = _phase(z1[:, :, None], x, scale)
+        re2, im2 = b_re * q_re - b_im * q_im, b_re * q_im + b_im * q_re
+        keep = keep[..., None] & (np.hypot(re2, im2) >= ZERO_THRESHOLD)
+        z2 = [z1[:, :, None, i] + x[:, i] for i in range(4)]
+        g_re, g_im = _state_factor(state, z2, scale)
+        if state.kind == KIND_EPR:
+            # off the manifold eval_point is 0j, and a kept term, which is
+            # finite, times 0j is a zero the sum absorbs
+            keep &= (z2[0] + z2[2] == 0) & (z2[1] - z2[3] == 0)
+        terms_re = np.where(keep, re2 * g_re - im2 * g_im, 0.0)
+        terms_im = np.where(keep, re2 * g_im + im2 * g_re, 0.0)
+        for term_re, term_im in zip(terms_re, terms_im):
+            re += term_re
+            im += term_im
+    out.real, out.imag = re, im
+    return out
 
 
 def psd_check(m: np.ndarray, tol: float) -> dict:

@@ -67,10 +67,16 @@ def _coordinate(i: int, c) -> Fraction:
 
 
 def parse_points(rows: Iterable, label: str = "point") -> list[Point]:
-    """``point(*row)`` for each row, naming the row's index in any error."""
+    """``point(*row)`` for each row, naming the row's index in any error.
+
+    A row must be a list, as a JSON array reads, or a tuple: a string such
+    as "0000" would otherwise unpack into coordinates.
+    """
     pts = []
     for i, row in enumerate(rows):
         try:
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"a point is an array of coordinates, not {row!r}")
             pts.append(point(*row))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{label} {i}: {exc}") from None

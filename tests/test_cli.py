@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from eprbell.cli import CHECKS, main
@@ -64,6 +65,25 @@ class TestEval:
         assert "record 1" in captured.err
 
 
+    @pytest.mark.parametrize(
+        "second, value",
+        [(["0", "0", "0", "0"], "nanj"), (["1", "0", "-1", "0"], "infj")],
+    )
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, second, value):
+        # two finite records whose sum overflows: at one point the
+        # coefficient is inf + inf i and its value nan, at two it is inf
+        records = [
+            {"point": ["0", "0", "0", "0"], "re": 1e308, "im": 1e308},
+            {"point": second, "re": 1e308, "im": 1e308},
+        ]
+        poly = _write(tmp_path / "p.json", records)
+        assert main(["eval", poly]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert poly in captured.err and "is not finite" in captured.err
+        assert value in captured.err
+
+
 class TestPsd:
     def test_two_point_example_passes(self, tmp_path, capsys):
         pts = _write(
@@ -102,6 +122,17 @@ class TestPsd:
             [["0", "0", "0", "0"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]],
         )
         assert main(["psd", pts, "--state", state]) == 1
+
+    @pytest.mark.parametrize(
+        "rows, bad", [(["0000"], "'0000'"), (["12", "34"], "'12'")]
+    )
+    def test_rows_that_are_not_arrays_exit_2(self, tmp_path, capsys, rows, bad):
+        # a string row would unpack into one coordinate per character
+        pts = _write(tmp_path / "pts.json", rows)
+        assert main(["psd", pts]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{pts}: point 0: a point is an array of coordinates, not {bad}" in captured.err
 
     def test_kernel_built_once(self, tmp_path, epr_state_file, monkeypatch):
         # the support relation reads the kernel the positivity check built
@@ -325,7 +356,9 @@ class TestEngineSelfChecks:
         import eprbell.gns
 
         # an all -1 Gram matrix has eigenvalue -9 on the 9-point frame
-        monkeypatch.setattr(eprbell.gns, "eval_poly", lambda state, p: -1.0)
+        monkeypatch.setattr(
+            eprbell.gns, "twisted_kernel", lambda state, pts: -np.ones((9, 9))
+        )
         assert main(["verify-all", "--seed", "0"]) == 1
         err = capsys.readouterr().err
         assert "verification failed: frame Gram is not positive" in err
@@ -501,6 +534,19 @@ class TestVerifyAll:
         report = report_from_json(open(out).read())
         failing = [c.name for c in report.checks if not c.passed]
         assert "kernel_psd" in failing
+
+    def test_corrupt_epr_kernel_leaves_the_frame_gram_alone(self, tmp_path):
+        # the corrupt control deflates the kernel that kernel_psd and
+        # support_rank_one read, never the frame Gram
+        state = _write(tmp_path / "corrupt.json", {"kind": "epr", "corrupt_kernel": True})
+        out = str(tmp_path / "rep.json")
+        assert main(["verify-all", "--seed", "0", "--state", state, "--out", out]) == 1
+        verdicts = {}
+        for c in report_from_json(open(out).read()).checks:
+            verdicts.setdefault(c.name, []).append(c.passed)
+        assert verdicts["gram_orthonormality"] == [True]
+        assert not all(verdicts["kernel_psd"])
+        assert not all(verdicts["support_rank_one"])
 
     def test_identical_seeds_identical_bodies(self, tmp_path):
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")

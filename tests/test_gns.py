@@ -1,26 +1,276 @@
 """Finite frames: Gram matrices, compressions, collinearity, norm bounds."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_fraction, rand_point
+from conftest import rand_fraction, rand_point, same_bits
+from test_states import _COORDS, _PARAMETER
+from test_weyl import _COEFF
 from eprbell import (
+    DEFAULT_TERM_CAP,
+    GnsFrame,
+    GramPositivityError,
     StateFunctional,
+    TermBudgetError,
     WeylPolynomial,
+    ZERO_THRESHOLD,
     adjoint,
     build_frame,
     collinearity_check,
     compress_operator,
+    eval_poly,
     norm_lower_bound,
     one_norm,
     point,
     trace_vector_check,
+    weyl_multiply,
 )
+import eprbell.gns
+from eprbell.states import twisted_kernel
 from eprbell.weyl import add_points, direct_sum_form, negate, unit_phase
+
+
+def _gram_reference(state: StateFunctional, points) -> np.ndarray:
+    """build_frame's Gram through the product engine: the oracle of the
+    kernel identity gram[j,k] = F(-x_j, -x_k)."""
+    n = len(points)
+    gram = np.empty((n, n), dtype=complex)
+    gens = [WeylPolynomial.generator(p) for p in points]
+    adjs = [adjoint(g) for g in gens]
+    for j in range(n):
+        for k in range(n):
+            gram[j, k] = eval_poly(state, weyl_multiply(adjs[j], gens[k]))
+    return gram
+
+
+def _compress_reference(
+    state: StateFunctional, points, p: WeylPolynomial
+) -> np.ndarray:
+    """compress_operator through the product engine: the oracle of the
+    pass over P's terms on the lattice."""
+    n = len(points)
+    out = np.empty((n, n), dtype=complex)
+    gens = [WeylPolynomial.generator(x) for x in points]
+    adjs = [adjoint(g) for g in gens]
+    for j in range(n):
+        left = weyl_multiply(adjs[j], p)
+        for k in range(n):
+            out[j, k] = eval_poly(state, weyl_multiply(left, gens[k]))
+    return out
+
+
+#: Coefficient moduli on either side of the zero threshold, where the
+#: engine's canonical form drops a product term.
+_NEAR_THRESHOLD = [ZERO_THRESHOLD * (1 + k * 2.0**-50) for k in range(-3, 4)]
+
+_FRAME_STATES = st.one_of(
+    st.builds(StateFunctional.epr, _PARAMETER, _PARAMETER),
+    st.just(StateFunctional.regular()),
+)
+
+
+@st.composite
+def _frame_and_poly(draw):
+    """Distinct frame points, some in shared EPR support classes, and a
+    polynomial of zero to six terms: moves x_j - x_k between frame points,
+    points on the manifold {c = -a, d = b}, the origin or anywhere, with
+    coefficients in the unit square or at the zero threshold."""
+    coord = _COORDS[draw(st.sampled_from(sorted(_COORDS)))]
+    invariant = (draw(coord), draw(coord))
+    pts = []
+    for _ in range(draw(st.integers(0, 10))):
+        a, b = draw(coord), draw(coord)
+        if draw(st.booleans()):
+            p = (a, b, invariant[0] - a, b - invariant[1])
+        else:
+            p = (a, b, draw(coord), draw(coord))
+        if p not in pts:
+            pts.append(p)
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["move", "manifold", "origin", "any"]))
+        if kind == "move" and pts:
+            xj, xk = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            y = tuple(u - v for u, v in zip(xj, xk))
+        elif kind == "manifold":
+            a, b = draw(coord), draw(coord)
+            y = (a, b, -a, b)
+        elif kind == "origin":
+            y = (0, 0, 0, 0)
+        else:
+            y = tuple(draw(coord) for _ in range(4))
+        if draw(st.booleans()):
+            c = draw(_COEFF)
+        else:
+            angle = draw(st.floats(-math.pi, math.pi))
+            c = cmath.rect(draw(st.sampled_from(_NEAR_THRESHOLD)), angle)
+        terms.append((y, c))
+    return pts, WeylPolynomial(4, terms)
+
+
+def _checked_frame(state: StateFunctional, pts) -> GnsFrame:
+    """build_frame's frame, whose Gram must be the oracle's bit for bit.
+
+    At large coordinates a Gram can fail its positivity check, because phase
+    angles are rounded to doubles before they are reduced mod 2 pi; there
+    the oracle's Gram must fail it too, the kernel on the negated points
+    must still be that Gram, and the oracle's frame is returned."""
+    pts = tuple(tuple(Fraction(c) for c in p) for p in pts)
+    want = _gram_reference(state, pts)
+    try:
+        frame = build_frame(state, pts)
+    except GramPositivityError:
+        assert float(np.linalg.eigvalsh(want)[0]) < -1e-10
+        assert same_bits(twisted_kernel(state, [negate(p) for p in pts]), want)
+        return GnsFrame(pts, want)
+    assert same_bits(frame.gram, want)
+    return frame
+
+
+class TestFrameOracles:
+    """build_frame and compress_operator return bit for bit what the
+    product engine returns."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_FRAME_STATES, _frame_and_poly())
+    @example(StateFunctional.epr(0.3, 0.7), ([], WeylPolynomial.identity(4)))
+    @example(StateFunctional.regular(), ([(1, 0, -1, 0)], WeylPolynomial.zero(4)))
+    @example(
+        StateFunctional.epr(-0.5, -0.25),
+        ([(0, 0, 0, 0), (1, 2, -1, 2)], WeylPolynomial.identity(4)),
+    )
+    def test_match_product_engine(self, state, frame_and_poly):
+        pts, p = frame_and_poly
+        frame = _checked_frame(state, pts)
+        assert same_bits(
+            compress_operator(state, frame, p),
+            _compress_reference(state, frame.points, p),
+        )
+
+    @pytest.mark.parametrize(
+        "state",
+        [StateFunctional.epr(1.3, -0.7), StateFunctional.epr(), StateFunctional.regular()],
+    )
+    def test_match_product_engine_on_python_ints(self, state):
+        # one coordinate of 10^10/7 puts every array on Python ints
+        far = Fraction(10**10, 7)
+        pts = [(far, 1, -far, 1), (0, 0, 0, 0), (1, 2, -1, 2), ("1/3", 0, 0, 5)]
+        move = tuple(u - v for u, v in zip(pts[0], pts[2]))
+        p = WeylPolynomial(4, {move: 0.5 - 1j, (0, 0, 0, 0): 2.0, (far, 0, 0, 0): 1j})
+        frame = _checked_frame(state, pts)
+        assert same_bits(
+            compress_operator(state, frame, p),
+            _compress_reference(state, frame.points, p),
+        )
+
+    @pytest.mark.parametrize("state", [StateFunctional.epr(1.3, -0.7), StateFunctional.regular()])
+    def test_match_product_engine_at_the_int64_limit(self, state):
+        # 16 max|coordinate|^2 on either side of 2^53: the compression's
+        # coordinates y - x_j reach twice the largest input, so its arrays
+        # leave int64 at half the kernel's limit
+        for k in (23726566, 23726567):
+            pts = [(k, 1, -k, 1), (k - 1, 2, 1 - k, 2), (0, 0, 0, 0)]
+            p = WeylPolynomial(4, {(1, -1, -1, -1): 1.0, (k, 0, -k, 0): 0.5j})
+            frame = _checked_frame(state, pts)
+            assert same_bits(
+                compress_operator(state, frame, p),
+                _compress_reference(state, frame.points, p),
+            )
+
+
+    @pytest.mark.parametrize(
+        "x, y, c",
+        [
+            # the first product's term stays, the second's is dropped
+            (
+                ("-5/4", "3/5", 0, "6/5"),
+                (2, "-4/5", "-2/3", "6/5"),
+                -9.96175943361332e-16 - 8.736984530237242e-17j,
+            ),
+            # the first product's term is dropped, the second's would stay
+            (
+                ("-1/3", "5/3", "8/3", 2),
+                (1, 2, "4/5", -4),
+                6.646496408169627e-16 + 7.471551746202944e-16j,
+            ),
+        ],
+    )
+    def test_both_products_drop_terms_below_the_threshold(self, x, y, c):
+        state = StateFunctional.regular()
+        frame = _checked_frame(state, [x])
+        p = WeylPolynomial.generator(y, c)
+        assert len(p) == 1
+        comp = compress_operator(state, frame, p)
+        assert comp[0, 0] == 0
+        assert same_bits(comp, _compress_reference(state, frame.points, p))
+
+    def test_match_product_engine_past_int64_inside_the_kernel_limit(self):
+        # scaled coordinates under the kernel's int64 limit whose second form
+        # s(y - x_j, x_k) passes 2^53: over the denominator 3 an int64 double
+        # of it would round twice and move the phase's last bit
+        xj = (-47453108, -47453126, -47453117, -47453125)
+        xk = (-47453117, 47453101, -47453119, 47453110)
+        y = (-47453118, 47453101, 47453129, 47453093)
+        thirds = [tuple(Fraction(v, 3) for v in q) for q in (xj, xk, y)]
+        state = StateFunctional.epr(0.3, 0.7)
+        frame = _checked_frame(state, thirds[:2])
+        p = WeylPolynomial.generator(thirds[2])
+        comp = compress_operator(state, frame, p)
+        assert comp[0, 1] != 0
+        assert same_bits(comp, _compress_reference(state, frame.points, p))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_match_product_engine_on_non_finite_coefficients(self):
+        inf = math.inf
+        pts = [(0, 0, 0, 0), (1, 0, -1, 0), ("1/2", 1, 0, 0)]
+        for state in (StateFunctional.epr(0.3, -0.7), StateFunctional.regular()):
+            frame = _checked_frame(state, pts)
+            for terms in (
+                {(0, 0, 0, 0): complex(inf, 0.0), (1, 0, -1, 0): 1.0},
+                {(0, 0, 0, 0): complex(0.0, -inf), (2, 0, 0, 0): 1j},
+                {(0, 0, 0, 0): 1e308 + 1e308j, (1, 0, -1, 0): 1e308 - 1e308j},
+            ):
+                p = WeylPolynomial(4, terms)
+                assert same_bits(
+                    compress_operator(state, frame, p),
+                    _compress_reference(state, frame.points, p),
+                )
+
+
+class TestFrameErrors:
+    def test_off_unit_diagonal_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            eprbell.gns, "twisted_kernel", lambda state, pts: 2.0 * np.eye(len(pts))
+        )
+        with pytest.raises(GramPositivityError, match="diagonal"):
+            build_frame(StateFunctional.epr(), [point(0, 0, 0, 0)])
+
+    def test_term_cap_is_the_engine_budget(self):
+        # the engine multiplies 1 x len(P) terms: the cap itself passes
+        state = StateFunctional.epr()
+        frame = build_frame(state, [point(0, 0, 0, 0)])
+        terms = {(k, 0, -k, 0): 1.0 for k in range(DEFAULT_TERM_CAP)}
+        p = WeylPolynomial(4, terms)
+        assert compress_operator(state, frame, p)[0, 0] == DEFAULT_TERM_CAP
+        with pytest.raises(TermBudgetError):
+            compress_operator(state, frame, p + WeylPolynomial.generator(point(1, 1, 1, 1)))
+
+
+class TestCorruptKernel:
+    def test_build_frame_ignores_the_corrupt_control(self):
+        pts = [point(0, 0, 0, 0), point(1, 0, -1, 0), point("1/2", 3, 0, 3)]
+        corrupt = StateFunctional("epr", 0.4, -1.1, True)
+        frame = build_frame(corrupt, pts)
+        assert same_bits(frame.gram, build_frame(StateFunctional.epr(0.4, -1.1), pts).gram)
+        assert same_bits(frame.gram, _gram_reference(corrupt, frame.points))
 
 
 class TestBuildFrame:

@@ -84,6 +84,11 @@ class TestForms:
         with pytest.raises(ValueError, match="record 1: coordinate 0 is 0.5"):
             parse_points([["1", "2"], [0.5, "0"]], "record")
 
+    @pytest.mark.parametrize("row", ["0000", "12", 7, {"a": 1}])
+    def test_parse_points_rejects_rows_that_are_not_arrays(self, row):
+        with pytest.raises(ValueError, match="point 1: a point is an array"):
+            parse_points([["0", "0", "0", "0"], row])
+
 
 class TestProduct:
     def test_generator_product_phase(self):
