@@ -24,7 +24,6 @@ from .states import (
     compression_matrix,
     eval_poly,
     trace_vector_check,
-    twisted_kernel,
 )
 from .weyl import (
     DEFAULT_TERM_CAP,
@@ -32,7 +31,6 @@ from .weyl import (
     TermBudgetError,
     WeylPolynomial,
     adjoint,
-    negate,
     point,
     tensor_embed,
     unit_phase,
@@ -63,26 +61,30 @@ class GnsFrame:
 
 
 def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
-    """Assemble the Gram matrix of the frame from the twisted kernel.
+    """Assemble the Gram matrix of the frame through the product engine.
 
-    gram[j,k] = omega(W(-x_j) W(x_k)) = G(x_k - x_j) exp{-i s(x_j, x_k)},
-    which is the twisted kernel F(-x_j, -x_k): the Gram is the kernel on the
-    negated points, bit for bit what the product engine gives, and never the
-    corrupt control's deflated kernel.  The Gram must come out positive
-    semidefinite within 1e-10 and with unit diagonal, else the engine itself
-    is at fault.
+    Every entry gram[j,k] = omega(W(x_j)* W(x_k)) goes through weyl_multiply
+    + eval_poly rather than any closed-form kernel, so the frame doubles as a
+    consistency probe of the engine.  The value is the twisted kernel on the
+    negated points, F(-x_j, -x_k) = G(x_k - x_j) exp{-i s(x_j, x_k)}, and
+    never the corrupt control's deflated kernel.  The Gram must come out
+    positive semidefinite within 1e-10 and with unit diagonal, else the
+    engine itself is at fault.
     """
     pts = tuple(tuple(Fraction(c) for c in p) for p in points)
     if len(set(pts)) != len(pts):
         raise ValueError("frame points must be pairwise distinct")
     n = len(pts)
-    if not n:
-        return GnsFrame(pts, np.empty((0, 0), dtype=complex))
-    gram = twisted_kernel(state, [negate(p) for p in pts])
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
+    gram = np.empty((n, n), dtype=complex)
+    gens = [WeylPolynomial.generator(p) for p in pts]
+    adjs = [adjoint(g) for g in gens]
+    for j in range(n):
+        for k in range(n):
+            gram[j, k] = eval_poly(state, weyl_multiply(adjs[j], gens[k]))
+    lam_min = float(np.linalg.eigvalsh(gram)[0]) if n else 0.0
     if lam_min < -1e-10:
         raise GramPositivityError(f"frame Gram is not positive: eigenvalue {lam_min}")
-    if np.max(np.abs(np.diag(gram) - 1.0)) > 1e-12:
+    if n and np.max(np.abs(np.diag(gram) - 1.0)) > 1e-12:
         raise GramPositivityError("frame Gram diagonal deviates from 1")
     return GnsFrame(pts, gram)
 

@@ -168,26 +168,17 @@ _ROW_CHUNK = 32
 
 
 def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray:
-    """The twisted kernel of ``twisted_kernel``, with the corrupt control.
-
-    With the corrupt flag set, the last diagonal entry is deflated below zero
-    so the matrix is guaranteed non-PSD whatever the points.
-    """
-    m = twisted_kernel(state, points)
-    if state.corrupt_kernel:
-        m[-1, -1] -= 1.5
-    return m
-
-
-def twisted_kernel(state: StateFunctional, points: Sequence[Point]) -> np.ndarray:
     """The twisted kernel M[j,k] = G(x_j - x_k) exp{-i s(x_j, x_k)}.
 
-    Hermitian by the hermiticity of G and antisymmetry of the form.  Every
-    entry is the double that evaluating eval_point on the exact difference,
-    times unit_phase of the exact form, gives.  The points are put on the
-    integer lattice of ``weyl.lattice``; for the epr state only entries
-    within a class of the invariant (a+c, b-d) are computed, and all others
-    are exact zeros.
+    Hermitian by the hermiticity of G and antisymmetry of the form.  With the
+    corrupt flag set, the last diagonal entry is deflated below zero so the
+    matrix is guaranteed non-PSD whatever the points.
+
+    Every entry is the double that evaluating eval_point on the exact
+    difference, times unit_phase of the exact form, gives.  The points are
+    put on the integer lattice of ``weyl.lattice``; for the epr state
+    only entries within a class of the invariant (a+c, b-d) are computed,
+    and all others are exact zeros.
     """
     points = [
         tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in points
@@ -213,6 +204,8 @@ def twisted_kernel(state: StateFunctional, points: Sequence[Point]) -> np.ndarra
             m.real[block], m.imag[block] = _kernel_block(
                 state, coords[rows], coords[cols], scale
             )
+    if state.corrupt_kernel:
+        m[n - 1, n - 1] -= 1.5
     return m
 
 

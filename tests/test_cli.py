@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from eprbell.cli import CHECKS, main
@@ -356,9 +355,7 @@ class TestEngineSelfChecks:
         import eprbell.gns
 
         # an all -1 Gram matrix has eigenvalue -9 on the 9-point frame
-        monkeypatch.setattr(
-            eprbell.gns, "twisted_kernel", lambda state, pts: -np.ones((9, 9))
-        )
+        monkeypatch.setattr(eprbell.gns, "eval_poly", lambda state, p: -1.0)
         assert main(["verify-all", "--seed", "0"]) == 1
         err = capsys.readouterr().err
         assert "verification failed: frame Gram is not positive" in err

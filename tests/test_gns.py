@@ -33,21 +33,8 @@ from eprbell import (
     weyl_multiply,
 )
 import eprbell.gns
-from eprbell.states import twisted_kernel
+from eprbell.states import kernel_matrix
 from eprbell.weyl import add_points, direct_sum_form, negate, unit_phase
-
-
-def _gram_reference(state: StateFunctional, points) -> np.ndarray:
-    """build_frame's Gram through the product engine: the oracle of the
-    kernel identity gram[j,k] = F(-x_j, -x_k)."""
-    n = len(points)
-    gram = np.empty((n, n), dtype=complex)
-    gens = [WeylPolynomial.generator(p) for p in points]
-    adjs = [adjoint(g) for g in gens]
-    for j in range(n):
-        for k in range(n):
-            gram[j, k] = eval_poly(state, weyl_multiply(adjs[j], gens[k]))
-    return gram
 
 
 def _compress_reference(
@@ -116,27 +103,30 @@ def _frame_and_poly(draw):
 
 
 def _checked_frame(state: StateFunctional, pts) -> GnsFrame:
-    """build_frame's frame, whose Gram must be the oracle's bit for bit.
+    """build_frame's frame, whose Gram must be the kernel on the negated
+    points bit for bit: gram[j,k] = F(-x_j, -x_k).
 
     At large coordinates a Gram can fail its positivity check, because phase
     angles are rounded to doubles before they are reduced mod 2 pi; there
-    the oracle's Gram must fail it too, the kernel on the negated points
-    must still be that Gram, and the oracle's frame is returned."""
+    the kernel must fail it too, and a frame on the kernel is returned."""
     pts = tuple(tuple(Fraction(c) for c in p) for p in pts)
-    want = _gram_reference(state, pts)
+    want = (
+        kernel_matrix(state, [negate(p) for p in pts])
+        if pts
+        else np.empty((0, 0), dtype=complex)
+    )
     try:
         frame = build_frame(state, pts)
     except GramPositivityError:
         assert float(np.linalg.eigvalsh(want)[0]) < -1e-10
-        assert same_bits(twisted_kernel(state, [negate(p) for p in pts]), want)
         return GnsFrame(pts, want)
     assert same_bits(frame.gram, want)
     return frame
 
 
 class TestFrameOracles:
-    """build_frame and compress_operator return bit for bit what the
-    product engine returns."""
+    """build_frame's Gram is the kernel on the negated points, and
+    compress_operator returns bit for bit what the product engine returns."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_FRAME_STATES, _frame_and_poly())
@@ -247,9 +237,7 @@ class TestFrameOracles:
 
 class TestFrameErrors:
     def test_off_unit_diagonal_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            eprbell.gns, "twisted_kernel", lambda state, pts: 2.0 * np.eye(len(pts))
-        )
+        monkeypatch.setattr(eprbell.gns, "eval_poly", lambda state, p: 2.0)
         with pytest.raises(GramPositivityError, match="diagonal"):
             build_frame(StateFunctional.epr(), [point(0, 0, 0, 0)])
 
@@ -270,7 +258,8 @@ class TestCorruptKernel:
         corrupt = StateFunctional("epr", 0.4, -1.1, True)
         frame = build_frame(corrupt, pts)
         assert same_bits(frame.gram, build_frame(StateFunctional.epr(0.4, -1.1), pts).gram)
-        assert same_bits(frame.gram, _gram_reference(corrupt, frame.points))
+        kernel = kernel_matrix(StateFunctional.epr(0.4, -1.1), [negate(p) for p in pts])
+        assert same_bits(frame.gram, kernel)
 
 
 class TestBuildFrame:
