@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -156,15 +157,30 @@ def eval_poly(state: StateFunctional, p: WeylPolynomial) -> complex:
     return sum((c * eval_point(state, x, den) for x, c in items), 0j)
 
 
-def _check_distinct(points: Sequence[Point]):
-    if not points:
-        raise ValueError("at least one point is required")
-    if len(set(points)) != len(points):
-        raise ValueError("points must be pairwise distinct")
-
-
-#: Rows of a kernel block computed at once, so temporaries are O(chunk * n).
+#: Rows of a kernel block computed at once, and entries of one kernel pass:
+#: a Python-int lattice holds objects, not doubles, in each temporary.
 _ROW_CHUNK = 32
+_KERNEL_PASS_ENTRIES = _ROW_CHUNK**2
+
+#: Entries of one stacked pass of the spectrum, cocycle and compression.
+_PASS_ENTRIES = 2**14
+
+
+def _passes(count: int, entries: int, budget: int) -> Iterator[slice]:
+    """Slices of range(count) that each hold at most ``budget`` entries, at
+    ``entries`` per item, and at least one item."""
+    step = max(1, budget // entries)
+    return (slice(s, s + step) for s in range(0, count, step))
+
+
+def _by_size(labels: np.ndarray) -> Iterator[np.ndarray]:
+    """The index classes of equal nonnegative int labels, stacked by class
+    size: one (classes, size) array per distinct size, each row increasing."""
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels)
+    first = np.cumsum(counts) - counts
+    for size in np.unique(counts[counts > 0]):
+        yield order[first[counts == size, None] + np.arange(size)]
 
 
 def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray:
@@ -178,32 +194,41 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
     difference, times unit_phase of the exact form, gives.  The points are
     put on the integer lattice of ``weyl.lattice``; for the epr state
     only entries within a class of the invariant (a+c, b-d) are computed,
-    and all others are exact zeros.
+    and all others are exact zeros, so M is block diagonal up to a
+    permutation of its indices.  The regular state is one class of every
+    point.  The classes of one size are stacked and computed together, a
+    bounded pass at a time; each entry is computed on its own, so the
+    stacking leaves every bit as it is.
     """
     points = [
         tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in points
     ]
-    _check_distinct(points)
+    if not points:
+        raise ValueError("at least one point is required")
+    # one denominator for all, so the lattice points are distinct exactly
+    # when the points are
+    scale, ints = lattice(points)
+    if len(set(ints)) != len(ints):
+        raise ValueError("points must be pairwise distinct")
     if any(len(p) != 4 for p in points):
         raise ValueError("states are defined on the dimension-4 algebra")
     n = len(points)
-    scale, ints = lattice(points)
     coords = _lattice_array(ints, max(abs(v) for p in ints for v in p), scale)
     if state.kind == KIND_EPR:
-        classes: dict[tuple[int, int], list[int]] = {}
-        for j, (a, b, c, d) in enumerate(ints):
-            classes.setdefault((a + c, b - d), []).append(j)
-        blocks = list(classes.values())
+        classes: dict[tuple[int, int], int] = {}
+        label = [classes.setdefault((a + c, b - d), len(classes)) for a, b, c, d in ints]
     else:
-        blocks = [list(range(n))]
+        label = [0] * n
     m = np.zeros((n, n), dtype=complex)
-    for cols in blocks:
-        for start in range(0, len(cols), _ROW_CHUNK):
-            rows = cols[start : start + _ROW_CHUNK]
-            block = np.ix_(rows, cols)
-            m.real[block], m.imag[block] = _kernel_block(
-                state, coords[rows], coords[cols], scale
-            )
+    for cols in _by_size(np.array(label)):
+        size = cols.shape[1]
+        for start in range(0, size, _ROW_CHUNK):
+            rows = cols[:, start : start + _ROW_CHUNK]
+            for t in _passes(len(cols), rows.shape[1] * size, _KERNEL_PASS_ENTRIES):
+                block = rows[t, :, None], cols[t, None, :]
+                m.real[block], m.imag[block] = _kernel_block(
+                    state, coords[rows[t]], coords[cols[t]], scale
+                )
     if state.corrupt_kernel:
         m[n - 1, n - 1] -= 1.5
     return m
@@ -222,11 +247,12 @@ def _kernel_block(
     state: StateFunctional, x: np.ndarray, y: np.ndarray, scale: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of M over rows x and columns y of scaled
-    integer coordinates: eval_point of each exact difference times
-    unit_phase of the exact form, computed as Python's complex * does."""
+    integer coordinates, stacked (..., rows, 4) and (..., columns, 4):
+    eval_point of each exact difference times unit_phase of the exact form,
+    computed as Python's complex * does."""
     # exp{-i s(x, y)} is the unit_phase of s(y, x)
-    p_re, p_im = _phase(y[None, :], x[:, None], scale)
-    diffs = [x[:, None, i] - y[None, :, i] for i in range(4)]
+    p_re, p_im = _phase(y[..., None, :, :], x[..., :, None, :], scale)
+    diffs = [x[..., :, None, i] - y[..., None, :, i] for i in range(4)]
     g_re, g_im = _state_factor(state, diffs, scale)
     # the complex product written out over real and imaginary parts; an
     # underflowed Gaussian factor gives an exact zero entry
@@ -267,10 +293,6 @@ def _state_factor(
     return g_re.reshape(arg.shape), np.zeros(arg.shape)
 
 
-#: Entries of the terms-by-(j, k) block one compression pass computes.
-_PASS_ENTRIES = 2**14
-
-
 def compression_matrix(
     state: StateFunctional, points: Sequence[Point], p: WeylPolynomial
 ) -> np.ndarray:
@@ -302,8 +324,7 @@ def compression_matrix(
     # times the coefficient 1-0j of W(x_j)*
     a_re, a_im = 1.0 * c.real - -0.0 * c.imag, 1.0 * c.imag + -0.0 * c.real
     re, im = np.zeros((n, n)), np.zeros((n, n))
-    step = max(1, _PASS_ENTRIES // (n * n))
-    for t in (slice(s, s + step) for s in range(0, len(ys), step)):
+    for t in _passes(len(ys), n * n, _PASS_ENTRIES):
         z1 = y[t, None] - x  # terms by j
         p_re, p_im = _phase(-x, y[t, None], scale)
         ar, ai = a_re[t, None], a_im[t, None]
@@ -335,15 +356,49 @@ def psd_check(m: np.ndarray, tol: float) -> dict:
 
     Passes when lambda_min >= -tol.  Rejects matrices that are not Hermitian
     within the same tolerance.
+
+    The spectrum is taken per block: the indices split into the connected
+    components of the exact nonzero pattern m != 0 (made symmetric), and no
+    nonzero entry joins two components, so m is a permutation of the direct
+    sum of its component blocks and its spectrum is exactly the union of
+    theirs.  Blocks of one size go to one stacked eigvalsh per bounded pass,
+    so a kernel with classes of size s costs O(sum s^3), not O(n^3).
     """
     if m.size == 0:
         raise ValueError("cannot check an empty matrix")
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian within {tol} (deviation {dev})")
-    eigs = np.linalg.eigvalsh(m)
-    lam_min = float(eigs[0])
+    lam_min = math.inf
+    for blocks in _by_size(_components(m != 0)):
+        size = blocks.shape[1]
+        for t in _passes(len(blocks), size * size, _PASS_ENTRIES):
+            # one component of every index is m itself, in its own order
+            sub = m if size == len(m) else m[blocks[t, :, None], blocks[t, None, :]]
+            lam_min = min(lam_min, float(np.linalg.eigvalsh(sub).min()))
     return {"min_eigenvalue": lam_min, "passed": lam_min >= -tol}
+
+
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """Each index of a square boolean pattern, taken symmetric, labelled by
+    the least index of its connected component.
+
+    Labels start at each index's least neighbour; a round follows label
+    links to their end, then lowers each label to its neighbours' least in
+    one pass over the pattern, until none falls.  Labels stay within their
+    component and end equal along every entry.  Cliques, such as a kernel's
+    support classes, settle in one round.
+    """
+    pattern = pattern | pattern.T
+    np.fill_diagonal(pattern, True)
+    label = pattern.argmax(axis=1)
+    while True:
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        low = np.where(pattern, label, len(pattern)).min(axis=1)
+        if np.array_equal(low, label):
+            return label
+        label = low
 
 
 def positivity_check(state: StateFunctional, p: WeylPolynomial) -> float:
@@ -415,21 +470,25 @@ def rank_one_class_check(
     # Moduli via hypot and products written out over real and imaginary
     # parts: numpy's SIMD abs and complex * differ from scalar arithmetic in
     # the last bit, and these values match the scalar ones exactly.
-    same = np.zeros((partition.size, partition.size), dtype=bool)
+    sizes = list(map(len, partition.classes))
+    label = np.empty(partition.size, dtype=int)
+    label[list(chain(*partition.classes))] = np.repeat(np.arange(len(sizes)), sizes)
+    same = label[:, None] == label[None, :]
     max_cocycle_dev = 0.0
-    for cls in partition.classes:
-        block = np.ix_(cls, cls)
-        same[block] = True
-        re, im = m.real[block], m.imag[block]
-        # M[j,k] M[k,l] - M[j,l] over all (j, l) at once, one k at a time,
-        # so memory stays O(class size squared)
-        for k in range(len(cls)):
-            a, b = re[:, k, None], im[:, k, None]
-            dev = np.hypot(a * re[k] - b * im[k] - re, a * im[k] + b * re[k] - im)
-            max_cocycle_dev = max(max_cocycle_dev, float(dev.max()))
-    modulus = np.hypot(m.real, m.imag)
-    max_modulus_dev = float(np.max(np.abs(modulus - 1.0), where=same, initial=0.0))
-    max_cross_leak = float(np.max(modulus, where=~same, initial=0.0))
+    for cls in _by_size(label):
+        for t in _passes(len(cls), cls.shape[1] ** 2, _PASS_ENTRIES):
+            block = cls[t, :, None], cls[t, None, :]
+            re, im = m.real[block], m.imag[block]
+            # M[j,k] M[k,l] - M[j,l] over all (j, l) of the pass's classes
+            # at once, a pass of k at a time
+            for k in _passes(cls.shape[1], re.size, _PASS_ENTRIES):
+                a, b = re[:, :, k, None].swapaxes(1, 2), im[:, :, k, None].swapaxes(1, 2)
+                rk, ik = re[:, k, None, :], im[:, k, None, :]
+                dev = _max_hypot(a * rk - b * ik - re[:, None], a * ik + b * rk - im[:, None])
+                max_cocycle_dev = max(max_cocycle_dev, dev)
+    modulus = np.hypot(m.real[same], m.imag[same])
+    max_modulus_dev = float(np.max(np.abs(modulus - 1.0), initial=0.0))
+    max_cross_leak = _max_hypot(m.real[~same], m.imag[~same])
     passed = (
         max_modulus_dev <= tol and max_cocycle_dev <= tol and max_cross_leak <= tol
     )
@@ -439,6 +498,21 @@ def rank_one_class_check(
         "max_cross_leak": max_cross_leak,
         "passed": passed,
     }
+
+
+def _max_hypot(x: np.ndarray, y: np.ndarray) -> float:
+    """The largest np.hypot(x, y), 0.0 for none, taken only where it can be
+    largest: hypot is within an ulp of the modulus and x*x + y*y within two
+    of its square, so a square short of the largest by 2^-40 of it has the
+    smaller hypot.  Where squares leave the normal doubles, every nonzero
+    entry counts."""
+    square = x * x + y * y
+    top = square.max(initial=0.0)
+    if 2.0**-960 <= top < math.inf:
+        keep = square >= top * (1 - 2.0**-40)
+    else:
+        keep = (x != 0) | (y != 0)
+    return float(np.hypot(x[keep], y[keep]).max(initial=0.0))
 
 
 def uniqueness_support_check(state: StateFunctional, x: Point) -> dict:

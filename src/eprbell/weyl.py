@@ -377,8 +377,11 @@ def from_records(records: list[dict], dim: int | None = None) -> WeylPolynomial:
     terms = []
     for i, (pt, rec) in enumerate(zip(pts, records)):
         coeff = complex(float(rec["re"]), float(rec["im"]))
-        if not cmath.isfinite(coeff):
-            raise ValueError(f"record {i}: coefficient {coeff} is not finite")
+        # abs() of a finite coefficient can still overflow, in canonical form
+        if not math.isfinite(math.hypot(coeff.real, coeff.imag)):
+            raise ValueError(
+                f"record {i}: the modulus of coefficient {coeff} is not a finite double"
+            )
         terms.append((pt, coeff))
     inferred = len(pts[0])
     if dim is not None and dim != inferred:

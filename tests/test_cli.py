@@ -63,6 +63,20 @@ class TestEval:
         assert captured.out == ""
         assert "record 1" in captured.err
 
+    def test_coefficient_modulus_overflow_exits_2(self, tmp_path, capsys):
+        # both parts are finite, but the modulus passes the largest double
+        poly = _write(
+            tmp_path / "p.json",
+            [
+                {"point": ["0", "0", "0", "0"], "re": 1.0, "im": 0.0},
+                {"point": ["1", "0", "-1", "0"], "re": 1.7e308, "im": 1.7e308},
+            ],
+        )
+        assert main(["eval", poly]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert poly in captured.err and "record 1" in captured.err
+        assert "modulus" in captured.err
 
     @pytest.mark.parametrize(
         "second, value",

@@ -60,7 +60,7 @@ def _body_digest(tmp_path, argv) -> str:
         (["surrogate", "--dim", "2"], "71be3afe87af3ea0"),
         (["surrogate", "--dim", "8"], "ede75da65c54d05d"),
         (["surrogate", "--dim", "64"], "db19fb28f9d0c3a2"),
-        (["psd", "{points}", "--state", "{epr}"], "8204605ddb952839"),
+        (["psd", "{points}", "--state", "{epr}"], "404fc26841b3c23e"),
         (["bell", "{config}", "--seed", "0", "--state", "{epr}"], "9ff5e7184bdfab88"),
     ],
 )

@@ -2,6 +2,7 @@
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from eprbell import (
     weyl_multiply,
 )
 import eprbell.states
-from eprbell.weyl import direct_sum_form, unit_phase
+from eprbell.weyl import direct_sum_form, lattice, unit_phase
 
 
 class TestEvalPoint:
@@ -623,6 +624,194 @@ def _rank_one_reference(m, partition: SupportPartition, tol: float) -> dict:
         "max_cross_leak": values[2],
         "passed": all(v <= tol for v in values),
     }
+
+
+def _kernel_per_class(state: StateFunctional, points) -> np.ndarray:
+    """kernel_matrix one support class at a time, a block of rows per
+    np.ix_: the oracle of the stacked passes, through the same elementwise
+    code."""
+    points = [tuple(Fraction(c) for c in p) for p in points]
+    n = len(points)
+    scale, ints = lattice(points)
+    big = max(abs(v) for p in ints for v in p)
+    coords = eprbell.states._lattice_array(ints, big, scale)
+    classes: dict = {}
+    for j, (a, b, c, d) in enumerate(ints):
+        key = (a + c, b - d) if state.kind == "epr" else 0
+        classes.setdefault(key, []).append(j)
+    m = np.zeros((n, n), dtype=complex)
+    for cols in classes.values():
+        for start in range(0, len(cols), 32):
+            rows = cols[start : start + 32]
+            block = np.ix_(rows, cols)
+            m.real[block], m.imag[block] = eprbell.states._kernel_block(
+                state, coords[rows], coords[cols], scale
+            )
+    if state.corrupt_kernel:
+        m[n - 1, n - 1] -= 1.5
+    return m
+
+
+def _psd_dense(m: np.ndarray, tol: float) -> dict:
+    """psd_check as one eigvalsh of the whole matrix."""
+    lam_min = float(np.linalg.eigvalsh(m)[0])
+    return {"min_eigenvalue": lam_min, "passed": lam_min >= -tol}
+
+
+def _rank_one_per_class(m, partition: SupportPartition, tol: float) -> dict:
+    """rank_one_class_check one class at a time, and one k at a time
+    within it."""
+    same = np.zeros((partition.size, partition.size), dtype=bool)
+    max_cocycle_dev = 0.0
+    for cls in partition.classes:
+        block = np.ix_(cls, cls)
+        same[block] = True
+        re, im = m.real[block], m.imag[block]
+        for k in range(len(cls)):
+            a, b = re[:, k, None], im[:, k, None]
+            dev = np.hypot(a * re[k] - b * im[k] - re, a * im[k] + b * re[k] - im)
+            max_cocycle_dev = max(max_cocycle_dev, float(dev.max()))
+    modulus = np.hypot(m.real, m.imag)
+    max_modulus_dev = float(np.max(np.abs(modulus - 1.0), where=same, initial=0.0))
+    max_cross_leak = float(np.max(modulus, where=~same, initial=0.0))
+    values = (max_modulus_dev, max_cocycle_dev, max_cross_leak)
+    return {
+        "max_modulus_dev": max_modulus_dev,
+        "max_cocycle_dev": max_cocycle_dev,
+        "max_cross_leak": max_cross_leak,
+        "passed": all(v <= tol for v in values),
+    }
+
+
+@st.composite
+def _batteries(draw):
+    """A state and distinct points: scattered, or in support classes of
+    mixed sizes, with small, wide, past-int64 or float coordinates, in an
+    order that interleaves the classes; a single point; or a regular
+    kernel whose Gaussian underflows along a path 0 ~ 40 ~ 80 on one axis,
+    a zero pattern that is not a union of cliques."""
+    family = draw(st.sampled_from(["classes", "single", "path"]))
+    if family == "path":
+        ends = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+        pts = [(40 * k, 0, 0, 0) for k in ends] + [(0, 1, 0, 0), (200, 0, 0, 0)]
+        return StateFunctional.regular(), draw(st.permutations(pts))
+    coord = _COORDS[draw(st.sampled_from(sorted(_COORDS)))]
+    state = draw(_STATES)
+    if family == "single":
+        return state, [tuple(draw(coord) for _ in range(4))]
+    pts = []
+    for _ in range(draw(st.integers(0, 4))):
+        u, v = draw(coord), draw(coord)
+        for _ in range(draw(st.integers(1, 12))):
+            a, b = draw(coord), draw(coord)
+            pts.append((a, b, u - a, b - v))
+    pts += [tuple(draw(coord) for _ in range(4)) for _ in range(draw(st.integers(0, 8)))]
+    pts = list(dict.fromkeys(pts)) or [(0, 0, 0, 0)]
+    return state, draw(st.permutations(pts))
+
+
+@contextmanager
+def _pass_entries(budget):
+    """Passes of at most ``budget`` entries in every stacked stage, or the
+    module's own budgets for None."""
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(eprbell.states, "_PASS_ENTRIES", budget)
+            patch.setattr(eprbell.states, "_KERNEL_PASS_ENTRIES", budget)
+        yield
+
+
+#: Pass budgets: one entry (every class and k in a pass of its own), a few
+#: classes per pass, and the module's own.
+_BUDGETS = st.sampled_from([1, 40, None])
+
+
+class TestStackedPasses:
+    """The stacked kernel, rank-one check and block spectra against the
+    per-class loops and the dense spectrum they replace."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_batteries(), _BUDGETS)
+    def test_kernel_matches_per_class_loop(self, battery, budget):
+        state, pts = battery
+        with _pass_entries(budget):
+            m = kernel_matrix(state, pts)
+        assert same_bits(m, _kernel_per_class(state, pts))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_batteries(), _BUDGETS)
+    def test_rank_one_record_matches_per_class_loop(self, battery, budget):
+        state, pts = battery
+        m = kernel_matrix(state, pts)
+        try:
+            part = support_relation(m)
+        except EquivalenceError:
+            return
+        with _pass_entries(budget):
+            got = rank_one_class_check(m, part, 1e-9)
+        assert got == _rank_one_per_class(m, part, 1e-9)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_batteries(), _BUDGETS)
+    def test_block_spectrum_matches_dense_spectrum(self, battery, budget):
+        state, pts = battery
+        m = kernel_matrix(state, pts)
+        with _pass_entries(budget):
+            got = psd_check(m, 1e-10)
+        want = _psd_dense(m, 1e-10)
+        assert abs(got["min_eigenvalue"] - want["min_eigenvalue"]) <= 1e-13
+        assert got["passed"] == want["passed"]
+
+    def test_entries_in_one_triangle_join_blocks(self):
+        # Hermitian only within the tolerance: row 2 reaches rows 0 and 1,
+        # but neither reaches back, and eigvalsh reads this lower triangle
+        m = np.eye(3, dtype=complex)
+        m[2, 0], m[2, 1] = 5e-11, 3e-11j
+        got, want = psd_check(m, 1e-10), _psd_dense(m, 1e-10)
+        assert abs(got["min_eigenvalue"] - want["min_eigenvalue"]) <= 1e-13
+
+    def test_path_pattern_is_one_block(self, monkeypatch):
+        # 0 ~ 40 and 40 ~ 80 but the Gaussian at 80 underflows to 0: the
+        # three points are one component although not one clique
+        pts = [(80, 0, 0, 0), (0, 0, 0, 0), (40, 0, 0, 0)]
+        m = kernel_matrix(StateFunctional.regular(), pts)
+        assert m[0, 1] == 0 and m[0, 2] != 0 and m[1, 2] != 0
+        want = _psd_dense(m, 1e-10)
+        shapes = _spy_eigvalsh(monkeypatch)
+        assert psd_check(m, 1e-10) == want
+        assert shapes == [(3, 3)]
+
+    def test_spectrum_never_solves_more_than_a_class(self, monkeypatch):
+        # 8 classes of 32, interleaved: every solve is at most 32 x 32, and
+        # the classes of one size share the solves, so 4 classes take as
+        # many as 8
+        shapes = _spy_eigvalsh(monkeypatch)
+        calls = {}
+        for count in (4, 8):
+            pts = [
+                (a, b, Fraction(k, 3) - a, b - k)
+                for a in range(-4, 4)
+                for b in range(4)
+                for k in range(count)
+            ]
+            m = kernel_matrix(StateFunctional.epr(0.7, -1.3), pts)
+            shapes.clear()
+            assert psd_check(m, 1e-10)["passed"]
+            assert shapes and max(shape[-1] for shape in shapes) == 32
+            calls[count] = len(shapes)
+        assert calls[8] <= calls[4]
+
+
+def _spy_eigvalsh(monkeypatch) -> list:
+    """Record the shape of every matrix numpy.linalg.eigvalsh is given."""
+    shapes, solve = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
 
 
 class TestUniqueness:
