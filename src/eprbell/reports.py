@@ -1,10 +1,10 @@
 """Structured verification reports.
 
 A report is a list of check records, each carrying the identity it
-verifies, a digest of its inputs, the measured values, the tolerance, and
-the verdict.  Wall-clock timings ride along in a separate section that is
-excluded from the deterministic report body, so identical inputs and seed
-produce byte-identical bodies.
+verifies, a digest of its inputs, the measured values, the tolerance, the
+verdict, and the bounds the verdict applied.  Wall-clock timings ride
+along in a separate section that is excluded from the deterministic report
+body, so identical inputs and seed produce byte-identical bodies.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ class CheckRecord:
     measured: dict
     tolerance: float
     passed: bool
+    bounds: list = field(default_factory=list)  # [measured key, "<=" or ">=", limit]
 
 
 @dataclass

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -357,48 +356,42 @@ def psd_check(m: np.ndarray, tol: float) -> dict:
     Passes when lambda_min >= -tol.  Rejects matrices that are not Hermitian
     within the same tolerance.
 
-    The spectrum is taken per block: the indices split into the connected
-    components of the exact nonzero pattern m != 0 (made symmetric), and no
-    nonzero entry joins two components, so m is a permutation of the direct
-    sum of its component blocks and its spectrum is exactly the union of
-    theirs.  Blocks of one size go to one stacked eigvalsh per bounded pass,
-    so a kernel with classes of size s costs O(sum s^3), not O(n^3).
+    The spectrum is taken per block.  When the exact nonzero pattern m != 0
+    (made symmetric and reflexive) is transitive, as a kernel's support
+    classes are, its classes are blocks that no nonzero entry joins, so m
+    is a permutation of their direct sum and its spectrum is exactly the
+    union of theirs.  Blocks of one size go to one stacked eigvalsh per
+    bounded pass, so a kernel with classes of size s costs O(sum s^3), not
+    O(n^3).  Any other pattern, such as a Gaussian that underflows along a
+    path, is one block: m itself.
     """
     if m.size == 0:
         raise ValueError("cannot check an empty matrix")
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian within {tol} (deviation {dev})")
+    pattern = (m != 0) | (m.T != 0)
+    np.fill_diagonal(pattern, True)
+    labels = _classes(pattern)
     lam_min = math.inf
-    for blocks in _by_size(_components(m != 0)):
+    for blocks in _by_size(np.zeros(len(m), int) if labels is None else labels):
         size = blocks.shape[1]
         for t in _passes(len(blocks), size * size, _PASS_ENTRIES):
-            # one component of every index is m itself, in its own order
+            # one block of every index is m itself, in its own order
             sub = m if size == len(m) else m[blocks[t, :, None], blocks[t, None, :]]
             lam_min = min(lam_min, float(np.linalg.eigvalsh(sub).min()))
     return {"min_eigenvalue": lam_min, "passed": lam_min >= -tol}
 
 
-def _components(pattern: np.ndarray) -> np.ndarray:
-    """Each index of a square boolean pattern, taken symmetric, labelled by
-    the least index of its connected component.
+def _classes(related: np.ndarray) -> np.ndarray | None:
+    """Each index labelled by its least related index, when the reflexive,
+    symmetric boolean relation is transitive; None when it is not.
 
-    Labels start at each index's least neighbour; a round follows label
-    links to their end, then lowers each label to its neighbours' least in
-    one pass over the pattern, until none falls.  Labels stay within their
-    component and end equal along every entry.  Cliques, such as a kernel's
-    support classes, settle in one round.
+    Such a relation is transitive exactly when every row equals the row of
+    its first related index, which then labels the class.
     """
-    pattern = pattern | pattern.T
-    np.fill_diagonal(pattern, True)
-    label = pattern.argmax(axis=1)
-    while True:
-        while not np.array_equal(label[label], label):
-            label = label[label]
-        low = np.where(pattern, label, len(pattern)).min(axis=1)
-        if np.array_equal(low, label):
-            return label
-        label = low
+    first = related.argmax(axis=1) if len(related) else np.zeros(0, dtype=int)
+    return first if np.array_equal(related, related[first]) else None
 
 
 def positivity_check(state: StateFunctional, p: WeylPolynomial) -> float:
@@ -414,22 +407,23 @@ def positivity_check(state: StateFunctional, p: WeylPolynomial) -> float:
     return float(value.real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportPartition:
-    """Disjoint index classes S_1..S_m covering {0..n-1}."""
+    """Disjoint index classes S_1..S_m covering {0..n-1}, held as one label
+    per index: the least index of its class."""
 
-    size: int
-    classes: tuple[tuple[int, ...], ...]
+    labels: np.ndarray
 
-    def __post_init__(self):
-        seen: set[int] = set()
-        for cls in self.classes:
-            for idx in cls:
-                if idx in seen:
-                    raise ValueError("partition classes overlap")
-                seen.add(idx)
-        if seen != set(range(self.size)):
-            raise ValueError("partition does not cover the index range")
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes in the order of their least indices, each increasing."""
+        return tuple(
+            tuple(np.flatnonzero(self.labels == r).tolist()) for r in np.unique(self.labels)
+        )
 
 
 def support_relation(m: np.ndarray) -> SupportPartition:
@@ -448,13 +442,10 @@ def support_relation(m: np.ndarray) -> SupportPartition:
         raise EquivalenceError("support relation is not reflexive")
     if not np.array_equal(related, related.T):
         raise EquivalenceError("support relation is not symmetric")
-    # A reflexive, symmetric relation is transitive exactly when every row
-    # equals the row of its first related index, which then labels the class.
-    first = related.argmax(axis=1) if len(m) else np.zeros(0, dtype=int)
-    if not np.array_equal(related, related[first]):
+    labels = _classes(related)
+    if labels is None:
         raise EquivalenceError("support relation is not transitive")
-    classes = (tuple(np.flatnonzero(related[r]).tolist()) for r in np.unique(first))
-    return SupportPartition(len(m), tuple(classes))
+    return SupportPartition(labels)
 
 
 def rank_one_class_check(
@@ -470,9 +461,7 @@ def rank_one_class_check(
     # Moduli via hypot and products written out over real and imaginary
     # parts: numpy's SIMD abs and complex * differ from scalar arithmetic in
     # the last bit, and these values match the scalar ones exactly.
-    sizes = list(map(len, partition.classes))
-    label = np.empty(partition.size, dtype=int)
-    label[list(chain(*partition.classes))] = np.repeat(np.arange(len(sizes)), sizes)
+    label = partition.labels
     same = label[:, None] == label[None, :]
     max_cocycle_dev = 0.0
     for cls in _by_size(label):

@@ -1,13 +1,16 @@
 """Command-line surface: subcommands, exit codes, report determinism."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from eprbell.cli import CHECKS, main
+import eprbell.cli
+from eprbell.cli import CHECKS, Check, main
 from eprbell.reports import report_body_json, report_from_json
-from eprbell.states import IDENTITY_TOL
+from eprbell.states import IDENTITY_TOL, EquivalenceError
 
 
 def _write(path, data):
@@ -49,6 +52,12 @@ class TestEval:
 
     def test_missing_file_exits_2(self):
         assert main(["eval", "/nonexistent/poly.json"]) == 2
+
+    def test_wrong_dimension_names_the_file(self, tmp_path, capsys):
+        poly = _write(tmp_path / "p.json", [{"point": ["1", "0"], "re": 1.0, "im": 0.0}])
+        assert main(["eval", poly]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {poly}: states are defined on the dimension-4 algebra" in err
 
     def test_infinite_coefficient_exits_2(self, tmp_path, capsys):
         poly = _write(
@@ -197,6 +206,19 @@ class TestPsd:
     def test_empty_points_exit_2(self, tmp_path):
         pts = _write(tmp_path / "pts.json", [])
         assert main(["psd", pts]) == 2
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "at least one point is required"),
+            ([["1", "2"]], "states are defined on the dimension-4 algebra"),
+            ([["0", "0", "0", "0"], ["0", "0", "0", "0"]], "points must be pairwise distinct"),
+        ],
+    )
+    def test_kernel_rejections_name_the_file(self, tmp_path, capsys, rows, message):
+        pts = _write(tmp_path / "pts.json", rows)
+        assert main(["psd", pts]) == 2
+        assert f"error: {pts}: {message}" in capsys.readouterr().err
 
 
 def _family_config(tmp_path, seed=0):
@@ -393,6 +415,12 @@ class TestSurrogate:
     def test_odd_dim_exits_2(self):
         assert main(["surrogate", "--dim", "5"]) == 2
 
+    def test_negative_seed_is_named(self, capsys):
+        assert main(["surrogate", "--dim", "4", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --seed: expected non-negative integer" in captured.err
+
 
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
@@ -448,6 +476,42 @@ class TestCoordinates:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert path in captured.err and f"{record}: coordinate 0" in captured.err
+
+
+class TestMalformedJson:
+    """A file that is not JSON exits 2 naming the file, whichever argument
+    it is."""
+
+    @pytest.mark.parametrize(
+        "command, slot",
+        [
+            ("eval", "polynomial"),
+            ("eval", "state"),
+            ("psd", "points"),
+            ("psd", "state"),
+            ("bell", "config"),
+            ("bell", "state"),
+            ("verify-all", "state"),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["", "{not json", '[["0", "0", "0", "0"]'])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, slot, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        good = {
+            "polynomial": [{"point": ["0", "0", "0", "0"], "re": 1.0, "im": 0.0}],
+            "points": [["0", "0", "0", "0"]],
+            "config": {"supports": [[["0", "0"]]] * 4, "restarts": 1, "max_iters": 2},
+        }
+        argv = [command]
+        if command != "verify-all":
+            first = {"eval": "polynomial", "psd": "points", "bell": "config"}[command]
+            argv.append(str(bad) if slot == first else _write(tmp_path / "in.json", good[first]))
+        if slot == "state":
+            argv += ["--state", str(bad)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {bad}: " in captured.err
 
 
 class TestMalformedStateSpec:
@@ -620,3 +684,115 @@ class TestRegistry:
         for name in ("uniqueness_support", "multiplicativity", "traciality"):
             assert CHECKS[name].tolerance == IDENTITY_TOL
         assert CHECKS["collinearity"].tolerance == IDENTITY_TOL
+
+    def test_every_verdict_is_its_records_bounds(self, tmp_path, monkeypatch):
+        pts = _write(
+            tmp_path / "pts.json", [["0", "0", "0", "0"], ["1", "0", "-1", "0"]]
+        )
+        regular = _write(tmp_path / "regular.json", {"kind": "regular"})
+        corrupt = _write(tmp_path / "corrupt.json", {"kind": "regular", "corrupt_kernel": True})
+        runs = [
+            (["verify-all", "--seed", "0"], 0),
+            (["verify-all", "--seed", "0", "--state", regular], 0),
+            (["psd", pts], 0),
+            (["psd", pts, "--state", corrupt], 1),
+            (["bell", _family_config(tmp_path)], 0),
+            (["surrogate", "--dim", "4"], 0),
+        ]
+
+        def intransitive(m):
+            raise EquivalenceError("support relation is not transitive")
+
+        forced = [(["psd", pts], 1), (["verify-all", "--seed", "0"], 1)]
+        records = []
+        for i, (argv, code) in enumerate(runs + forced):
+            if i == len(runs):
+                monkeypatch.setattr(eprbell.cli, "support_relation", intransitive)
+            out = str(tmp_path / f"rep{i}.json")
+            assert main(argv + ["--out", out]) == code, argv
+            checks = report_from_json(open(out).read()).checks
+            records += [(i >= len(runs), rec) for rec in checks]
+        failed = set()
+        for is_forced, rec in records:
+            assert rec.bounds == [list(b) for b in CHECKS[rec.name].bounds], rec.name
+            assert rec.passed == _bounds_hold(rec.bounds, rec.measured), rec.name
+            if not rec.passed:
+                failed.add(rec.name)
+            if is_forced and rec.name == "support_rank_one":
+                assert rec.measured == {"error": "support relation is not transitive"}
+        assert failed == {"kernel_psd", "support_rank_one"}
+        assert {rec.name for _, rec in records} == set(CHECKS)
+
+    def test_a_sample_the_engine_fails_fails_its_check(self, tmp_path, monkeypatch):
+        # off the support traciality demands exact zeros: a deviation of
+        # 1e-13 there is within max_deviation's bound, but not a pass
+        monkeypatch.setattr(
+            eprbell.cli, "traciality_check",
+            lambda state, a, b: {"deviation": 1e-13, "passed": False},
+        )
+        out = str(tmp_path / "rep.json")
+        assert main(["verify-all", "--seed", "0", "--out", out]) == 1
+        checks = report_from_json(open(out).read()).checks
+        assert [c.name for c in checks if not c.passed] == ["traciality"]
+        record = next(c for c in checks if c.name == "traciality")
+        assert record.measured["failed_samples"] == 100
+        assert record.measured["max_deviation"] == 1e-13
+
+    def test_engine_tolerances_match_their_bounds(self):
+        # psd_check and rank_one_class_check take the registry tolerance,
+        # and the records' bounds state the same threshold
+        assert CHECKS["kernel_psd"].bounds == (
+            ("min_eigenvalue", ">=", -CHECKS["kernel_psd"].tolerance),
+        )
+        support = CHECKS["support_rank_one"]
+        assert {limit for _, _, limit in support.bounds} == {support.tolerance}
+        for check in CHECKS.values():
+            assert check.bounds and all(op in ("<=", ">=") for _, op, _ in check.bounds)
+
+
+class TestCheckRecord:
+    """The verdict derived from a check's bounds."""
+
+    CHECK = Check("toy", 1e-9, "a = a", (("low", "<=", 1e-9), ("high", ">=", 0.5)))
+
+    def test_equality_at_each_limit_passes(self):
+        rec = self.CHECK.record({}, {"low": 1e-9, "high": 0.5})
+        assert rec.passed is True
+        assert rec.bounds == [["low", "<=", 1e-9], ["high", ">=", 0.5]]
+        assert rec.tolerance == 1e-9
+
+    @pytest.mark.parametrize(
+        "measured",
+        [
+            {"low": 2e-9, "high": 0.5},
+            {"low": 0.0, "high": 0.49},
+            {"high": 0.5},
+            {"low": 0.0},
+            {},
+            {"low": math.nan, "high": 0.5},
+            {"low": 0.0, "high": math.nan},
+        ],
+    )
+    def test_a_bound_broken_missing_or_nan_fails(self, measured):
+        assert self.CHECK.record({}, measured).passed is False
+
+    def test_no_call_in_the_cli_passes_a_verdict(self):
+        # every verdict comes from Check.record's bounds, none from a caller
+        tree = ast.parse(Path(eprbell.cli.__file__).read_text())
+        calls = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "record"
+        ]
+        assert calls
+        assert all(len(c.args) + len(c.keywords) <= 2 for c in calls)
+
+
+def _bounds_hold(bounds, measured) -> bool:
+    ops = {"<=": lambda v, limit: v <= limit, ">=": lambda v, limit: v >= limit}
+    return all(
+        key in measured and not math.isnan(measured[key]) and ops[op](measured[key], limit)
+        for key, op, limit in bounds
+    )

@@ -54,14 +54,14 @@ def _body_digest(tmp_path, argv) -> str:
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["verify-all", "--seed", "0"], "b6c8e188d6fa455e"),
-        (["verify-all", "--seed", "7"], "9671676e7242c4d9"),
-        (["verify-all", "--seed", "0", "--state", "{regular}"], "69b228ad1ff1263e"),
-        (["surrogate", "--dim", "2"], "71be3afe87af3ea0"),
-        (["surrogate", "--dim", "8"], "ede75da65c54d05d"),
-        (["surrogate", "--dim", "64"], "db19fb28f9d0c3a2"),
-        (["psd", "{points}", "--state", "{epr}"], "404fc26841b3c23e"),
-        (["bell", "{config}", "--seed", "0", "--state", "{epr}"], "9ff5e7184bdfab88"),
+        (["verify-all", "--seed", "0"], "9ceae5dc94281b8f"),
+        (["verify-all", "--seed", "7"], "f6ee268d136caf9b"),
+        (["verify-all", "--seed", "0", "--state", "{regular}"], "d3223bd8840f1ffa"),
+        (["surrogate", "--dim", "2"], "eb5bd3ce46a044a3"),
+        (["surrogate", "--dim", "8"], "d5525e5e6bb3616b"),
+        (["surrogate", "--dim", "64"], "5e13fde8bccf390e"),
+        (["psd", "{points}", "--state", "{epr}"], "b0d884bab2979b19"),
+        (["bell", "{config}", "--seed", "0", "--state", "{epr}"], "8386246590ed7520"),
     ],
 )
 def test_report_body_digest(tmp_path, argv, digest):

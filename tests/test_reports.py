@@ -65,3 +65,12 @@ def test_digest_stable_and_order_insensitive():
     assert digest_inputs({"a": 1, "b": 2}) == digest_inputs({"b": 2, "a": 1})
     assert digest_inputs({"a": 1}) != digest_inputs({"a": 2})
     assert len(digest_inputs("x")) == 16
+
+
+def test_bounds_default_empty_and_round_trip():
+    report = _sample_report()
+    assert report.checks[0].bounds == []
+    report.checks[1].bounds = [["value", ">=", 0.0], ["value", "<=", 1.0]]
+    loaded = report_from_json(report_to_json(report))
+    assert loaded == report
+    assert '"bounds": [["value", ">=", 0.0], ["value", "<=", 1.0]]' in report_body_json(report)

@@ -475,6 +475,13 @@ class TestSupport:
         all_values = [invariant(pts[cls[0]]) for cls in part.classes]
         assert len(set(all_values)) == len(all_values)
 
+    def test_labels_are_least_class_indices(self):
+        pts = [point(1, 0, 0, 0), point(0, 0, 0, 0), point(2, 0, -1, 0), point(1, 0, -1, 0)]
+        part = support_relation(kernel_matrix(StateFunctional.epr(), pts))
+        assert part.labels.tolist() == [0, 1, 0, 1]
+        assert part.classes == ((0, 2), (1, 3))
+        assert type(part.size) is int and part.size == 4
+
     def test_gaussian_tail_violates_transitivity(self):
         # chained near/far Gaussian points: x~y and y~z but not x~z once the
         # kernel tail drops below threshold

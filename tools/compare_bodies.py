@@ -1,0 +1,137 @@
+"""Compare the report bodies of two source trees on the refactor oracle.
+
+    python tools/compare_bodies.py OLD_SRC NEW_SRC
+
+Each tree is a directory that holds the ``eprbell`` package (for example
+``src`` of a ``git archive`` of the parent commit, and ``src`` of the working
+tree).  Both run the same commands in-process, each tree in its own
+interpreter:
+
+- the pinned cases of ``tests/test_report_digests.py``;
+- ``surrogate --dim m`` for every even m in 2..64;
+- ``psd`` on the 11 ``psd_batteries`` specs of ``perfbench/gen.py`` at
+  seeds 0-2;
+- ``bell`` on the 160 searches of the perfbench Bell catalog.
+
+A case matches when the exit codes are equal and the new body, with every
+object key the old body lacks removed, serializes byte for byte as the old
+body.  The script prints each added key path, with the cases it appears in,
+and every mismatch; it exits 1 on any mismatch.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _cases() -> dict[str, tuple[dict, list[str]]]:
+    """Case name -> (input files by name, argv with {name} placeholders)."""
+    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+    import gen
+    import test_report_digests as pins
+
+    cases = {}
+    params = pins.test_report_body_digest.pytestmark[0].args[1]
+    for i, (argv, _) in enumerate(params):
+        cases[f"pin{i}"] = (pins._INPUTS, argv)
+    for m in range(2, 65, 2):
+        cases[f"surrogate{m}"] = ({}, ["surrogate", "--dim", str(m)])
+    for seed in range(3):
+        for i in range(gen.CYCLES["psd_batteries"]):
+            spec = gen.spec("psd_batteries", seed, i)
+            files = {"points": spec["points"], "state": spec["state"]}
+            cases[f"psd{seed}.{i}"] = (files, ["psd", "{points}", "--state", "{state}"])
+    for orbits in gen.BELL_ORBITS:
+        for index in range(gen.BELL_CONFIGS):
+            for seed in range(gen.BELL_SEEDS):
+                spec = gen.bell_spec(orbits, index, seed)
+                files = {"config": spec["config"], "state": spec["state"]}
+                argv = ["bell", "{config}", "--seed", str(seed), "--state", "{state}"]
+                cases[f"bell {spec['key']}"] = (files, argv)
+    return cases
+
+
+def collect(out: str) -> None:
+    """Run every case with the eprbell on sys.path; write {case: [code, body]}."""
+    from eprbell.cli import main
+
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (files, argv) in _cases().items():
+            paths = {}
+            for key, content in files.items():
+                paths[key] = Path(tmp) / f"{key}.json"
+                paths[key].write_text(json.dumps(content))
+            report = Path(tmp) / "report.json"
+            report.unlink(missing_ok=True)
+            argv = [a.format(**paths) for a in argv] + ["--out", str(report)]
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            body = json.loads(report.read_text()) if report.exists() else None
+            if body is not None:
+                del body["wall_clock_s"]
+            results[name] = [code, body]
+    Path(out).write_text(json.dumps(results))
+
+
+def _project(new, old, path: str, added: set[str]):
+    """``new`` without the object keys ``old`` lacks, which go to ``added``."""
+    if isinstance(new, dict) and isinstance(old, dict):
+        added.update(f"{path}.{key}" for key in new.keys() - old.keys())
+        return {key: _project(new[key], old[key], f"{path}.{key}", added)
+                for key in new.keys() & old.keys()}
+    if isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
+        # a check record is named by its check, not its position
+        names = [item.get("name") if isinstance(item, dict) else None for item in new]
+        return [_project(n, o, f"{path}[{name if name else i}]", added)
+                for i, (n, o, name) in enumerate(zip(new, old, names))]
+    return new
+
+
+def _run(src: str, out: Path) -> dict:
+    subprocess.run(
+        [sys.executable, __file__, "--collect", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    return json.loads(out.read_text())
+
+
+def main(old_src: str, new_src: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        old = _run(old_src, Path(tmp) / "old.json")
+        new = _run(new_src, Path(tmp) / "new.json")
+    added: dict[str, list[str]] = defaultdict(list)
+    mismatches = []
+    for name, (old_code, old_body) in old.items():
+        new_code, new_body = new[name]
+        keys: set[str] = set()
+        projected = _project(new_body, old_body, "", keys)
+        for key in keys:
+            added[key].append(name)
+        same_body = json.dumps(projected, sort_keys=True) == json.dumps(old_body, sort_keys=True)
+        if new_code != old_code or not same_body:
+            mismatches.append(f"{name}: exit {old_code} -> {new_code}, body equal {same_body}")
+    for key, names in sorted(added.items()):
+        print(f"added {key}: {len(names)} cases, e.g. {names[0]}")
+    for line in mismatches:
+        print("MISMATCH", line)
+    print(f"{len(old)} cases, {len(mismatches)} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "--collect":
+        collect(sys.argv[2])
+    else:
+        sys.exit(main(sys.argv[1], sys.argv[2]))
