@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import StateFunctional, eval_point, eval_poly
+from .states import StateFunctional, eval_point, eval_poly, positivity_check
 from .weyl import (
     DEFAULT_TERM_CAP,
     Point,
@@ -480,7 +480,6 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     assert best_params is not None
     searched = time.perf_counter()
     best_candidate = fast.candidate(best_params)
-    best_candidate.validate()
     certified = bell_value(state, best_candidate)
     if abs(certified - best_value) > 1e-10:
         raise AssertionError(
@@ -500,13 +499,12 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
 def correlation_deviation(
     state: StateFunctional, left: WeylPolynomial, right: WeylPolynomial
 ) -> float:
-    """omega((L - R)* (L - R)): the quadratic deviation between two elements.
+    """omega((L - R)* (L - R)), defined as ``positivity_check(state, L - R)``.
 
-    A positivity value, so real and nonnegative up to roundoff; it vanishes
-    exactly when L and R are perfectly correlated in the state.
+    Real and nonnegative up to roundoff; it vanishes exactly when L and R
+    are perfectly correlated in the state.
     """
-    diff = left - right
-    return float(eval_poly(state, weyl_multiply(adjoint(diff), diff)).real)
+    return positivity_check(state, left - right)
 
 
 def weyl_double(a: Fraction, b: Fraction, state: StateFunctional) -> dict:

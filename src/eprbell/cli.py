@@ -244,6 +244,15 @@ def _matrix_doubles(model, nprng, samples: int) -> tuple[float, float]:
     return max(devs), control
 
 
+def _worst(n: int, sample) -> dict:
+    """The running maximum from 0.0 of each value ``sample(i)`` returns, i < n."""
+    worst: dict = {}
+    for i in range(n):
+        for key, value in sample(i).items():
+            worst[key] = max(worst.get(key, 0.0), value)
+    return worst
+
+
 def _sampled(check: Check, state: StateFunctional, n: int, sample) -> list[CheckRecord]:
     """Run ``sample(i) -> (deviation, passed)`` for i < n; record the worst
     deviation and the number of samples the engine failed."""
@@ -317,17 +326,14 @@ def _check_traciality(state: StateFunctional, rng: random.Random) -> list[CheckR
 def _check_collinearity(
     state: StateFunctional, rng: random.Random
 ) -> list[CheckRecord]:
+    def sample(i):
+        res = collinearity_check(*(_rand_fraction(rng) for _ in range(4)), state)
+        return {"max_modulus_dev": abs(res["modulus"] - 1.0),
+                "max_phase_dev": res["phase_deviation"]}
+
     n = 100
-    max_mod_dev = 0.0
-    max_phase_dev = 0.0
-    for _ in range(n):
-        a, b, c, d = (_rand_fraction(rng) for _ in range(4))
-        res = collinearity_check(a, b, c, d, state)
-        max_mod_dev = max(max_mod_dev, abs(res["modulus"] - 1.0))
-        max_phase_dev = max(max_phase_dev, res["phase_deviation"])
     inputs = {"n": n, "state": state.to_spec()}
-    measured = {"max_modulus_dev": max_mod_dev, "max_phase_dev": max_phase_dev}
-    return [CHECKS["collinearity"].record(inputs, measured)]
+    return [CHECKS["collinearity"].record(inputs, _worst(n, sample))]
 
 
 def _check_gram_orthonormality(
@@ -354,29 +360,22 @@ def _check_gram_orthonormality(
 def _check_bell_monomial(
     state: StateFunctional, rng: random.Random
 ) -> list[CheckRecord]:
-    samples = 50
     a, b = Fraction(1), Fraction(2)
-    max_agree_dev = 0.0
-    for _ in range(samples):
+
+    def sample(i):
         angles = [rng.uniform(0, 2 * math.pi) for _ in range(4)]
         closed = monomial_family_value(a, b, *angles, state)
         engine = bell_value(state, monomial_candidate(a, b, *angles))
-        max_agree_dev = max(max_agree_dev, abs(closed - engine))
+        return {"max_deviation": abs(closed - engine)}
+
+    samples = 50
     agree_rec = CHECKS["bell_monomial_agreement"].record(
-        {"samples": samples, "state": state.to_spec()}, {"max_deviation": max_agree_dev}
+        {"samples": samples, "state": state.to_spec()}, _worst(samples, sample)
     )
-    xa, xb = point(a, b), point(-a, b)
-    cfg = SearchConfig(
-        supports=(
-            (xa, point(-a, -b)),
-            (xa, point(-a, -b)),
-            (xb, point(a, -b)),
-            (xb, point(a, -b)),
-        ),
-        restarts=4,
-        max_iters=120,
-        seed=rng.randint(0, 2**31 - 1),
-    )
+    # the search runs over the family's supports, which no angle changes
+    family = monomial_candidate(a, b, 0.0, 0.0, 0.0, 0.0)
+    supports = tuple(tuple(comp.terms) for comp in family.components())
+    cfg = SearchConfig(supports, restarts=4, max_iters=120, seed=rng.randint(0, 2**31 - 1))
     result = optimize_bell(state, cfg)
     target = SQRT2 / 2
     opt_rec = CHECKS["bell_monomial_optimum"].record(
@@ -419,27 +418,18 @@ def _check_doubles(state: StateFunctional, rng: random.Random) -> list[CheckReco
     n = 100
     records = []
     if state.kind == "epr":
-        max_dev = 0.0
-        max_sa_dev = 0.0
-        for _ in range(n):
-            a, b = _rand_fraction(rng), _rand_fraction(rng)
-            res = weyl_double(a, b, state)
-            max_dev = max(max_dev, abs(res["deviation"]))
-            max_sa_dev = max(max_sa_dev, abs(res["sa_deviation"]))
+        def sample(i):
+            res = weyl_double(_rand_fraction(rng), _rand_fraction(rng), state)
+            return {"max_deviation": abs(res["deviation"]),
+                    "max_sa_deviation": abs(res["sa_deviation"])}
+
+        measured = _worst(n, sample)
         # negative control: the mirrored partner point must fail hard
         u = tensor_embed(WeylPolynomial.generator(point(1, 1)), 1)
         wrong = tensor_embed(WeylPolynomial.generator(point(1, 1)), 2)
-        control = correlation_deviation(state, u, wrong)
-        records.append(
-            CHECKS["weyl_doubles"].record(
-                {"n": n, "state": state.to_spec()},
-                {
-                    "max_deviation": max_dev,
-                    "max_sa_deviation": max_sa_dev,
-                    "perturbed_partner_deviation": control,
-                },
-            )
-        )
+        measured["perturbed_partner_deviation"] = correlation_deviation(state, u, wrong)
+        inputs = {"n": n, "state": state.to_spec()}
+        records.append(CHECKS["weyl_doubles"].record(inputs, measured))
     nprng = np.random.default_rng(rng.randint(0, 2**31 - 1))
     dims = (2, 4, 8)
     devs, controls = zip(*(_matrix_doubles(build_model(m), nprng, 5) for m in dims))
@@ -564,7 +554,8 @@ def cmd_bell(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
-    model = build_model(args.dim)
+    with _naming("--dim"):
+        model = build_model(args.dim)
     with _naming("--seed"):
         nprng = np.random.default_rng(args.seed)
     start = time.perf_counter()

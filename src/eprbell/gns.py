@@ -22,6 +22,7 @@ from .states import (
     IDENTITY_TOL,
     StateFunctional,
     compression_matrix,
+    embedded_pair,
     eval_poly,
     trace_vector_check,
 )
@@ -120,10 +121,7 @@ def collinearity_check(
     onto the first factor alone.
     """
     a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-    psi = weyl_multiply(
-        tensor_embed(WeylPolynomial.generator(point(a, b)), 1),
-        tensor_embed(WeylPolynomial.generator(point(c, d)), 2),
-    )
+    psi = embedded_pair(point(a, b), point(c, d))
     phi = tensor_embed(WeylPolynomial.generator(point(a + c, b - d)), 1)
     overlap = eval_poly(state, weyl_multiply(adjoint(psi), phi))
     t = float((a * d + b * c) / 2)

@@ -420,10 +420,11 @@ class SupportPartition:
 
     @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
-        """The classes in the order of their least indices, each increasing."""
-        return tuple(
-            tuple(np.flatnonzero(self.labels == r).tolist()) for r in np.unique(self.labels)
-        )
+        """The classes in the order of their least indices, each increasing:
+        the indices in stable label order, cut where the label changes."""
+        order = np.argsort(self.labels, kind="stable")
+        starts = np.flatnonzero(np.diff(self.labels[order], prepend=-1)).tolist()
+        return tuple(tuple(order[i:j].tolist()) for i, j in zip(starts, starts[1:] + [None]))
 
 
 def support_relation(m: np.ndarray) -> SupportPartition:
@@ -534,8 +535,8 @@ def uniqueness_support_check(state: StateFunctional, x: Point) -> dict:
     }
 
 
-def _embedded_pair(x: Point, y: Point) -> WeylPolynomial:
-    """W(x) x W(y) as a dimension-4 polynomial."""
+def embedded_pair(x: Point, y: Point) -> WeylPolynomial:
+    """W(x) x W(y): the dimension-4 product (W(x) x I)(I x W(y))."""
     left = tensor_embed(WeylPolynomial.generator(x), 1)
     right = tensor_embed(WeylPolynomial.generator(y), 2)
     return weyl_multiply(left, right)
@@ -555,8 +556,8 @@ def multiplicativity_check(
     A and B.
     """
     s, t = Fraction(s), Fraction(t)
-    a_poly = _embedded_pair(point(s, 0), point(-s, 0))
-    b_poly = _embedded_pair(point(0, t), point(0, t))
+    a_poly = embedded_pair(point(s, 0), point(-s, 0))
+    b_poly = embedded_pair(point(0, t), point(0, t))
     wa = eval_poly(state, a_poly)
     wb = eval_poly(state, b_poly)
     deviations = [abs(eval_poly(state, weyl_multiply(a_poly, b_poly)) - wa * wb)]

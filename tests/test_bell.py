@@ -33,7 +33,7 @@ from eprbell import (
     weyl_double,
     weyl_multiply,
 )
-from eprbell.bell import _FastObjective, _slot_orbits
+from eprbell.bell import _candidate_order_key, _FastObjective, _slot_orbits
 from eprbell.states import eval_point
 from eprbell.weyl import negate
 
@@ -262,6 +262,31 @@ class TestOptimizer:
         # no recorded value above the quantum bound
         assert all(v <= SQRT2 + 1e-9 for _, v in first.trace)
         first.best.validate()
+
+    def test_tied_restarts_go_to_the_smallest_key(self):
+        # the benchmark's Bell catalog search o1c0/0: restarts 2 and 3 end
+        # on the same search value, bit for bit
+        state = StateFunctional.from_spec(
+            {"kind": "epr", "lambda": -1.9658309317502298, "mu": -1.5535867196665345}
+        )
+        spec = {
+            "supports": [[["-1", "2/3"], ["1", "-2/3"]]] * 2
+            + [[["1", "2/3"], ["-1", "-2/3"]]] * 2,
+            "restarts": 4,
+            "max_iters": 120,
+            "seed": 0,
+        }
+        result = optimize_bell(state, SearchConfig.from_spec(spec))
+        # the first three restarts are the same search cut short; the last
+        # of them, restart 2, is their best, recorded as it ends
+        first_three = optimize_bell(state, SearchConfig.from_spec(dict(spec, restarts=3)))
+        assert first_three.trace[-1][0] == first_three.evaluations
+        # the trace records restart 3 at the tied value
+        assert result.trace[:-1] == first_three.trace
+        assert result.trace[-1] == (result.evaluations, first_three.trace[-1][1])
+        # and the tie goes to the smaller order key
+        assert result.best != first_three.best
+        assert _candidate_order_key(result.best) < _candidate_order_key(first_three.best)
 
 
 class TestWeylDoubles:

@@ -421,6 +421,13 @@ class TestSurrogate:
         assert captured.out == ""
         assert "error: --seed: expected non-negative integer" in captured.err
 
+    @pytest.mark.parametrize("dim", ["5", "0", "66"])
+    def test_bad_dim_is_named(self, capsys, dim):
+        assert main(["surrogate", "--dim", dim]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --dim: factor dimension must be even" in captured.err
+
 
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):

@@ -63,6 +63,8 @@ def _body_digest(tmp_path, argv) -> str:
         (["psd", "{points}", "--state", "{epr}"], "b0d884bab2979b19"),
         (["bell", "{config}", "--seed", "0", "--state", "{epr}"], "8386246590ed7520"),
     ],
+    ids=["verify-all-seed0", "verify-all-seed7", "verify-all-regular-seed0", "surrogate-dim2",
+         "surrogate-dim8", "surrogate-dim64", "psd-epr", "bell-epr-seed0"],
 )
 def test_report_body_digest(tmp_path, argv, digest):
     paths = {}

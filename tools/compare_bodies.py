@@ -8,6 +8,8 @@ tree).  Both run the same commands in-process, each tree in its own
 interpreter:
 
 - the pinned cases of ``tests/test_report_digests.py``;
+- ``verify-all`` on operation 0 of the ``verify_all`` workload of
+  ``perfbench/gen.py`` at seeds 0-9, each with its seed and state;
 - ``surrogate --dim m`` for every even m in 2..64;
 - ``psd`` on the 11 ``psd_batteries`` specs of ``perfbench/gen.py`` at
   seeds 0-2;
@@ -44,6 +46,10 @@ def _cases() -> dict[str, tuple[dict, list[str]]]:
     params = pins.test_report_body_digest.pytestmark[0].args[1]
     for i, (argv, _) in enumerate(params):
         cases[f"pin{i}"] = (pins._INPUTS, argv)
+    for seed in range(10):
+        spec = gen.spec("verify_all", seed, 0)
+        argv = ["verify-all", "--seed", str(spec["seed"]), "--state", "{state}"]
+        cases[f"verify_all{seed}"] = ({"state": spec["state"]}, argv)
     for m in range(2, 65, 2):
         cases[f"surrogate{m}"] = ({}, ["surrogate", "--dim", str(m)])
     for seed in range(3):
