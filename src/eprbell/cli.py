@@ -10,6 +10,7 @@ diff cleanly in CI.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -66,7 +67,7 @@ from .weyl import (
     TermBudgetError,
     WeylPolynomial,
     from_records,
-    parse_points,
+    parse_lattice,
     point,
     tensor_embed,
 )
@@ -187,10 +188,11 @@ CHECKS = {check.name: check for check in (
 
 
 def _measure_kernel(
-    state: StateFunctional, pts: list[Point]
+    state: StateFunctional, pts: list, den: int | None = None
 ) -> tuple[float, dict | None, dict]:
     """Kernel positivity and, for the epr state, the support-class structure,
-    both from one kernel build.
+    both from one kernel build on ``pts``, read as ``kernel_matrix`` reads
+    its points and ``den``.
 
     Returns the kernel's minimum eigenvalue; the support_rank_one
     measurements with the class count, or the support relation's error
@@ -199,7 +201,7 @@ def _measure_kernel(
     support checks (support_s, 0 for other states).
     """
     start = time.perf_counter()
-    m = kernel_matrix(state, pts)
+    m = kernel_matrix(state, pts, den)
     built = time.perf_counter()
     min_eig = psd_check(m, CHECKS["kernel_psd"].tolerance)["min_eigenvalue"]
     checked = time.perf_counter()
@@ -502,19 +504,20 @@ def cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-def _points(raw) -> tuple[list, list[Point]]:
-    """The points file as read (its digest is the input's) and its points."""
+def _points(raw) -> tuple[list, int, list[tuple[int, ...]]]:
+    """The points file as read (its digest is the input's) and its points
+    on the integer lattice: their common denominator and scaled ints."""
     if len(raw) > 256:
         raise ValueError(f"at most 256 points per battery, got {len(raw)}")
-    return raw, parse_points(raw)
+    return raw, *parse_lattice(raw)
 
 
 def cmd_psd(args) -> int:
     state, state_spec = _load_state(args.state)
-    raw, pts = _load(args.points, _points)
+    raw, den, pts = _load(args.points, _points)
     start = time.perf_counter()
     with _naming(args.points):
-        min_eig, rank, timings = _measure_kernel(state, pts)
+        min_eig, rank, timings = _measure_kernel(state, pts, den)
     checks = [
         CHECKS["kernel_psd"].record(
             {"points": raw, "state": state.to_spec()},
@@ -615,7 +618,10 @@ def cmd_verify_all(args) -> int:
     return _emit_report(state_spec, checks, timings, args.out)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  It records only
+    the command's name: ``main`` looks its ``cmd_*`` function up per call."""
     parser = argparse.ArgumentParser(
         prog="eprbell",
         description="Verification suite for the strictly correlated state on"
@@ -625,31 +631,30 @@ def _build_parser() -> argparse.ArgumentParser:
     state = ("--state", {"default": None, "help": "JSON state spec"})
     seed = ("--seed", {"type": int, "default": 0})
     out = ("--out", {"default": None, "help": "write the report to this file"})
-    for name, func, help_, arguments in (
-        ("eval", cmd_eval, "evaluate the state on a polynomial file",
+    for name, help_, arguments in (
+        ("eval", "evaluate the state on a polynomial file",
          [("polynomial", {"help": "JSON polynomial records"}), state]),
-        ("psd", cmd_psd, "kernel positivity on a points file",
+        ("psd", "kernel positivity on a points file",
          [("points", {"help": "JSON list of points"}), state, out]),
-        ("bell", cmd_bell, "run the Bell lower-bound search",
+        ("bell", "run the Bell lower-bound search",
          [("config", {"help": "JSON search configuration"}), state,
           ("--seed", {"type": int, "default": None}), out]),
-        ("surrogate", cmd_surrogate, "finite matrix CHSH model checks",
+        ("surrogate", "finite matrix CHSH model checks",
          [("--dim", {"type": int, "required": True}), seed, out]),
-        ("verify-all", cmd_verify_all, "run the complete check suite",
+        ("verify-all", "run the complete check suite",
          [state, seed, out]),
     ):
         command = sub.add_parser(name, help=help_)
-        command.set_defaults(func=func)
         for flag, kwargs in arguments:
             command.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (TermBudgetError, EvaluationBudgetError) as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -62,25 +62,6 @@ def report_to_dict(report: VerificationReport, include_timings: bool = True) -> 
     return data
 
 
-def report_body_json(report: VerificationReport) -> str:
-    """Deterministic serialization: everything except timings."""
-    return json.dumps(report_to_dict(report, include_timings=False), sort_keys=True)
-
-
 def report_to_json(report: VerificationReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
 
-
-def report_from_dict(data: dict) -> VerificationReport:
-    checks = [CheckRecord(**c) for c in data["checks"]]
-    return VerificationReport(
-        tool=data["tool"],
-        state_spec=data["state_spec"],
-        checks=checks,
-        overall_pass=data["overall_pass"],
-        wall_clock_s=data.get("wall_clock_s", {}),
-    )
-
-
-def report_from_json(text: str) -> VerificationReport:
-    return report_from_dict(json.loads(text))

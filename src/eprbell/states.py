@@ -182,42 +182,47 @@ def _by_size(labels: np.ndarray) -> Iterator[np.ndarray]:
         yield order[first[counts == size, None] + np.arange(size)]
 
 
-def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray:
+def kernel_matrix(
+    state: StateFunctional, points: Sequence[Point], den: int | None = None
+) -> np.ndarray:
     """The twisted kernel M[j,k] = G(x_j - x_k) exp{-i s(x_j, x_k)}.
 
     Hermitian by the hermiticity of G and antisymmetry of the form.  With the
     corrupt flag set, the last diagonal entry is deflated below zero so the
     matrix is guaranteed non-PSD whatever the points.
 
+    ``points`` hold exact rationals or, with ``den``, ints over that common
+    denominator, as ``weyl.lattice`` and ``weyl.parse_lattice`` give them.
     Every entry is the double that evaluating eval_point on the exact
-    difference, times unit_phase of the exact form, gives.  The points are
-    put on the integer lattice of ``weyl.lattice``; for the epr state
-    only entries within a class of the invariant (a+c, b-d) are computed,
-    and all others are exact zeros, so M is block diagonal up to a
-    permutation of its indices.  The regular state is one class of every
+    difference, times unit_phase of the exact form, gives.  For the epr
+    state only entries within a class of the invariant (a+c, b-d) are
+    computed, and all others are exact zeros, so M is block diagonal up to
+    a permutation of its indices.  The regular state is one class of every
     point.  The classes of one size are stacked and computed together, a
     bounded pass at a time; each entry is computed on its own, so the
     stacking leaves every bit as it is.
     """
-    points = [
-        tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in points
-    ]
+    if den is None:
+        # one denominator for all, so the lattice points are distinct
+        # exactly when the points are
+        den, points = lattice(
+            [tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in points]
+        )
     if not points:
         raise ValueError("at least one point is required")
-    # one denominator for all, so the lattice points are distinct exactly
-    # when the points are
-    scale, ints = lattice(points)
-    if len(set(ints)) != len(ints):
+    if len(set(points)) != len(points):
         raise ValueError("points must be pairwise distinct")
     if any(len(p) != 4 for p in points):
         raise ValueError("states are defined on the dimension-4 algebra")
     n = len(points)
-    coords = _lattice_array(ints, max(abs(v) for p in ints for v in p), scale)
+    coords = _lattice_array(points, max(abs(v) for p in points for v in p), den)
     if state.kind == KIND_EPR:
         classes: dict[tuple[int, int], int] = {}
-        label = [classes.setdefault((a + c, b - d), len(classes)) for a, b, c, d in ints]
+        label = [classes.setdefault((a + c, b - d), len(classes)) for a, b, c, d in points]
+        gauss = None
     else:
         label = [0] * n
+        gauss = _gaussian_table(state, coords, den)
     m = np.zeros((n, n), dtype=complex)
     for cols in _by_size(np.array(label)):
         size = cols.shape[1]
@@ -226,11 +231,27 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
             for t in _passes(len(cols), rows.shape[1] * size, _KERNEL_PASS_ENTRIES):
                 block = rows[t, :, None], cols[t, None, :]
                 m.real[block], m.imag[block] = _kernel_block(
-                    state, coords[rows[t]], coords[cols[t]], scale
+                    state, coords[rows[t]], coords[cols[t]], den,
+                    None if gauss is None else gauss[block],
                 )
     if state.corrupt_kernel:
         m[n - 1, n - 1] -= 1.5
     return m
+
+
+def _gaussian_table(state: StateFunctional, coords: np.ndarray, scale: int) -> np.ndarray:
+    """The regular state's factor at x_j - x_k for every pair of the scaled
+    integer points, as _state_factor gives it, taken on the upper triangle
+    and mirrored: x_k - x_j is the exact negative, of the same factor."""
+    n = len(coords)
+    j, k = np.triu_indices(n)
+    upper = np.empty(len(j))
+    for t in _passes(len(j), 1, _PASS_ENTRIES):
+        diffs = [coords[j[t], i] - coords[k[t], i] for i in range(4)]
+        upper[t] = _state_factor(state, diffs, scale)[0]
+    table = np.empty((n, n))
+    table[j, k] = table[k, j] = upper
+    return table
 
 
 def _lattice_array(ints: list[tuple[int, ...]], big: int, scale: int) -> np.ndarray:
@@ -243,16 +264,20 @@ def _lattice_array(ints: list[tuple[int, ...]], big: int, scale: int) -> np.ndar
 
 
 def _kernel_block(
-    state: StateFunctional, x: np.ndarray, y: np.ndarray, scale: int
+    state: StateFunctional, x: np.ndarray, y: np.ndarray, scale: int, gauss=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of M over rows x and columns y of scaled
     integer coordinates, stacked (..., rows, 4) and (..., columns, 4):
     eval_point of each exact difference times unit_phase of the exact form,
-    computed as Python's complex * does."""
+    computed as Python's complex * does.  ``gauss`` is the regular state's
+    real factor over the block, when the caller has it."""
     # exp{-i s(x, y)} is the unit_phase of s(y, x)
     p_re, p_im = _phase(y[..., None, :, :], x[..., :, None, :], scale)
-    diffs = [x[..., :, None, i] - y[..., None, :, i] for i in range(4)]
-    g_re, g_im = _state_factor(state, diffs, scale)
+    if gauss is None:
+        diffs = [x[..., :, None, i] - y[..., None, :, i] for i in range(4)]
+        g_re, g_im = _state_factor(state, diffs, scale)
+    else:
+        g_re, g_im = gauss, np.zeros(gauss.shape)
     # the complex product written out over real and imaginary parts; an
     # underflowed Gaussian factor gives an exact zero entry
     zero = (g_re == 0.0) & (g_im == 0.0)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 from types import MappingProxyType
 from typing import ItemsView, Iterable, Mapping
@@ -83,14 +84,55 @@ def parse_points(rows: Iterable, label: str = "point") -> list[Point]:
     return pts
 
 
+def parse_lattice(
+    rows: Iterable, label: str = "point"
+) -> tuple[int, list[tuple[int, ...]]]:
+    """``lattice(parse_points(rows, label))``, without a ``Fraction``.
+
+    Ints, and ASCII strings "p" or "p/q" with q nonzero, are read straight
+    to reduced int ratios, once per distinct coordinate.  A file with any
+    other row or coordinate goes through ``parse_points``, so the accepted
+    coordinates, the values and every error are the same.
+    """
+    rows = list(rows)
+    ratios: dict[int | str, tuple[int, int]] = {}
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) not in VALID_DIMS:
+            return lattice(parse_points(rows, label))
+        for c in row:
+            # an exact type: a bool or a float may equal an int key
+            if type(c) is not str and type(c) is not int:
+                return lattice(parse_points(rows, label))
+            if c not in ratios:
+                ratios[c] = _ratio(c)
+                if ratios[c] is None:
+                    return lattice(parse_points(rows, label))
+    den = math.lcm(*(q for _, q in ratios.values()))
+    scaled = {c: p * (den // q) for c, (p, q) in ratios.items()}
+    return den, [tuple(map(scaled.__getitem__, row)) for row in rows]
+
+
+#: The coordinate strings ``parse_lattice`` reads itself; Fraction reads
+#: each of them to the same value.
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(c: int | str) -> tuple[int, int] | None:
+    """The reduced numerator and denominator of an int, or of a ``_RATIO``
+    string with a nonzero denominator; None for any other string."""
+    if type(c) is int:
+        return c, 1
+    match = _RATIO.fullmatch(c)
+    try:  # Fraction refuses a string past int()'s digit limit, as int() does
+        p, q = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+    except ValueError:
+        return None
+    g = math.gcd(p, q)
+    return (p // g, q // g) if q else None
+
+
 def negate(x: Point) -> Point:
     return tuple(-c for c in x)
-
-
-def add_points(x: Point, y: Point) -> Point:
-    if len(x) != len(y):
-        raise ValueError("cannot add points of different dimension")
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def symplectic_form(x: Point, y: Point) -> Fraction:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 
 from eprbell import WeylPolynomial
+from eprbell.reports import CheckRecord, VerificationReport, report_to_dict
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -40,3 +42,20 @@ def rand_poly(rng: random.Random, dim: int, max_terms: int = 4) -> WeylPolynomia
         coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         terms[rand_point(rng, dim)] = coeff
     return WeylPolynomial(dim, terms)
+
+
+def add_points(x: tuple, y: tuple) -> tuple:
+    """The coordinatewise sum of two points of one dimension."""
+    assert len(x) == len(y)
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def report_body_json(report: VerificationReport) -> str:
+    """The deterministic body of a report: everything except timings."""
+    return json.dumps(report_to_dict(report, include_timings=False), sort_keys=True)
+
+
+def report_from_json(text: str) -> VerificationReport:
+    """The report that ``report_to_json`` wrote as ``text``."""
+    data = json.loads(text)
+    return VerificationReport(**{**data, "checks": [CheckRecord(**c) for c in data["checks"]]})

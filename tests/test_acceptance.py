@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import distinct_points, rand_fraction, rand_point, rand_poly
+from conftest import distinct_points, rand_fraction, rand_point, rand_poly, report_from_json
 from eprbell import (
     SearchConfig,
     StateFunctional,
@@ -39,7 +39,6 @@ from eprbell import (
     weyl_multiply,
 )
 from eprbell.cli import main
-from eprbell.reports import report_from_json
 from eprbell.weyl import negate
 from test_bell import family_grid_max
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import eprbell.cli
+from conftest import report_body_json, report_from_json
 from eprbell.cli import CHECKS, Check, main
-from eprbell.reports import report_body_json, report_from_json
 from eprbell.states import IDENTITY_TOL, EquivalenceError
 
 
@@ -176,6 +176,16 @@ class TestPsd:
         )
         assert main(["psd", pts, "--state", epr_state_file]) == 0
         assert len(calls) == 1
+
+    def test_later_calls_reach_a_patched_command(self, tmp_path, monkeypatch):
+        # the parser is built once per process; main looks the command up
+        # on every call
+        pts = _write(tmp_path / "pts.json", [["0", "0", "0", "0"]])
+        assert main(["psd", pts]) == 0
+        seen = []
+        monkeypatch.setattr(eprbell.cli, "cmd_psd", lambda args: seen.append(args.points) or 5)
+        assert main(["psd", pts]) == 5
+        assert seen == [pts]
 
     def test_wall_clock_splits_kernel_psd_and_support(self, tmp_path, epr_state_file):
         pts = _write(

@@ -1,13 +1,7 @@
 """Report records: round trips, deterministic bodies, digests."""
 
-from eprbell.reports import (
-    CheckRecord,
-    build_report,
-    digest_inputs,
-    report_body_json,
-    report_from_json,
-    report_to_json,
-)
+from conftest import report_body_json, report_from_json
+from eprbell.reports import CheckRecord, build_report, digest_inputs, report_to_json
 
 
 def _sample_report():

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_point, rand_poly, same_bits
+from conftest import add_points, rand_point, rand_poly, same_bits
 from eprbell import (
     ZERO_THRESHOLD,
     TermBudgetError,
@@ -26,7 +26,8 @@ from eprbell import (
     to_records,
     weyl_multiply,
 )
-from eprbell.weyl import add_points, lattice, unit_phase
+import eprbell.weyl
+from eprbell.weyl import lattice, parse_lattice, unit_phase
 
 
 class TestForms:
@@ -88,6 +89,74 @@ class TestForms:
     def test_parse_points_rejects_rows_that_are_not_arrays(self, row):
         with pytest.raises(ValueError, match="point 1: a point is an array"):
             parse_points([["0", "0", "0", "0"], row])
+
+
+def _outcome(parse, rows):
+    """What ``parse(rows)`` returns, or the type and message it raises."""
+    try:
+        return parse(rows)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: Coordinates the lattice parse reads itself: ints, and ASCII "p" and
+#: "p/q" strings, unreduced, signed zeros and 4000-digit numerators too.
+_PLAIN = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30).map(str),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 99)),
+    st.sampled_from(["2/4", "-0", "0/7", "-6/4", "007/010", "3" * 4000, "-1/" + "7" * 4000]),
+)
+#: Coordinates Fraction reads that the lattice parse leaves to it.
+_OTHER = st.one_of(
+    st.sampled_from(["+3", " 3/4", "1e3", "0.5", "\u0663", "\uff13/4", "1_000", "-0.0"]),
+    st.fractions(),
+)
+#: Coordinates that are refused: a zero denominator, a numerator past
+#: int()'s digit limit, floats, bools, null and nested arrays.
+_REFUSED = st.one_of(
+    st.sampled_from(["1/0", "9" * 5000, "1/x", "", "-", "3/-4", None, True, False,
+                     [1], [["0", "0"]], {"a": 1}]),
+    st.floats(),
+)
+_COORD = st.one_of(_PLAIN, _PLAIN, _PLAIN, _PLAIN, _OTHER, _REFUSED)
+_ROW = st.one_of(
+    st.lists(_COORD, min_size=4, max_size=4),
+    st.lists(_COORD, min_size=4, max_size=4),
+    st.lists(_COORD, min_size=2, max_size=2),
+    st.tuples(_COORD, _COORD),
+    st.lists(_COORD, min_size=3, max_size=3),
+    st.sampled_from(["0000", "12", 7, None]),
+)
+#: Rows of plain coordinates only, which the lattice parse reads itself.
+_PLAIN_ROW = st.one_of(st.lists(_PLAIN, min_size=4, max_size=4), st.tuples(_PLAIN, _PLAIN))
+
+
+class TestParseLattice:
+    """``parse_lattice`` is ``lattice(parse_points(...))``: values and errors."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.one_of(st.lists(_PLAIN_ROW, max_size=6), st.lists(_ROW, max_size=6)),
+           st.sampled_from(["point", "record"]))
+    # a bool or a float equal to a coordinate read before it, and a
+    # numerator past int()'s digit limit
+    @example([[1, "1", 0, 0], [True, 0, 0, 0]], "point")
+    @example([[1, 0], ["1", 1.0]], "point")
+    @example([["1/2", "0"], ["9" * 5000, "1", "0", "0"]], "record")
+    def test_matches_lattice_of_parse_points(self, rows, label):
+        want = _outcome(lambda r: lattice(parse_points(r, label)), rows)
+        assert _outcome(lambda r: parse_lattice(r, label), rows) == want
+        assert _outcome(lambda r: parse_lattice(iter(r), label), rows) == want
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(st.lists(_PLAIN_ROW, max_size=6))
+    def test_plain_rows_take_no_fraction(self, rows):
+        # the Fraction route is patched away, so these values are the fast path's
+        want = lattice(parse_points(rows))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eprbell.weyl, "parse_points", None)
+            patch.setattr(eprbell.weyl, "Fraction", None)
+            assert parse_lattice(rows) == want
 
 
 class TestProduct:
