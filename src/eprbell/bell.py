@@ -171,11 +171,8 @@ def monomial_family_value(
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
         raise ValueError("the monomial family needs a nonzero point")
-    shift = float(a) * state.lam + float(b) * state.mu
-    p11 = alpha1 + beta1 + shift
-    p12 = alpha1 + beta2 + shift
-    p21 = alpha2 + beta1 + shift
-    p22 = alpha2 + beta2 + shift
+    shift = state.angle(a, b)
+    p11, p12, p21, p22 = (x + y + shift for x in (alpha1, alpha2) for y in (beta1, beta2))
     return (math.cos(p11) + math.cos(p12) + math.cos(p21) - math.cos(p22)) / 4.0
 
 
@@ -517,7 +514,7 @@ def weyl_double(a: Fraction, b: Fraction, state: StateFunctional) -> dict:
     """
     a, b = Fraction(a), Fraction(b)
     partner_point = point(a, -b)
-    phase = unit_phase(float(a) * state.lam + float(b) * state.mu)
+    phase = state.phase(a, b)
     u = tensor_embed(WeylPolynomial.generator(point(a, b)), 1)
     u_partner = phase * tensor_embed(WeylPolynomial.generator(partner_point), 2)
     deviation = correlation_deviation(state, u, u_partner)

@@ -124,12 +124,7 @@ def collinearity_check(
     psi = embedded_pair(point(a, b), point(c, d))
     phi = tensor_embed(WeylPolynomial.generator(point(a + c, b - d)), 1)
     overlap = eval_poly(state, weyl_multiply(adjoint(psi), phi))
-    t = float((a * d + b * c) / 2)
-    expected = (
-        unit_phase(t)
-        * unit_phase(float(c) * state.lam)
-        * unit_phase(-float(d) * state.mu)
-    )
+    expected = unit_phase(a * d + b * c, 2) * state.phase(c, 0) * state.phase(0, -d)
     modulus = abs(overlap)
     phase_dev = abs(overlap - expected)
     return {

@@ -62,10 +62,11 @@ class StateFunctional:
     ("regular").
 
     ``lam`` and ``mu`` are the dispersion-free values of relative position
-    and total momentum; they enter only through phases, never through
-    support decisions, so double precision is enough.  ``corrupt_kernel``
-    deliberately breaks kernel positivity and exists only to drive
-    negative-control paths in tests and reports.
+    and total momentum.  They enter only through the phases that ``angle``,
+    ``phase`` and ``phases`` make from an angle rounded to a double (absolute
+    error about |angle| 2^-53: false FAILs start at coordinates near 10^8),
+    never through support decisions.  ``corrupt_kernel`` deliberately breaks
+    kernel positivity, to drive negative-control paths in tests and reports.
     """
 
     kind: str = KIND_EPR
@@ -105,6 +106,30 @@ class StateFunctional:
             corrupt,
         )
 
+    def angle(self, a, b, den: int = 1) -> float:
+        """a*lambda + b*mu at the exact point (a/den, b/den), from each
+        coordinate's correctly rounded double; ValueError if not finite."""
+        fa, fb = (float(a), float(b)) if den == 1 else (a / den, b / den)
+        t = fa * self.lam + fb * self.mu
+        if not math.isfinite(t):
+            raise ValueError("state fields 'lambda' and 'mu' give no finite phase angle"
+                             f" at the point a = {Fraction(a) / den}, b = {Fraction(b) / den}")
+        return t
+
+    def phase(self, a, b, den: int = 1) -> complex:
+        """exp{i angle(a, b, den)}, an exact 1 at a zero angle."""
+        return unit_phase(self.angle(a, b, den))
+
+    def phases(self, a: np.ndarray, b: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of ``phase`` over int arrays a and b of one
+        shape, but for sin(-0.0) = -0.0, a zero's sign every caller absorbs."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.asarray(a / den, float) * self.lam + np.asarray(b / den, float) * self.mu
+        bad = ~np.isfinite(t)
+        if bad.any():  # the scalar form, bit for bit the same, raises its error
+            self.angle(int(a.flat[bad.argmax()]), int(b.flat[bad.argmax()]), den)
+        return np.cos(t), np.sin(t)
+
     def to_spec(self) -> dict:
         spec = {"kind": self.kind, "lambda": self.lam, "mu": self.mu}
         if self.corrupt_kernel:
@@ -130,18 +155,14 @@ def eval_point(state: StateFunctional, x: Point, den: int = 1) -> complex:
     ``x`` holds exact rationals, or ints over the lattice denominator
     ``den`` of ``WeylPolynomial.lattice_items``.  For the strictly
     correlated state the two delta factors are decided by exact equality,
-    so off-manifold values are exact complex zeros.  A coordinate's double
-    is the correctly rounded int quotient ``t / den``, which is ``float`` of
-    the exact rational.
+    so off-manifold values are exact complex zeros.  Coordinates become
+    doubles as in ``StateFunctional.angle``.
     """
     if len(x) != 4:
         raise ValueError("states are defined on the dimension-4 algebra")
     a, b, c, d = x
     if state.kind == KIND_EPR:
-        if a + c != 0 or b - d != 0:
-            return 0j
-        fa, fb = (float(a), float(b)) if den == 1 else (a / den, b / den)
-        return unit_phase(fa * state.lam + fb * state.mu)
+        return state.phase(a, b, den) if a + c == 0 and b - d == 0 else 0j
     fa, fb, fc, fd = (float(t) for t in x) if den == 1 else (t / den for t in x)
     norm_sq = fa * fa + fb * fb + fc * fc + fd * fd
     return complex(math.exp(-norm_sq / 4.0), 0.0)
@@ -192,15 +213,14 @@ def kernel_matrix(
     matrix is guaranteed non-PSD whatever the points.
 
     ``points`` hold exact rationals or, with ``den``, ints over that common
-    denominator, as ``weyl.lattice`` and ``weyl.parse_lattice`` give them.
-    Every entry is the double that evaluating eval_point on the exact
-    difference, times unit_phase of the exact form, gives.  For the epr
-    state only entries within a class of the invariant (a+c, b-d) are
-    computed, and all others are exact zeros, so M is block diagonal up to
-    a permutation of its indices.  The regular state is one class of every
-    point.  The classes of one size are stacked and computed together, a
-    bounded pass at a time; each entry is computed on its own, so the
-    stacking leaves every bit as it is.
+    denominator, as ``weyl.lattice`` and ``weyl.parse_lattice`` give them;
+    ``_kernel_block`` computes the entries.  For the epr state only entries
+    within a class of the invariant (a+c, b-d) are computed, and all others
+    are exact zeros, so M is block diagonal up to a permutation of its
+    indices.  The regular state is one class of every point.  The classes of
+    one size are stacked and computed together, a bounded pass at a time;
+    each entry is computed on its own, so the stacking leaves every bit as
+    it is.
     """
     if den is None:
         # one denominator for all, so the lattice points are distinct
@@ -269,31 +289,32 @@ def _kernel_block(
     """Real and imaginary parts of M over rows x and columns y of scaled
     integer coordinates, stacked (..., rows, 4) and (..., columns, 4):
     eval_point of each exact difference times unit_phase of the exact form,
-    computed as Python's complex * does.  ``gauss`` is the regular state's
-    real factor over the block, when the caller has it."""
+    the complex product written out over real and imaginary parts as
+    Python's complex * does.  ``gauss`` is the regular state's real factor
+    over the block, when the caller has it."""
     # exp{-i s(x, y)} is the unit_phase of s(y, x)
-    p_re, p_im = _phase(y[..., None, :, :], x[..., :, None, :], scale)
+    p_re, p_im = _phase(_form(y[..., None, :, :], x[..., :, None, :]), 2 * scale * scale)
     if gauss is None:
         diffs = [x[..., :, None, i] - y[..., None, :, i] for i in range(4)]
         g_re, g_im = _state_factor(state, diffs, scale)
     else:
         g_re, g_im = gauss, np.zeros(gauss.shape)
-    # the complex product written out over real and imaginary parts; an
-    # underflowed Gaussian factor gives an exact zero entry
+    # an underflowed Gaussian factor gives an exact zero entry
     zero = (g_re == 0.0) & (g_im == 0.0)
     re = np.where(zero, 0.0, g_re * p_re - g_im * p_im)
     im = np.where(zero, 0.0, g_re * p_im + g_im * p_re)
     return re, im
 
 
-def _phase(x: np.ndarray, y: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of unit_phase(s(x, y)) for scaled integer
-    points x and y, coordinates on the last axis, broadcast together.  A
-    zero form gives the angle 0.0, never -0.0, where cos/sin are exactly 1
-    and 0 as unit_phase is."""
+def _form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The int 2 L^2 s(x, y) of points scaled by L, coordinates last."""
     sym = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
-    sym = sym + x[..., 2] * y[..., 3] - x[..., 3] * y[..., 2]
-    angle = np.asarray(sym / (2 * scale * scale), dtype=float)
+    return sym + x[..., 2] * y[..., 3] - x[..., 3] * y[..., 2]
+
+
+def _phase(s: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """unit_phase(s, q) for an int array s, as cos and sin: 1 and +0.0 at s = 0."""
+    angle = np.asarray(s / q, dtype=float)
     return np.cos(angle), np.sin(angle)
 
 
@@ -302,14 +323,10 @@ def _state_factor(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of eval_point on the scaled integer points
     whose four coordinates are the arrays z, taken on the epr manifold."""
+    if state.kind == KIND_EPR:
+        return state.phases(z[0], z[1], scale)
     # float() of each exact coordinate
     f = [np.asarray(c / scale, dtype=float) for c in z]
-    if state.kind == KIND_EPR:
-        # on the manifold only: unit_phase's exact 1 at a zero angle differs
-        # from cos/sin only by sin(-0.0) = -0.0, a zero's sign that both
-        # callers' products and sums absorb
-        t = f[0] * state.lam + f[1] * state.mu
-        return np.cos(t), np.sin(t)
     # left to right, as eval_point sums the squares
     arg = -(f[0] * f[0] + f[1] * f[1] + f[2] * f[2] + f[3] * f[3]) / 4.0
     # math.exp, not np.exp, whose last bit differs from libm's
@@ -345,27 +362,26 @@ def compression_matrix(
     big = 2 * max(abs(v) for q in xs + ys for v in q)
     x, y = _lattice_array(xs, big, scale), _lattice_array(ys, big, scale)
     c = np.array(coeffs)
-    # times the coefficient 1-0j of W(x_j)*
     a_re, a_im = 1.0 * c.real - -0.0 * c.imag, 1.0 * c.imag + -0.0 * c.real
     re, im = np.zeros((n, n)), np.zeros((n, n))
     for t in _passes(len(ys), n * n, _PASS_ENTRIES):
         z1 = y[t, None] - x  # terms by j
-        p_re, p_im = _phase(-x, y[t, None], scale)
+        p_re, p_im = _phase(_form(-x, y[t, None]), 2 * scale * scale)
         ar, ai = a_re[t, None], a_im[t, None]
         re1, im1 = ar * p_re - ai * p_im, ar * p_im + ai * p_re
         keep = np.hypot(re1, im1) >= ZERO_THRESHOLD
-        # times the coefficient 1+0j of W(x_k), then the phase of s(z1, x_k)
         b_re = (re1 * 1.0 - im1 * 0.0)[..., None]
         b_im = (re1 * 0.0 + im1 * 1.0)[..., None]
-        q_re, q_im = _phase(z1[:, :, None], x, scale)
+        q_re, q_im = _phase(_form(z1[:, :, None], x), 2 * scale * scale)
         re2, im2 = b_re * q_re - b_im * q_im, b_re * q_im + b_im * q_re
         keep = keep[..., None] & (np.hypot(re2, im2) >= ZERO_THRESHOLD)
         z2 = [z1[:, :, None, i] + x[:, i] for i in range(4)]
-        g_re, g_im = _state_factor(state, z2, scale)
         if state.kind == KIND_EPR:
             # off the manifold eval_point is 0j, and a kept term, which is
-            # finite, times 0j is a zero the sum absorbs
+            # finite, times 0j is a zero the sum absorbs: only kept terms get a phase
             keep &= (z2[0] + z2[2] == 0) & (z2[1] - z2[3] == 0)
+            z2[:2] = [np.where(keep, v, 0) for v in z2[:2]]
+        g_re, g_im = _state_factor(state, z2, scale)
         terms_re = np.where(keep, re2 * g_re - im2 * g_im, 0.0)
         terms_im = np.where(keep, re2 * g_im + im2 * g_re, 0.0)
         for term_re, term_im in zip(terms_re, terms_im):
@@ -538,25 +554,17 @@ def uniqueness_support_check(state: StateFunctional, x: Point) -> dict:
     """
     if state.kind != KIND_EPR:
         raise ValueError("uniqueness support check applies to the epr state")
-    if len(x) != 4:
-        raise ValueError("expected a dimension-4 point")
+    value = eval_point(state, x)  # which checks the dimension
     a, b, c, d = x
-    value = eval_point(state, x)
     on_manifold = (c == -a) and (d == b)
-    if on_manifold:
-        expected = unit_phase(float(a) * state.lam + float(b) * state.mu)
-        deviation = abs(value - expected)
-        passed = deviation <= IDENTITY_TOL
-    else:
-        expected = 0j
-        deviation = abs(value)
-        passed = value == 0
+    expected = state.phase(a, b) if on_manifold else 0j
+    deviation = abs(value - expected)
     return {
         "on_manifold": on_manifold,
         "value": value,
         "expected": expected,
         "deviation": float(deviation),
-        "passed": passed,
+        "passed": deviation <= IDENTITY_TOL and (on_manifold or value == 0),
     }
 
 

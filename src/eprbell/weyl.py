@@ -12,9 +12,10 @@ dense polynomial subalgebra that every other module evaluates against.
 Support decisions (does a point vanish, do two points coincide) must be
 exact, so coordinates are exact rationals: a polynomial holds its points as
 Python ints over one common denominator, and hands them out as
-`fractions.Fraction`.  Coefficients and the transcendental phases
-exp{i s(x, y)} live in double precision; exactness is reserved for the
-rational support logic.
+`fractions.Fraction`.  Coefficients and the phases exp{i s(x, y)} are
+doubles; ``unit_phase(s, q)`` makes each phase from the exact angle s/q
+rounded to a double, so its absolute error is about |s/q| 2^-53, and
+false FAILs start at coordinates near 10^8.
 """
 
 from __future__ import annotations
@@ -149,10 +150,11 @@ def direct_sum_form(x: Point, y: Point) -> Fraction:
     return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) / 2
 
 
-def unit_phase(angle: Fraction | float) -> complex:
-    """exp(i*angle), returning an exact 1 when the angle is exactly zero."""
-    t = float(angle)
-    if t == 0.0:
+def unit_phase(s: int | Fraction | float, q: int = 1) -> complex:
+    """exp(i s/q) from the double nearest the exact ratio s/q, an exact 1
+    at a zero angle.  Its array form is ``states._phase``."""
+    t = s / q
+    if t == 0:
         return complex(1.0, 0.0)
     return cmath.rect(1.0, t)
 
@@ -328,11 +330,9 @@ def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
     """Product of two polynomials under W(x)W(y) = exp{i s(x,y)} W(x+y).
 
     Both factors are put over one denominator L, so each sum point is exact
-    integer addition and each form is an integer s over 2 L^2.  Python's int
-    division is correctly rounded, so ``s / (2 L^2)`` is the double that
-    ``float`` gives of the exact form.  Coefficients and phases accumulate
-    in double precision, p-major and q-minor.  Raises ``TermBudgetError``
-    when a factor or the pairwise expansion would exceed
+    integer addition and each form is an integer s over 2 L^2.  Coefficients
+    and phases accumulate in double precision, p-major and q-minor.  Raises
+    ``TermBudgetError`` when a factor or the pairwise expansion would exceed
     ``DEFAULT_TERM_CAP`` terms.
     """
     if p.dim != q.dim:
@@ -349,13 +349,13 @@ def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
             for (y0, y1), b in qs:
                 z = (x0 + y0, x1 + y1)
                 s = x0 * y1 - x1 * y0
-                acc[z] = acc.get(z, 0j) + a * b * unit_phase(s / two_l2)
+                acc[z] = acc.get(z, 0j) + a * b * unit_phase(s, two_l2)
     else:
         for (x0, x1, x2, x3), a in ps:
             for (y0, y1, y2, y3), b in qs:
                 z = (x0 + y0, x1 + y1, x2 + y2, x3 + y3)
                 s = x0 * y1 - x1 * y0 + x2 * y3 - x3 * y2
-                acc[z] = acc.get(z, 0j) + a * b * unit_phase(s / two_l2)
+                acc[z] = acc.get(z, 0j) + a * b * unit_phase(s, two_l2)
     return WeylPolynomial._raw(p.dim, den, acc)
 
 

@@ -5,12 +5,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eprbell.cli
 from conftest import report_body_json, report_from_json
 from eprbell.cli import CHECKS, Check, main
-from eprbell.states import IDENTITY_TOL, EquivalenceError
+from eprbell.states import IDENTITY_TOL, EquivalenceError, StateFunctional
 
 
 def _write(path, data):
@@ -540,19 +541,36 @@ class TestMalformedStateSpec:
             ({"lambda": "nan"}, "'lambda'"),
             ({"lambda": "inf"}, "'lambda'"),
             ({"mu": "-inf"}, "'mu'"),
+            # finite, but a*lambda + b*mu overflows where |a| or |b| >= 2
+            ({"lambda": 1e308}, "'lambda'"),
+            ({"lambda": -1e308}, "'lambda'"),
+            ({"mu": 1e308}, "'mu'"),
         ],
     )
     def test_exits_2_naming_file_and_field(
-        self, tmp_path, capsys, command, spec, names
+        self, tmp_path, capsys, monkeypatch, command, spec, names
     ):
         state = _write(tmp_path / "state.json", spec)
         pts = _write(
-            tmp_path / "pts.json", [["0", "0", "0", "0"], ["1", "0", "-1", "0"]]
+            tmp_path / "pts.json", [["0", "0", "0", "0"], ["2", "2", "-2", "2"]]
         )
+        finite, solve = [], np.linalg.eigvalsh
+
+        def eigvalsh(a, *args, **kwargs):
+            finite.append(bool(np.isfinite(a).all()))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         argv = ["psd", pts] if command == "psd" else ["verify-all"]
         assert main(argv + ["--state", state]) == 2
         err = capsys.readouterr().err
-        assert state in err and names in err
+        assert names in err and all(finite)
+        try:
+            StateFunctional.from_spec(spec)
+        except ValueError:  # the loader rejects the field, naming its file
+            assert state in err
+        else:  # the phase seam rejects the angle, naming the point
+            assert "at the point" in err
 
 
     @pytest.mark.parametrize("command", ["psd", "verify-all"])

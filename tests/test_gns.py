@@ -136,6 +136,8 @@ class TestFrameOracles:
         StateFunctional.epr(-0.5, -0.25),
         ([(0, 0, 0, 0), (1, 2, -1, 2)], WeylPolynomial.identity(4)),
     )
+    # a*lambda overflows only off the manifold, where eval_point is 0j
+    @example(StateFunctional.epr(1e308, 0.0), ([(0, 0, 0, 0), (2, 0, 0, 0)], WeylPolynomial.identity(4)))
     def test_match_product_engine(self, state, frame_and_poly):
         pts, p = frame_and_poly
         frame = _checked_frame(state, pts)

@@ -1,9 +1,11 @@
 """State functional: values, kernel positivity, support, uniqueness."""
 
+import ast
 import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from eprbell import (
     uniqueness_support_check,
     weyl_multiply,
 )
+import eprbell
 import eprbell.states
 from eprbell.weyl import direct_sum_form, lattice, unit_phase
 
@@ -930,3 +933,61 @@ class TestSpecRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             StateFunctional.from_spec({"kind": "thermal"})
+
+
+def _owned_nodes(module: str, owners: set[str]):
+    """Each AST node of ``eprbell.<module>`` with whether it lies inside a
+    function or class named in ``owners``."""
+    tree = ast.parse((Path(eprbell.__file__).parent / f"{module}.py").read_text())
+
+    def walk(node, inside):
+        for child in ast.iter_child_nodes(node):
+            owned = inside or (
+                isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name in owners
+            )
+            yield child, owned
+            yield from walk(child, owned)
+
+    return walk(tree, False)
+
+
+class TestPhaseSeam:
+    def test_phases_of_exact_data_are_made_only_at_the_seam(self):
+        """The form phase (weyl.unit_phase, states._phase) and the state's
+        phase (StateFunctional) are the only code that turns an angle into
+        cos/sin, so a change to how angles are reduced is made there."""
+        calls = {("np", "cos"), ("np", "sin"), ("cmath", "rect"), ("cmath", "exp")}
+        owners = {"unit_phase", "_phase", "StateFunctional"}
+        owned_calls = 0
+        for module in ("states", "gns", "bell", "weyl"):
+            for node, owned in _owned_nodes(module, owners):
+                func = node.func if isinstance(node, ast.Call) else None
+                if (
+                    isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and (func.value.id, func.attr) in calls
+                ):
+                    assert owned, f"{module}.py:{node.lineno} makes a phase"
+                    owned_calls += 1
+        assert owned_calls > 0  # the walk does reach the owners' calls
+
+    def test_lambda_and_mu_are_read_only_by_the_state(self):
+        modules = [p.stem for p in Path(eprbell.__file__).parent.glob("*.py")]
+        for module in modules:
+            for node, owned in _owned_nodes(module, {"StateFunctional"}):
+                if isinstance(node, ast.Attribute) and node.attr in ("lam", "mu"):
+                    assert owned, f"{module}.py:{node.lineno} reads .{node.attr}"
+
+    @pytest.mark.parametrize("lam, mu", [(1e308, 0.0), (0.0, -1e308), (1e308, 1e308)])
+    def test_both_forms_reject_an_overflowing_angle_alike(self, lam, mu):
+        state = StateFunctional.epr(lam, mu)
+        with pytest.raises(ValueError, match="'lambda'.*'mu'.*a = 2, b = 2") as scalar:
+            state.phase(4, 4, 2)
+        a = b = np.array([[0, 4], [-4, 0]])
+        with pytest.raises(ValueError) as array:
+            state.phases(a, b, 2)
+        assert str(array.value) == str(scalar.value)
+        with pytest.raises(ValueError, match="a = 2, b = 2"):
+            eval_point(state, point(2, 2, -2, 2))
+        with pytest.raises(ValueError, match="a = -2, b = -2"):
+            kernel_matrix(state, [point(0, 0, 0, 0), point(2, 2, -2, 2)])

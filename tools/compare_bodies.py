@@ -13,12 +13,19 @@ interpreter:
 - ``surrogate --dim m`` for every even m in 2..64;
 - ``psd`` on the 11 ``psd_batteries`` specs of ``perfbench/gen.py`` at
   seeds 0-2;
-- ``bell`` on the 160 searches of the perfbench Bell catalog.
+- ``bell`` on the 160 searches of the perfbench Bell catalog;
+- error cases: malformed files (bad JSON, a bad coordinate, duplicate
+  points, an unknown Bell config key), a ``lambda`` of nan or of 1e308,
+  and a coordinate of 10^400.
 
-A case matches when the exit codes are equal and the new body, with every
-object key the old body lacks removed, serializes byte for byte as the old
-body.  The script prints each added key path, with the cases it appears in,
-and every mismatch; it exits 1 on any mismatch.
+Each case keeps its exit code (or the type of an exception that escapes
+``main``), its report body and its stderr, with the temporary directory
+written as ``{tmp}`` and each warning as its category and message.  A case
+matches when the exit codes and stderr are equal and the new body, with
+every object key the old body lacks removed, serializes byte for byte as
+the old body.  The script prints each added key path, with the cases it
+appears in, and every mismatch with both stderrs; it exits 1 on any
+mismatch.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -64,11 +72,30 @@ def _cases() -> dict[str, tuple[dict, list[str]]]:
                 files = {"config": spec["config"], "state": spec["state"]}
                 argv = ["bell", "{config}", "--seed", str(seed), "--state", "{state}"]
                 cases[f"bell {spec['key']}"] = (files, argv)
+    psd = ["psd", "{points}", "--state", "{state}"]
+    epr = {"kind": "epr", "lambda": 0.3, "mu": 0.7}
+    wide = [["1", "2", "-1", "2"], ["3", "2", "-3", "2"], ["5", "1", "-5", "1"]]
+    huge = "1" + "0" * 400
+    cases["error bad json"] = ({"points": "[[", "state": epr}, psd)
+    cases["error bad coordinate"] = ({"points": [["1/0", "0", "0", "0"]], "state": epr}, psd)
+    cases["error duplicate points"] = ({"points": [wide[0], wide[0]], "state": epr}, psd)
+    cases["error huge coordinate"] = (
+        {"points": [[huge, "0", "-" + huge, "0"], ["0", "0", "0", "0"]], "state": epr}, psd)
+    for lam in ("nan", 1e308):
+        state = {**epr, "lambda": lam}
+        cases[f"error psd lambda {lam}"] = ({"points": wide, "state": state}, psd)
+        cases[f"error verify-all lambda {lam}"] = (
+            {"state": state}, ["verify-all", "--seed", "0", "--state", "{state}"])
+    config = {**gen.bell_spec(gen.BELL_ORBITS[0], 0, 0)["config"], "step": 1}
+    cases["error bell config key"] = (
+        {"config": config, "state": epr}, ["bell", "{config}", "--state", "{state}"])
     return cases
 
 
 def collect(out: str) -> None:
-    """Run every case with the eprbell on sys.path; write {case: [code, body]}."""
+    """Run every case with the eprbell on sys.path; write
+    {case: [code, body, stderr]}.  A file given as a string is written as
+    it is, any other as JSON."""
     from eprbell.cli import main
 
     results = {}
@@ -77,16 +104,23 @@ def collect(out: str) -> None:
             paths = {}
             for key, content in files.items():
                 paths[key] = Path(tmp) / f"{key}.json"
-                paths[key].write_text(json.dumps(content))
+                paths[key].write_text(content if isinstance(content, str) else json.dumps(content))
             report = Path(tmp) / "report.json"
             report.unlink(missing_ok=True)
             argv = [a.format(**paths) for a in argv] + ["--out", str(report)]
-            with contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except Exception as exc:  # recorded, not raised: a case's outcome
+                    code = f"raised {type(exc).__name__}"
+            stderr = err.getvalue() + "".join(
+                f"{w.category.__name__}: {w.message}\n" for w in seen)
             body = json.loads(report.read_text()) if report.exists() else None
             if body is not None:
                 del body["wall_clock_s"]
-            results[name] = [code, body]
+            results[name] = [code, body, stderr.replace(tmp, "{tmp}")]
     Path(out).write_text(json.dumps(results))
 
 
@@ -119,15 +153,17 @@ def main(old_src: str, new_src: str) -> int:
         new = _run(new_src, Path(tmp) / "new.json")
     added: dict[str, list[str]] = defaultdict(list)
     mismatches = []
-    for name, (old_code, old_body) in old.items():
-        new_code, new_body = new[name]
+    for name, (old_code, old_body, old_err) in old.items():
+        new_code, new_body, new_err = new[name]
         keys: set[str] = set()
         projected = _project(new_body, old_body, "", keys)
         for key in keys:
             added[key].append(name)
         same_body = json.dumps(projected, sort_keys=True) == json.dumps(old_body, sort_keys=True)
-        if new_code != old_code or not same_body:
-            mismatches.append(f"{name}: exit {old_code} -> {new_code}, body equal {same_body}")
+        if new_code != old_code or not same_body or new_err != old_err:
+            mismatches.append(
+                f"{name}: exit {old_code} -> {new_code}, body equal {same_body}"
+                f"\n  old stderr: {old_err!r}\n  new stderr: {new_err!r}")
     for key, names in sorted(added.items()):
         print(f"added {key}: {len(names)} cases, e.g. {names[0]}")
     for line in mismatches:
