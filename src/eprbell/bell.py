@@ -287,40 +287,34 @@ class _FastObjective:
     re-certified through the full polynomial engine, so the shortcut can
     only ever speed the search up, not change what gets reported.
 
-    A search point is scored once in full by ``start``; after that it
-    keeps the four slot vectors, the left products a_i @ w[(i, j)] and the
-    real parts of the four terms a_i @ w[(i, j)] @ b_j.  A parameter
-    belongs to one slot, so ``move`` re-derives only that slot's vector
-    and the products and terms that read it, and ``accept`` keeps them.
-    Every number is the same floating-point expression on the same operands
-    as a full evaluation, and the terms are summed in the same order, so
-    the value is bit for bit that of a full evaluation of the moved point.
+    Each slot keeps its unscaled coefficients, in support order, as one
+    interleaved float array (re, im, re, im, ...).  Parameter i writes
+    value * sign + 0.0 at its one or two (position, sign) pairs there: an
+    orbit {x, -x} takes a complex coefficient (two parameters, conjugated
+    on -x), the self-negating zero point one real parameter.  A slot's
+    vector is its array scaled down whenever its one-norm exceeds 1, so
+    every candidate built from it is a certified contraction.
+
+    ``start`` scores a point in full and keeps the four slot arrays and
+    vectors, the left products a_i @ w[(i, j)] and the real parts of the
+    four terms a_i @ w[(i, j)] @ b_j.  ``move`` writes one parameter into a
+    copy of its slot's array and re-derives only that slot's vector and
+    the products and terms that read it; ``accept`` keeps them.  Every
+    number is the same floating-point expression on the same operands as a
+    full evaluation, and the terms are summed in the same order, so the
+    value is bit for bit that of a full evaluation of the moved point.
     """
 
     def __init__(self, state: StateFunctional, cfg: SearchConfig):
         self.cfg = cfg
-        # slot s's vector, viewed as interleaved floats (re, im, re, im, ...),
-        # is padded[take[s]] * sign[s]; index -1 is the trailing 0.0 of padded,
-        # the imaginary part of the self-negating zero point
-        self.take, self.sign, self.slot_of = [], [], []
+        self.writes = []  # (slot, ((position, sign), ...)) per parameter
         for slot, support in enumerate(cfg.supports):
-            index = {x: i for i, x in enumerate(support)}
-            take = np.full(2 * len(support), -1, dtype=np.intp)
-            sign = np.ones(2 * len(support))
+            index = {x: 2 * i for i, x in enumerate(support)}
             for rep in _slot_orbits(support):
-                pos, first = index[rep], len(self.slot_of)
-                take[2 * pos] = first
-                if rep == negate(rep):
-                    self.slot_of.append(slot)
-                    continue
-                neg = index[negate(rep)]
-                take[2 * pos + 1] = first + 1
-                take[2 * neg : 2 * neg + 2] = first, first + 1
-                sign[2 * neg + 1] = -1.0
-                self.slot_of += [slot, slot]
-            self.take.append(take)
-            self.sign.append(sign)
-        self.n_params = len(self.slot_of)
+                pos, neg = index[rep], index[negate(rep)]
+                re, im = ((pos, 1.0), (neg, 1.0)), ((pos + 1, 1.0), (neg + 1, -1.0))
+                self.writes += [(slot, re[:1])] if pos == neg else [(slot, re), (slot, im)]
+        self.n_params = len(self.writes)
         self.weights = []
         for i, j in _PAIRS:
             w = np.empty((len(cfg.supports[i]), len(cfg.supports[j])), complex)
@@ -329,27 +323,27 @@ class _FastObjective:
                     w[r, c] = eval_point(state, (x[0], x[1], y[0], y[1]))
             self.weights.append(w)
 
-    def slot_coeffs(self, slot: int, padded: np.ndarray) -> np.ndarray:
-        """Self-adjoint contraction coefficients of one slot, in support order.
+    @staticmethod
+    def _write(flat: np.ndarray, pairs, value: float):
+        for pos, sign in pairs:
+            flat[pos] = value * sign + 0.0  # -0.0 becomes +0.0
 
-        ``padded`` holds every parameter followed by one 0.0.  Orbit {x, -x}
-        takes a complex coefficient (two parameters, conjugated on -x); the
-        self-negating zero point takes one real parameter.  The vector is
-        scaled down whenever its one-norm exceeds 1, so every candidate
-        built from it is a certified contraction.
-        """
-        flat = padded[self.take[slot]] * self.sign[slot]
-        flat += 0.0  # -0.0 becomes +0.0, as when adding into a zero vector
+    def _flats(self, params) -> list[np.ndarray]:
+        """The four unscaled slot arrays of ``params``, each a new array."""
+        flats = [np.zeros(2 * len(support)) for support in self.cfg.supports]
+        for (slot, pairs), value in zip(self.writes, params):
+            self._write(flats[slot], pairs, value)
+        return flats
+
+    @staticmethod
+    def _scaled(flat: np.ndarray) -> np.ndarray:
         coeffs = flat.view(complex)
         norm = float(np.add.reduce(np.abs(coeffs)))
-        if norm > 1.0:
-            coeffs = coeffs * (1.0 / norm)
-        return coeffs
+        return coeffs * (1.0 / norm) if norm > 1.0 else coeffs
 
     def vectors(self, params) -> list[np.ndarray]:
         """The four slot coefficient vectors, each in support order."""
-        padded = np.array([*params, 0.0])
-        return [self.slot_coeffs(slot, padded) for slot in range(4)]
+        return [self._scaled(flat) for flat in self._flats(params)]
 
     def candidate(self, params) -> BellCandidate:
         """The candidate whose coefficient vectors the search scores."""
@@ -366,8 +360,8 @@ class _FastObjective:
 
     def start(self, params) -> float:
         """Score ``params`` in full and make it the current point."""
-        self.padded = np.array([*params, 0.0])
-        self.vecs = [self.slot_coeffs(slot, self.padded) for slot in range(4)]
+        self.flats = self._flats(params)
+        self.vecs = [self._scaled(flat) for flat in self.flats]
         self.left = [self.vecs[i] @ w for (i, _), w in zip(_PAIRS, self.weights)]
         self.terms = [
             float((left @ self.vecs[j]).real) for left, (_, j) in zip(self.left, _PAIRS)
@@ -379,11 +373,10 @@ class _FastObjective:
 
         The current point stays as it is until ``accept`` is called.
         """
-        slot = self.slot_of[i]
-        old = self.padded[i]
-        self.padded[i] = value
-        vec = self.slot_coeffs(slot, self.padded)
-        self.padded[i] = old
+        slot, pairs = self.writes[i]
+        flat = self.flats[slot].copy()
+        self._write(flat, pairs, value)
+        vec = self._scaled(flat)
         left, terms = list(self.left), list(self.terms)
         for k, (a, b) in enumerate(_PAIRS):
             if slot == a:
@@ -391,14 +384,12 @@ class _FastObjective:
                 terms[k] = float((left[k] @ self.vecs[b]).real)
             elif slot == b:
                 terms[k] = float((left[k] @ vec).real)
-        self.pending = (i, value, slot, vec, left, terms)
+        self.pending = (slot, flat, vec, left, terms)
         return self._value(terms)
 
     def accept(self):
         """Make the last point scored by ``move`` the current point."""
-        i, value, slot, vec, self.left, self.terms = self.pending
-        self.padded[i] = value
-        self.vecs[slot] = vec
+        slot, self.flats[slot], self.vecs[slot], self.left, self.terms = self.pending
 
 
 def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:

@@ -450,6 +450,10 @@ class TestIncrementalObjective:
             trial[i] += delta
             value = fast.move(i, trial[i])
             assert value.hex() == _objective_reference(weights, cfg, trial).hex()
+            # scoring an unrelated point leaves the current and pending points alone
+            other = [0.5 - p for p in trial]
+            fast.vectors(other)
+            fast.candidate(other)
             if keep:
                 fast.accept()
                 params = trial
