@@ -549,15 +549,18 @@ def _max_hypot(x: np.ndarray, y: np.ndarray) -> float:
 def uniqueness_support_check(state: StateFunctional, x: Point) -> dict:
     """The exact value trichotomy on a single generator.
 
-    Off the manifold {c = -a, d = b} the value must be an exact zero; on it
-    the value must be exp{i(a*lambda + b*mu)} within IDENTITY_TOL.
+    Off the manifold {c = -a, d = b} the value must be an exact zero; on it,
+    within IDENTITY_TOL, the product of the values the defining families
+    fix: omega(W(a,0) x W(-a,0)) = e^{i a lambda}, omega(W(0,b) x W(0,b)) = e^{i b mu}.
     """
     if state.kind != KIND_EPR:
         raise ValueError("uniqueness support check applies to the epr state")
     value = eval_point(state, x)  # which checks the dimension
     a, b, c, d = x
     on_manifold = (c == -a) and (d == b)
-    expected = state.phase(a, b) if on_manifold else 0j
+    expected = 0j
+    if on_manifold:
+        expected = eval_point(state, (a, 0, -a, 0)) * eval_point(state, (0, b, 0, b))
     deviation = abs(value - expected)
     return {
         "on_manifold": on_manifold,

@@ -832,6 +832,18 @@ class TestUniqueness:
         expected = complex(math.cos(0.6 - 1.5), math.sin(0.6 - 1.5))
         assert abs(res["value"] - expected) <= 1e-12
 
+    def test_fails_on_a_phase_not_fixed_by_the_defining_families(self, monkeypatch):
+        """The on-manifold value is checked against the two defining families,
+        so a state phase that is not additive in (a, b) fails."""
+        angle = StateFunctional.angle
+        monkeypatch.setattr(
+            StateFunctional, "angle",
+            lambda self, a, b, den=1: angle(self, a, b, den) + 0.01 * (a / den) * (b / den),
+        )
+        res = uniqueness_support_check(StateFunctional.epr(0.6, -1.5), point(1, 1, -1, 1))
+        assert res["on_manifold"] and not res["passed"]
+        assert res["deviation"] > 1e-3
+
     def test_momentum_mismatch(self):
         res = uniqueness_support_check(StateFunctional.epr(), point(1, 1, -1, 2))
         assert res["passed"] and res["value"] == 0j
