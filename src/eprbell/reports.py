@@ -55,11 +55,8 @@ def build_report(
     )
 
 
-def report_to_dict(report: VerificationReport, include_timings: bool = True) -> dict:
-    data = asdict(report)
-    if not include_timings:
-        data.pop("wall_clock_s")
-    return data
+def report_to_dict(report: VerificationReport) -> dict:
+    return asdict(report)
 
 
 def report_to_json(report: VerificationReport) -> str:

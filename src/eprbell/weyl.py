@@ -287,12 +287,9 @@ class WeylPolynomial:
             {p: c * complex(other) for p, c in self._terms.items()},
         )
 
-    def __rmul__(self, other) -> "WeylPolynomial":
-        return WeylPolynomial._raw(
-            self._dim,
-            self._den,
-            {p: complex(other) * c for p, c in self._terms.items()},
-        )
+    # called only when the left operand is not a polynomial, and a complex
+    # product has the same bits in either order
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         if not self._terms:

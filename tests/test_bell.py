@@ -346,7 +346,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _reference_vectors(cfg, params) -> list:
-    """The slot vectors built orbit by orbit: the reference for slot_coeffs."""
+    """The slot vectors built orbit by orbit: the reference for _FastObjective.vectors."""
     vecs, i = [], 0
     for support in cfg.supports:
         index = {x: k for k, x in enumerate(support)}
