@@ -23,7 +23,6 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -244,19 +243,6 @@ class SearchResult:
     certify_s: float = field(default=0.0, compare=False)
 
 
-def _slot_orbits(support: Sequence[Point]) -> list[Point]:
-    """One representative per {x, -x} orbit, in support order."""
-    reps: list[Point] = []
-    seen: set[Point] = set()
-    for x in support:
-        if x in seen:
-            continue
-        seen.add(x)
-        seen.add(negate(x))
-        reps.append(x)
-    return reps
-
-
 def _candidate_order_key(candidate: BellCandidate):
     """Total order used for deterministic tie-breaking.
 
@@ -295,33 +281,40 @@ class _FastObjective:
     vector is its array scaled down whenever its one-norm exceeds 1, so
     every candidate built from it is a certified contraction.
 
-    ``start`` scores a point in full and keeps the four slot arrays and
-    vectors, the left products a_i @ w[(i, j)] and the real parts of the
-    four terms a_i @ w[(i, j)] @ b_j.  ``move`` writes one parameter into a
-    copy of its slot's array and re-derives only that slot's vector and
-    the products and terms that read it; ``accept`` keeps them.  Every
-    number is the same floating-point expression on the same operands as a
-    full evaluation, and the terms are summed in the same order, so the
-    value is bit for bit that of a full evaluation of the moved point.
+    ``start`` scores a point in full and keeps the slot arrays and vectors,
+    the left products a_i.dot(w[(i, j)]), with one weight array per distinct
+    pair of supports, and the real parts of the terms a_i.dot(w[(i, j)]).dot(b_j).
+    ``move`` writes one parameter into a copy of its slot's array and
+    re-derives what its plan lists: the slot's vector, one left product per
+    distinct weight array and the terms that read the slot; ``accept`` keeps
+    them.  Every number is the same floating-point expression on the same
+    operands as a full evaluation (``ndarray.dot`` makes the BLAS calls of
+    ``@``), summed in the same order, so the value is bit for bit that of a
+    full evaluation of the moved point.
     """
 
     def __init__(self, state: StateFunctional, cfg: SearchConfig):
-        self.cfg = cfg
-        self.writes = []  # (slot, ((position, sign), ...)) per parameter
-        for slot, support in enumerate(cfg.supports):
+        self.cfg, sup = cfg, cfg.supports
+        weights = {}  # one array per distinct (left support, right support)
+        for key in dict.fromkeys((sup[i], sup[j]) for i, j in _PAIRS):
+            weights[key] = w = np.empty((len(key[0]), len(key[1])), complex)
+            for r, x in enumerate(key[0]):
+                for c, y in enumerate(key[1]):
+                    w[r, c] = eval_point(state, (x[0], x[1], y[0], y[1]))
+        self.weights = [weights[sup[i], sup[j]] for i, j in _PAIRS]
+        # per slot: ({right support: (weight, [(pair, right slot)])}, [pairs it is right of])
+        roles = [({}, [k for k, (_, j) in enumerate(_PAIRS) if j == s]) for s in range(4)]
+        for k, (i, j) in enumerate(_PAIRS):
+            roles[i][0].setdefault(sup[j], (self.weights[k], []))[1].append((k, j))
+        self.plan = []  # (slot, ((position, sign), ...), lefts, rights) per parameter
+        for slot, support in enumerate(sup):
             index = {x: 2 * i for i, x in enumerate(support)}
-            for rep in _slot_orbits(support):
+            for rep in (x for x in support if index[x] <= index[negate(x)]):
                 pos, neg = index[rep], index[negate(rep)]
                 re, im = ((pos, 1.0), (neg, 1.0)), ((pos + 1, 1.0), (neg + 1, -1.0))
-                self.writes += [(slot, re[:1])] if pos == neg else [(slot, re), (slot, im)]
-        self.n_params = len(self.writes)
-        self.weights = []
-        for i, j in _PAIRS:
-            w = np.empty((len(cfg.supports[i]), len(cfg.supports[j])), complex)
-            for r, x in enumerate(cfg.supports[i]):
-                for c, y in enumerate(cfg.supports[j]):
-                    w[r, c] = eval_point(state, (x[0], x[1], y[0], y[1]))
-            self.weights.append(w)
+                for pairs in [re[:1]] if pos == neg else [re, im]:
+                    self.plan.append((slot, pairs, roles[slot][0].values(), roles[slot][1]))
+        self.n_params = len(self.plan)
 
     @staticmethod
     def _write(flat: np.ndarray, pairs, value: float):
@@ -331,7 +324,7 @@ class _FastObjective:
     def _flats(self, params) -> list[np.ndarray]:
         """The four unscaled slot arrays of ``params``, each a new array."""
         flats = [np.zeros(2 * len(support)) for support in self.cfg.supports]
-        for (slot, pairs), value in zip(self.writes, params):
+        for (slot, pairs, *_), value in zip(self.plan, params):
             self._write(flats[slot], pairs, value)
         return flats
 
@@ -362,9 +355,9 @@ class _FastObjective:
         """Score ``params`` in full and make it the current point."""
         self.flats = self._flats(params)
         self.vecs = [self._scaled(flat) for flat in self.flats]
-        self.left = [self.vecs[i] @ w for (i, _), w in zip(_PAIRS, self.weights)]
+        self.left = [self.vecs[i].dot(w) for (i, _), w in zip(_PAIRS, self.weights)]
         self.terms = [
-            float((left @ self.vecs[j]).real) for left, (_, j) in zip(self.left, _PAIRS)
+            float(left.dot(self.vecs[j]).real) for left, (_, j) in zip(self.left, _PAIRS)
         ]
         return self._value(self.terms)
 
@@ -373,23 +366,25 @@ class _FastObjective:
 
         The current point stays as it is until ``accept`` is called.
         """
-        slot, pairs = self.writes[i]
+        slot, pairs, lefts, rights = self.plan[i]
         flat = self.flats[slot].copy()
         self._write(flat, pairs, value)
         vec = self._scaled(flat)
-        left, terms = list(self.left), list(self.terms)
-        for k, (a, b) in enumerate(_PAIRS):
-            if slot == a:
-                left[k] = vec @ self.weights[k]
-                terms[k] = float((left[k] @ self.vecs[b]).real)
-            elif slot == b:
-                terms[k] = float((left[k] @ vec).real)
-        self.pending = (slot, flat, vec, left, terms)
+        terms, products = self.terms.copy(), [(vec.dot(w), uses) for w, uses in lefts]
+        for left, uses in products:
+            for k, j in uses:
+                terms[k] = float(left.dot(self.vecs[j]).real)
+        for k in rights:
+            terms[k] = float(self.left[k].dot(vec).real)
+        self.pending = (slot, flat, vec, products, terms)
         return self._value(terms)
 
     def accept(self):
         """Make the last point scored by ``move`` the current point."""
-        slot, self.flats[slot], self.vecs[slot], self.left, self.terms = self.pending
+        slot, self.flats[slot], self.vecs[slot], products, self.terms = self.pending
+        for left, uses in products:
+            for k, _ in uses:
+                self.left[k] = left
 
 
 def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:

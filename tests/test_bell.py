@@ -33,7 +33,7 @@ from eprbell import (
     weyl_double,
     weyl_multiply,
 )
-from eprbell.bell import _candidate_order_key, _FastObjective, _slot_orbits
+from eprbell.bell import _candidate_order_key, _FastObjective
 from eprbell.states import eval_point
 from eprbell.weyl import negate
 
@@ -346,12 +346,17 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _reference_vectors(cfg, params) -> list:
-    """The slot vectors built orbit by orbit: the reference for _FastObjective.vectors."""
+    """The slot vectors built orbit by orbit, each orbit {x, -x} at the first
+    of its points in the support: the reference for _FastObjective.vectors."""
     vecs, i = [], 0
     for support in cfg.supports:
         index = {x: k for k, x in enumerate(support)}
         coeffs = np.zeros(len(support), dtype=complex)
-        for rep in _slot_orbits(support):
+        seen = set()
+        for rep in support:
+            if rep in seen:
+                continue
+            seen |= {rep, negate(rep)}
             if rep == negate(rep):
                 coeffs[index[rep]] += params[i]
                 i += 1
@@ -402,11 +407,15 @@ def _searches(draw):
 
     Each move is (parameter, step, accepted).  Start points scaled by 1/16
     keep every slot's one-norm below 1 until steps of 0.5 push it over, so
-    moves both skip and trigger the rescale.
+    moves both skip and trigger the rescale.  Some configurations are shaped
+    like the catalog's, a1 and a2 on one support and b1 and b2 on another, so
+    that all four pairs share one weight matrix; the others draw each slot's
+    support on its own.
     """
     state = StateFunctional.epr(draw(st.floats(-3, 3)), draw(st.floats(-3, 3)))
+    catalog_shaped = draw(st.booleans())
     supports = []
-    for _ in range(4):
+    for _ in range(2 if catalog_shaped else 4):
         reps = []
         for x in draw(st.lists(st.tuples(_COORD, _COORD), max_size=4)):
             if any(x) and x not in reps and negate(x) not in reps:
@@ -415,6 +424,8 @@ def _searches(draw):
         if draw(st.booleans()) or not support:
             support.append((Fraction(0), Fraction(0)))
         supports.append(tuple(draw(st.permutations(support))))
+    if catalog_shaped:
+        supports = [supports[0]] * 2 + [supports[1]] * 2
     cfg = SearchConfig(supports=tuple(supports))
     # two real parameters per orbit {x, -x}, one for the zero point
     n_params = sum(len(support) for support in supports)
@@ -437,6 +448,15 @@ class TestIncrementalObjective:
         SearchConfig(supports=((point(0, 0),),) * 4),
         [0.75, -0.25, 0.5, 1.0],
         [(0, 0.5, True), (2, -0.5, False), (3, -0.25, True), (0, -1.5, True)],
+    ))
+    @example((  # catalog-shaped: one left product serves both pairs of a slot
+        StateFunctional.epr(-0.7, 0.45),
+        SearchConfig(supports=((point(1, 2), point(-1, -2), point(0, 0)),) * 2
+                     + ((point(-1, 2), point(1, -2), point("1/3", 1), point("-1/3", -1)),) * 2),
+        [0.0625, -0.125, 0.25, 0.5, -0.0625, 0.125, -0.25, -0.5, 0.375, 0.1875,
+         -0.375, 0.0625, 0.25, -0.125],
+        [(0, 0.5, True), (4, -0.25, True), (7, 0.5, False), (11, 0.5, True),
+         (3, -0.5, True), (9, 0.25, True), (1, 0.5, True), (13, -0.25, True)],
     ))
     def test_moves_match_full_evaluation(self, search):
         state, cfg, params, moves = search
