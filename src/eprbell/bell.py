@@ -213,13 +213,18 @@ class SearchConfig:
     @classmethod
     def from_spec(cls, spec: dict) -> "SearchConfig":
         """The configuration a JSON spec describes; keys are the field names,
-        and a key that is not one is rejected, naming it."""
+        and an unknown key, or a missing or malformed ``supports``, is named."""
+        if not isinstance(spec, dict):
+            raise ValueError(f"a search config must be a JSON object, not {type(spec).__name__}")
         unknown = set(spec) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown search config key(s) {sorted(unknown)}")
+        slots = spec.get("supports")
+        if not isinstance(slots, list) or not all(isinstance(slot, list) for slot in slots):
+            problem = "must be a list of lists of points" if "supports" in spec else "is missing"
+            raise ValueError(f"search config key 'supports' {problem}")
         supports = tuple(
-            tuple(parse_points(slot, f"support {s} point"))
-            for s, slot in enumerate(spec["supports"])
+            tuple(parse_points(slot, f"support {s} point")) for s, slot in enumerate(slots)
         )
         return cls(**{**spec, "supports": supports})
 

@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -532,8 +532,8 @@ def cmd_psd(args) -> int:
 
 def cmd_bell(args) -> int:
     state, state_spec = _load_state(args.state)
-    seed = {} if args.seed is None else {"seed": args.seed}
-    cfg = _load(args.config, lambda spec: SearchConfig.from_spec({**spec, **seed}))
+    cfg = _load(args.config, SearchConfig.from_spec)
+    cfg = cfg if args.seed is None else replace(cfg, seed=args.seed)
     start = time.perf_counter()
     result = optimize_bell(state, cfg)
     timings = {

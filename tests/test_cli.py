@@ -340,6 +340,41 @@ class TestBell:
         err = capsys.readouterr().err
         assert path in err and f"'{key}'" in err
 
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([], "a search config must be a JSON object, not list"),
+            ("supports", "a search config must be a JSON object, not str"),
+            ({}, "search config key 'supports' is missing"),
+            ({"restarts": 2}, "search config key 'supports' is missing"),
+            ({"supports": 5}, "search config key 'supports' must be a list of lists of points"),
+            ({"supports": None}, "search config key 'supports' must be a list of lists of points"),
+            ({"supports": "abcd"}, "search config key 'supports' must be a list of lists of points"),
+            ({"supports": [5] * 4}, "search config key 'supports' must be a list of lists of points"),
+            ({"supports": [["0", "0"]] * 4}, "support 0 point 0: a point is an array of coordinates, not '0'"),
+            ({"supports": [[5]] * 4}, "support 0 point 0: a point is an array of coordinates, not 5"),
+            ({"supports": [[["0", "0"]]] * 4, "steps": 1}, "unknown search config key(s) ['steps']"),
+        ],
+    )
+    def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, spec, message, seed):
+        path = _write(tmp_path / "c.json", spec)
+        assert main(["bell", path, *seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
+
+    def test_seed_flag_replaces_the_file_seed(self, tmp_path, capsys):
+        cfg = json.loads(open(_family_config(tmp_path)).read())
+        out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+        assert main(["bell", _write(tmp_path / "a.json", dict(cfg, seed=5)),
+                     "--seed", "3", "--out", out1]) == 0
+        assert main(["bell", _write(tmp_path / "b.json", dict(cfg, seed=3)), "--out", out2]) == 0
+        r1, r2 = (report_from_json(open(out).read()).checks[0] for out in (out1, out2))
+        assert (r1.inputs_digest, r1.measured) == (r2.inputs_digest, r2.measured)
+        # the file is read whole before --seed replaces its seed
+        assert main(["bell", _write(tmp_path / "c.json", dict(cfg, seed="7")), "--seed", "3"]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field, raw",
         [
