@@ -321,16 +321,12 @@ class _FastObjective:
                     self.plan.append((slot, pairs, roles[slot][0].values(), roles[slot][1]))
         self.n_params = len(self.plan)
 
-    @staticmethod
-    def _write(flat: np.ndarray, pairs, value: float):
-        for pos, sign in pairs:
-            flat[pos] = value * sign + 0.0  # -0.0 becomes +0.0
-
     def _flats(self, params) -> list[np.ndarray]:
         """The four unscaled slot arrays of ``params``, each a new array."""
         flats = [np.zeros(2 * len(support)) for support in self.cfg.supports]
         for (slot, pairs, *_), value in zip(self.plan, params):
-            self._write(flats[slot], pairs, value)
+            for pos, sign in pairs:
+                flats[slot][pos] = value * sign + 0.0  # -0.0 becomes +0.0
         return flats
 
     @staticmethod
@@ -352,10 +348,6 @@ class _FastObjective:
             )
         )
 
-    @staticmethod
-    def _value(terms) -> float:
-        return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])
-
     def start(self, params) -> float:
         """Score ``params`` in full and make it the current point."""
         self.flats = self._flats(params)
@@ -364,7 +356,7 @@ class _FastObjective:
         self.terms = [
             float(left.dot(self.vecs[j]).real) for left, (_, j) in zip(self.left, _PAIRS)
         ]
-        return self._value(self.terms)
+        return 0.5 * (self.terms[0] + self.terms[1] + self.terms[2] - self.terms[3])
 
     def move(self, i: int, value: float) -> float:
         """Score the current point with parameter ``i`` set to ``value``.
@@ -373,16 +365,19 @@ class _FastObjective:
         """
         slot, pairs, lefts, rights = self.plan[i]
         flat = self.flats[slot].copy()
-        self._write(flat, pairs, value)
+        for pos, sign in pairs:  # as _flats writes them
+            flat[pos] = value * sign + 0.0
         vec = self._scaled(flat)
-        terms, products = self.terms.copy(), [(vec.dot(w), uses) for w, uses in lefts]
-        for left, uses in products:
+        terms, products = self.terms.copy(), []
+        for w, uses in lefts:
+            left = vec.dot(w)
+            products.append((left, uses))
             for k, j in uses:
                 terms[k] = float(left.dot(self.vecs[j]).real)
         for k in rights:
             terms[k] = float(self.left[k].dot(vec).real)
         self.pending = (slot, flat, vec, products, terms)
-        return self._value(terms)
+        return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])  # as start sums them
 
     def accept(self):
         """Make the last point scored by ``move`` the current point."""
