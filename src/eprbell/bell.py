@@ -190,19 +190,22 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        key = "search config key 'supports'"
         if len(self.supports) != 4:
-            raise ValueError("expected one support per candidate slot (4)")
-        for support in self.supports:
+            raise ValueError(f"{key} must hold one support per candidate slot (4),"
+                             f" got {len(self.supports)}")
+        for s, support in enumerate(self.supports):
             pts = list(support)
             if len(set(pts)) != len(pts):
-                raise ValueError("support points must be distinct")
-            for x in pts:
+                raise ValueError(f"{key}: support {s} points must be distinct,"
+                                 f" got {len(set(pts))} distinct of {len(pts)}")
+            for i, x in enumerate(pts):
                 if len(x) != 2:
-                    raise ValueError("support points must have dimension 2")
+                    raise ValueError(f"{key}: support {s} point {i} must have dimension 2,"
+                                     f" got {len(x)}")
                 if negate(x) not in pts:
-                    raise ValueError(
-                        "supports must be closed under negation"
-                    )
+                    raise ValueError(f"{key}: support {s} must be closed under negation,"
+                                     f" but lacks the negative of point {i}")
         for name in ("restarts", "max_iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

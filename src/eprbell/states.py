@@ -177,10 +177,9 @@ def eval_poly(state: StateFunctional, p: WeylPolynomial) -> complex:
     return sum((c * eval_point(state, x, den) for x, c in items), 0j)
 
 
-#: Rows of a kernel block computed at once, and entries of one kernel pass:
-#: a Python-int lattice holds objects, not doubles, in each temporary.
-_ROW_CHUNK = 32
-_KERNEL_PASS_ENTRIES = _ROW_CHUNK**2
+#: Pairs of one kernel pass: a Python-int lattice holds objects, not
+#: doubles, in each temporary.
+_KERNEL_PASS_ENTRIES = 2**10
 
 #: Entries of one stacked pass of the spectrum, cocycle and compression.
 _PASS_ENTRIES = 2**14
@@ -213,14 +212,14 @@ def kernel_matrix(
     matrix is guaranteed non-PSD whatever the points.
 
     ``points`` hold exact rationals or, with ``den``, ints over that common
-    denominator, as ``weyl.lattice`` and ``weyl.parse_lattice`` give them;
-    ``_kernel_block`` computes the entries.  For the epr state only entries
-    within a class of the invariant (a+c, b-d) are computed, and all others
-    are exact zeros, so M is block diagonal up to a permutation of its
-    indices.  The regular state is one class of every point.  The classes of
-    one size are stacked and computed together, a bounded pass at a time;
-    each entry is computed on its own, so the stacking leaves every bit as
-    it is.
+    denominator, as ``weyl.lattice`` and ``weyl.parse_lattice`` give them.
+    For the epr state only entries within a class of the invariant
+    (a+c, b-d) are computed, and all others are exact zeros, so M is block
+    diagonal up to a permutation of its indices.  The regular state is one
+    class of every point.  The pairs j <= k of the classes of one size are
+    stacked and computed together, a bounded pass at a time, and
+    ``_kernel_entries`` gives each entry with its mirror (k, j); each entry
+    is computed on its own, so the stacking leaves every bit as it is.
     """
     if den is None:
         # one denominator for all, so the lattice points are distinct
@@ -239,39 +238,20 @@ def kernel_matrix(
     if state.kind == KIND_EPR:
         classes: dict[tuple[int, int], int] = {}
         label = [classes.setdefault((a + c, b - d), len(classes)) for a, b, c, d in points]
-        gauss = None
     else:
         label = [0] * n
-        gauss = _gaussian_table(state, coords, den)
     m = np.zeros((n, n), dtype=complex)
-    for cols in _by_size(np.array(label)):
-        size = cols.shape[1]
-        for start in range(0, size, _ROW_CHUNK):
-            rows = cols[:, start : start + _ROW_CHUNK]
-            for t in _passes(len(cols), rows.shape[1] * size, _KERNEL_PASS_ENTRIES):
-                block = rows[t, :, None], cols[t, None, :]
-                m.real[block], m.imag[block] = _kernel_block(
-                    state, coords[rows[t]], coords[cols[t]], den,
-                    None if gauss is None else gauss[block],
-                )
+    for cls in _by_size(np.array(label)):
+        j, k = np.triu_indices(cls.shape[1])
+        rows, cols = cls[:, j].ravel(), cls[:, k].ravel()
+        for t in _passes(len(rows), 1, _KERNEL_PASS_ENTRIES):
+            r, c = rows[t], cols[t]
+            m.real[r, c], m.imag[r, c], m.real[c, r], m.imag[c, r] = _kernel_entries(
+                state, coords[r], coords[c], den
+            )
     if state.corrupt_kernel:
         m[n - 1, n - 1] -= 1.5
     return m
-
-
-def _gaussian_table(state: StateFunctional, coords: np.ndarray, scale: int) -> np.ndarray:
-    """The regular state's factor at x_j - x_k for every pair of the scaled
-    integer points, as _state_factor gives it, taken on the upper triangle
-    and mirrored: x_k - x_j is the exact negative, of the same factor."""
-    n = len(coords)
-    j, k = np.triu_indices(n)
-    upper = np.empty(len(j))
-    for t in _passes(len(j), 1, _PASS_ENTRIES):
-        diffs = [coords[j[t], i] - coords[k[t], i] for i in range(4)]
-        upper[t] = _state_factor(state, diffs, scale)[0]
-    table = np.empty((n, n))
-    table[j, k] = table[k, j] = upper
-    return table
 
 
 def _lattice_array(ints: list[tuple[int, ...]], big: int, scale: int) -> np.ndarray:
@@ -283,27 +263,30 @@ def _lattice_array(ints: list[tuple[int, ...]], big: int, scale: int) -> np.ndar
     return np.array(ints, dtype=np.int64 if fits else object)
 
 
-def _kernel_block(
-    state: StateFunctional, x: np.ndarray, y: np.ndarray, scale: int, gauss=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of M over rows x and columns y of scaled
-    integer coordinates, stacked (..., rows, 4) and (..., columns, 4):
-    eval_point of each exact difference times unit_phase of the exact form,
-    the complex product written out over real and imaginary parts as
-    Python's complex * does.  ``gauss`` is the regular state's real factor
-    over the block, when the caller has it."""
+def _kernel_entries(
+    state: StateFunctional, x: np.ndarray, y: np.ndarray, scale: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Real and imaginary parts of M at rows x and columns y of scaled
+    integer coordinates, broadcastable (..., 4) arrays, then of its mirror
+    at (y, x): eval_point of each exact difference times unit_phase of the
+    exact form, the complex product written out over real and imaginary
+    parts as Python's complex * does.
+
+    The mirror's difference and form are the exact negatives, so its angles
+    are too, but for a zero's sign, which the product absorbs; as numpy's
+    cos and sin are even and odd, the mirror is the same product of
+    (g_re, 0.0 - g_im) and (p_re, 0.0 - p_im), not the conjugate, whose
+    zeros' signs differ where the product underflows."""
     # exp{-i s(x, y)} is the unit_phase of s(y, x)
-    p_re, p_im = _phase(_form(y[..., None, :, :], x[..., :, None, :]), 2 * scale * scale)
-    if gauss is None:
-        diffs = [x[..., :, None, i] - y[..., None, :, i] for i in range(4)]
-        g_re, g_im = _state_factor(state, diffs, scale)
-    else:
-        g_re, g_im = gauss, np.zeros(gauss.shape)
+    p_re, p_im = _phase(_form(y, x), 2 * scale * scale)
+    g_re, g_im = _state_factor(state, [x[..., i] - y[..., i] for i in range(4)], scale)
     # an underflowed Gaussian factor gives an exact zero entry
     zero = (g_re == 0.0) & (g_im == 0.0)
-    re = np.where(zero, 0.0, g_re * p_re - g_im * p_im)
-    im = np.where(zero, 0.0, g_re * p_im + g_im * p_re)
-    return re, im
+    parts = []
+    for gi, pi in ((g_im, p_im), (0.0 - g_im, 0.0 - p_im)):
+        parts.append(np.where(zero, 0.0, g_re * p_re - gi * pi))
+        parts.append(np.where(zero, 0.0, g_re * pi + gi * p_re))
+    return tuple(parts)
 
 
 def _form(x: np.ndarray, y: np.ndarray) -> np.ndarray:

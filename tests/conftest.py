@@ -4,35 +4,19 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 
 import numpy as np
 
 from eprbell import WeylPolynomial
+from eprbell.cli import _distinct_points as distinct_points
+from eprbell.cli import _rand_fraction as rand_fraction
+from eprbell.cli import _rand_point as rand_point
 from eprbell.reports import CheckRecord, VerificationReport, report_to_dict
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shapes and equal bits, so -0.0 differs from 0.0 and NaNs compare."""
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-def rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
-
-
-def rand_point(rng: random.Random, dim: int) -> tuple:
-    return tuple(rand_fraction(rng) for _ in range(dim))
-
-
-def distinct_points(rng: random.Random, n: int, dim: int) -> list:
-    pts, seen = [], set()
-    while len(pts) < n:
-        p = rand_point(rng, dim)
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
-    return pts
 
 
 def rand_poly(rng: random.Random, dim: int, max_terms: int = 4) -> WeylPolynomial:

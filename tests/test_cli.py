@@ -355,6 +355,18 @@ class TestBell:
             ({"supports": [["0", "0"]] * 4}, "support 0 point 0: a point is an array of coordinates, not '0'"),
             ({"supports": [[5]] * 4}, "support 0 point 0: a point is an array of coordinates, not 5"),
             ({"supports": [[["0", "0"]]] * 4, "steps": 1}, "unknown search config key(s) ['steps']"),
+            ({"supports": [[["0", "0"]]]},
+             "search config key 'supports' must hold one support per candidate slot (4), got 1"),
+            ({"supports": [[["0", "0"]]] * 5},
+             "search config key 'supports' must hold one support per candidate slot (4), got 5"),
+            ({"supports": [[["0", "0"]]] * 3 + [[["1", "0"], ["-1", "0"], ["2/2", "0"]]]},
+             "search config key 'supports': support 3 points must be distinct, got 2 distinct of 3"),
+            ({"supports": [[["0", "0"]], [["0", "0", "0", "0"]]] + [[["0", "0"]]] * 2},
+             "search config key 'supports': support 1 point 0 must have dimension 2, got 4"),
+            ({"supports": [[["0", "0"]]] * 2 + [[["0", "0"], ["1", "2"], ["-1", "-2"], ["3", "1/2"]]]
+              + [[["0", "0"]]]},
+             "search config key 'supports': support 2 must be closed under negation,"
+             " but lacks the negative of point 3"),
         ],
     )
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, spec, message, seed):

@@ -268,6 +268,9 @@ class TestKernelOracle:
     @given(_STATES, _kernel_points())
     @example(StateFunctional.epr(-0.5, -0.25), [(3, 1, 2, 5)])
     @example(StateFunctional.regular(), [(0.1, 0.2, -0.1, 0.2), (0.3, 0, 0, 0)])
+    # a subnormal Gaussian factor, |x - y|^2 / 4 = 743.5, whose products with
+    # the phase underflow to zeros whose signs a conjugated mirror flips
+    @example(StateFunctional.regular(), [(12, 40, -9, 5), (-19, 30, 34, -3)])
     def test_matches_scalar_loop(self, state, pts):
         assert same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
 
@@ -285,8 +288,8 @@ class TestKernelOracle:
             pts = [(tiny, 0, -tiny, 0), (1, 2, -1, 2), (0, 0, 0, 0)]
             assert same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
 
-    def test_matches_scalar_loop_across_row_chunks(self):
-        # classes and a Gaussian block longer than one chunk of rows
+    def test_matches_scalar_loop_across_passes(self):
+        # classes and a regular kernel of more pairs than one pass holds
         rng = random.Random(44)
         pts = distinct_points(rng, 30, 4)
         for u, v in ((Fraction(1, 2), Fraction(-2, 3)), (Fraction(3), Fraction(0))):
@@ -637,9 +640,9 @@ def _rank_one_reference(m, partition: SupportPartition, tol: float) -> dict:
 
 
 def _kernel_per_class(state: StateFunctional, points) -> np.ndarray:
-    """kernel_matrix one support class at a time, a block of rows per
-    np.ix_: the oracle of the stacked passes, through the same elementwise
-    code."""
+    """kernel_matrix one support class at a time, each entry of both
+    triangles computed directly, never as a mirror: the oracle of the
+    stacked triangle passes, through the same elementwise code."""
     points = [tuple(Fraction(c) for c in p) for p in points]
     n = len(points)
     scale, ints = lattice(points)
@@ -650,13 +653,12 @@ def _kernel_per_class(state: StateFunctional, points) -> np.ndarray:
         key = (a + c, b - d) if state.kind == "epr" else 0
         classes.setdefault(key, []).append(j)
     m = np.zeros((n, n), dtype=complex)
-    for cols in classes.values():
-        for start in range(0, len(cols), 32):
-            rows = cols[start : start + 32]
-            block = np.ix_(rows, cols)
-            m.real[block], m.imag[block] = eprbell.states._kernel_block(
-                state, coords[rows], coords[cols], scale
-            )
+    for cls in classes.values():
+        x = coords[cls]
+        block = np.ix_(cls, cls)
+        m.real[block], m.imag[block], _, _ = eprbell.states._kernel_entries(
+            state, x[:, None], x[None, :], scale
+        )
     if state.corrupt_kernel:
         m[n - 1, n - 1] -= 1.5
     return m
