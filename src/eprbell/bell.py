@@ -37,7 +37,6 @@ from .weyl import (
     negate,
     one_norm,
     parse_points,
-    point,
     tensor_embed,
     to_records,
     unit_phase,
@@ -138,8 +137,8 @@ def monomial_candidate(
             2, {pt: 0.5 * phase, negate(pt): 0.5 * phase.conjugate()}
         )
 
-    xa = point(a, b)
-    xb = point(-a, b)
+    xa = (a, b)
+    xb = (-a, b)
     return BellCandidate(
         a1=pair(xa, alpha1),
         a2=pair(xa, alpha2),
@@ -502,9 +501,9 @@ def weyl_double(a: Fraction, b: Fraction, state: StateFunctional) -> dict:
     A = U + U*, A' = U' + U'*, both computed by full engine expansion.
     """
     a, b = Fraction(a), Fraction(b)
-    partner_point = point(a, -b)
+    partner_point = (a, -b)
     phase = state.phase(a, b)
-    u = tensor_embed(WeylPolynomial.generator(point(a, b)), 1)
+    u = tensor_embed(WeylPolynomial.generator((a, b)), 1)
     u_partner = phase * tensor_embed(WeylPolynomial.generator(partner_point), 2)
     deviation = correlation_deviation(state, u, u_partner)
     sa_deviation = correlation_deviation(

@@ -67,8 +67,7 @@ from .weyl import (
     TermBudgetError,
     WeylPolynomial,
     from_records,
-    parse_lattice,
-    point,
+    read_lattice,
     tensor_embed,
 )
 
@@ -427,8 +426,8 @@ def _check_doubles(state: StateFunctional, rng: random.Random) -> list[CheckReco
 
         measured = _worst(n, sample)
         # negative control: the mirrored partner point must fail hard
-        u = tensor_embed(WeylPolynomial.generator(point(1, 1)), 1)
-        wrong = tensor_embed(WeylPolynomial.generator(point(1, 1)), 2)
+        u = tensor_embed(WeylPolynomial.generator((1, 1)), 1)
+        wrong = tensor_embed(WeylPolynomial.generator((1, 1)), 2)
         measured["perturbed_partner_deviation"] = correlation_deviation(state, u, wrong)
         inputs = {"n": n, "state": state.to_spec()}
         records.append(CHECKS["weyl_doubles"].record(inputs, measured))
@@ -455,6 +454,8 @@ def _naming(what: str):
         yield
     except (ValueError, TypeError, KeyError) as exc:
         raise ValueError(f"{what}: {exc}") from None
+    except TermBudgetError as exc:
+        raise TermBudgetError(f"{what}: {exc}") from None
 
 
 def _load(path: str, parse=lambda raw: raw):
@@ -509,7 +510,7 @@ def _points(raw) -> tuple[list, int, list[tuple[int, ...]]]:
     on the integer lattice: their common denominator and scaled ints."""
     if len(raw) > 256:
         raise ValueError(f"at most 256 points per battery, got {len(raw)}")
-    return raw, *parse_lattice(raw)
+    return raw, *read_lattice(raw)
 
 
 def cmd_psd(args) -> int:

@@ -32,7 +32,7 @@ from .weyl import (
     TermBudgetError,
     WeylPolynomial,
     adjoint,
-    point,
+    parse_points,
     tensor_embed,
     unit_phase,
     weyl_multiply,
@@ -72,7 +72,7 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
     positive semidefinite within 1e-10 and with unit diagonal, else the
     engine itself is at fault.
     """
-    pts = tuple(tuple(Fraction(c) for c in p) for p in points)
+    pts = tuple(parse_points(points))
     if len(set(pts)) != len(pts):
         raise ValueError("frame points must be pairwise distinct")
     n = len(pts)
@@ -121,8 +121,8 @@ def collinearity_check(
     onto the first factor alone.
     """
     a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-    psi = embedded_pair(point(a, b), point(c, d))
-    phi = tensor_embed(WeylPolynomial.generator(point(a + c, b - d)), 1)
+    psi = embedded_pair((a, b), (c, d))
+    phi = tensor_embed(WeylPolynomial.generator((a + c, b - d)), 1)
     overlap = eval_poly(state, weyl_multiply(adjoint(psi), phi))
     expected = unit_phase(a * d + b * c, 2) * state.phase(c, 0) * state.phase(0, -d)
     modulus = abs(overlap)

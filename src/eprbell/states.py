@@ -33,9 +33,8 @@ from .weyl import (
     Point,
     WeylPolynomial,
     adjoint,
-    lattice,
     negate,
-    point,
+    read_lattice,
     tensor_embed,
     unit_phase,
     weyl_multiply,
@@ -211,8 +210,8 @@ def kernel_matrix(
     corrupt flag set, the last diagonal entry is deflated below zero so the
     matrix is guaranteed non-PSD whatever the points.
 
-    ``points`` hold exact rationals or, with ``den``, ints over that common
-    denominator, as ``weyl.lattice`` and ``weyl.parse_lattice`` give them.
+    ``points`` are rows that ``weyl.read_lattice`` reads or, with ``den``,
+    ints over that common denominator, as ``read_lattice`` gives them.
     For the epr state only entries within a class of the invariant
     (a+c, b-d) are computed, and all others are exact zeros, so M is block
     diagonal up to a permutation of its indices.  The regular state is one
@@ -224,9 +223,7 @@ def kernel_matrix(
     if den is None:
         # one denominator for all, so the lattice points are distinct
         # exactly when the points are
-        den, points = lattice(
-            [tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in points]
-        )
+        den, points = read_lattice(points)
     if not points:
         raise ValueError("at least one point is required")
     if len(set(points)) != len(points):
@@ -336,7 +333,7 @@ def compression_matrix(
     den, items = p.lattice_items()
     if not n or not items:
         return out
-    frame_den, frame_ints = lattice(points)
+    frame_den, frame_ints = read_lattice(points)
     scale = math.lcm(den, frame_den)
     xs = [tuple(v * (scale // frame_den) for v in q) for q in frame_ints]
     terms, coeffs = zip(*items)
@@ -575,8 +572,8 @@ def multiplicativity_check(
     A and B.
     """
     s, t = Fraction(s), Fraction(t)
-    a_poly = embedded_pair(point(s, 0), point(-s, 0))
-    b_poly = embedded_pair(point(0, t), point(0, t))
+    a_poly = embedded_pair((s, 0), (-s, 0))
+    b_poly = embedded_pair((0, t), (0, t))
     wa = eval_poly(state, a_poly)
     wb = eval_poly(state, b_poly)
     deviations = [abs(eval_poly(state, weyl_multiply(a_poly, b_poly)) - wa * wb)]

@@ -12,10 +12,11 @@ dense polynomial subalgebra that every other module evaluates against.
 Support decisions (does a point vanish, do two points coincide) must be
 exact, so coordinates are exact rationals: a polynomial holds its points as
 Python ints over one common denominator, and hands them out as
-`fractions.Fraction`.  Coefficients and the phases exp{i s(x, y)} are
-doubles; ``unit_phase(s, q)`` makes each phase from the exact angle s/q
-rounded to a double, so its absolute error is about |s/q| 2^-53, and
-false FAILs start at coordinates near 10^8.
+`fractions.Fraction`.  Every coordinate reaches it through ``read_lattice``,
+and no lattice passes ``LATTICE_BITS``.  Coefficients and the phases
+exp{i s(x, y)} are doubles; ``unit_phase(s, q)`` makes each phase from the
+exact angle s/q rounded to a double, so its absolute error is about
+|s/q| 2^-53, and false FAILs start at coordinates near 10^8.
 """
 
 from __future__ import annotations
@@ -38,98 +39,102 @@ DEFAULT_TERM_CAP = 4096
 VALID_DIMS = (2, 4)
 
 
+#: Bound on the bits of a lattice denominator and of a coordinate over it.
+LATTICE_BITS = 4096
+
+
 class TermBudgetError(RuntimeError):
-    """A product would exceed the polynomial term cap."""
+    """A product would exceed the term cap, or a lattice ``LATTICE_BITS``."""
 
 
-def point(*coords: int | str | Fraction) -> Point:
-    """Build a phase-space point with exact rational coordinates.
+def _over_budget(what: str, n: int) -> TermBudgetError:
+    return TermBudgetError(f"{what} has {n.bit_length()} bits, past the {LATTICE_BITS}-bit budget")
 
-    Accepts ints, Fractions, or strings like "3/4".  Floats and bools are
-    rejected (a JSON 0.1 is not 1/10, and true is not a number), and so is a
-    zero denominator; the error names the coordinate.  Length must be 2
-    (one degree of freedom) or 4 (the composite system).
+
+def read_lattice(
+    rows: Iterable, label: str | None = "point"
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The least common denominator L of rows of 2 or 4 exact rational
+    coordinates, and each row times L as a tuple of ints.
+
+    A coordinate is an int, a ``Fraction`` or a string such as "3/4" ("p"
+    and "p/q" are read directly, each distinct string once, and other
+    strings through ``Fraction``).  Floats, bools (a JSON 0.1 is not 1/10)
+    and zero denominators are refused, naming the coordinate and, unless
+    ``label`` is None, the row.  A ``TermBudgetError`` is raised at the
+    first row that takes L past ``LATTICE_BITS``, or after the last if a
+    scaled coordinate passes it.
     """
-    if len(coords) not in VALID_DIMS:
-        raise ValueError(
-            f"phase-space points have 2 or 4 coordinates, got {len(coords)}"
-        )
-    return tuple(_coordinate(i, c) for i, c in enumerate(coords))
-
-
-def _coordinate(i: int, c) -> Fraction:
-    if type(c) is Fraction:
-        return c
-    if isinstance(c, (bool, float)):
-        raise ValueError(f"coordinate {i} is {c!r}; give it as a string or an int")
-    try:
-        return Fraction(c)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"coordinate {i} is {c!r}: {exc}") from None
-
-
-def parse_points(rows: Iterable, label: str = "point") -> list[Point]:
-    """``point(*row)`` for each row, naming the row's index in any error.
-
-    A row must be a list, as a JSON array reads, or a tuple: a string such
-    as "0000" would otherwise unpack into coordinates.
-    """
-    pts = []
+    strings: dict[str, tuple[int, int]] = {}
+    read, den = [], 1
     for i, row in enumerate(rows):
         try:
             if not isinstance(row, (list, tuple)):
                 raise ValueError(f"a point is an array of coordinates, not {row!r}")
-            pts.append(point(*row))
-        except (TypeError, ValueError) as exc:
+            if len(row) not in VALID_DIMS:
+                raise ValueError(f"phase-space points have 2 or 4 coordinates, got {len(row)}")
+            pt = []
+            for j, c in enumerate(row):
+                ratio = strings.get(c) if type(c) is str else None
+                if ratio is None:
+                    ratio = _ratio(j, c)
+                    den = math.lcm(den, ratio[1])
+                    if type(c) is str:
+                        strings[c] = ratio
+                pt.append(ratio)
+        except ValueError as exc:
+            if label is None:
+                raise
             raise ValueError(f"{label} {i}: {exc}") from None
-    return pts
+        if den.bit_length() > LATTICE_BITS:
+            raise _over_budget(f"{label or 'point'} {i}: the common denominator", den)
+        read.append(pt)
+    ints = [tuple([p * (den // q) for p, q in pt]) for pt in read]
+    big = max(max(map(max, ints)), -min(map(min, ints))) if ints else 0
+    if big.bit_length() > LATTICE_BITS:
+        raise _over_budget("a coordinate scaled to the common denominator", big)
+    return den, ints
 
 
-def parse_lattice(
-    rows: Iterable, label: str = "point"
-) -> tuple[int, list[tuple[int, ...]]]:
-    """``lattice(parse_points(rows, label))``, without a ``Fraction``.
-
-    Ints, and ASCII strings "p" or "p/q" with q nonzero, are read straight
-    to reduced int ratios, once per distinct coordinate.  A file with any
-    other row or coordinate goes through ``parse_points``, so the accepted
-    coordinates, the values and every error are the same.
-    """
-    rows = list(rows)
-    ratios: dict[int | str, tuple[int, int]] = {}
-    for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) not in VALID_DIMS:
-            return lattice(parse_points(rows, label))
-        for c in row:
-            # an exact type: a bool or a float may equal an int key
-            if type(c) is not str and type(c) is not int:
-                return lattice(parse_points(rows, label))
-            if c not in ratios:
-                ratios[c] = _ratio(c)
-                if ratios[c] is None:
-                    return lattice(parse_points(rows, label))
-    den = math.lcm(*(q for _, q in ratios.values()))
-    scaled = {c: p * (den // q) for c, (p, q) in ratios.items()}
-    return den, [tuple(map(scaled.__getitem__, row)) for row in rows]
-
-
-#: The coordinate strings ``parse_lattice`` reads itself; Fraction reads
-#: each of them to the same value.
+#: The strings ``_ratio`` reads itself, each to the value Fraction gives.
 _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _ratio(c: int | str) -> tuple[int, int] | None:
-    """The reduced numerator and denominator of an int, or of a ``_RATIO``
-    string with a nonzero denominator; None for any other string."""
+def _ratio(j: int, c) -> tuple[int, int]:
+    """The reduced numerator and denominator of coordinate ``j``."""
+    if type(c) is Fraction:
+        return c.as_integer_ratio()
     if type(c) is int:
         return c, 1
-    match = _RATIO.fullmatch(c)
-    try:  # Fraction refuses a string past int()'s digit limit, as int() does
-        p, q = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
-    except ValueError:
-        return None
-    g = math.gcd(p, q)
-    return (p // g, q // g) if q else None
+    if type(c) is str and (match := _RATIO.fullmatch(c)):
+        try:  # past int()'s digit limit, Fraction refuses it as int() does
+            p, q = int(match[1]), int(match[2] or 1)
+        except ValueError:
+            q = 0
+        if q:
+            g = math.gcd(p, q)
+            return p // g, q // g
+    if isinstance(c, (bool, float)):
+        raise ValueError(f"coordinate {j} is {c!r}; give it as a string or an int")
+    try:
+        c = Fraction(c)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"coordinate {j} is {c!r}: {exc}") from None
+    return c.numerator, c.denominator
+
+
+def point(*coords: int | str | Fraction) -> Point:
+    """A phase-space point of 2 or 4 coordinates, as ``parse_points`` reads it."""
+    return parse_points([coords], None)[0]
+
+
+def parse_points(rows: Iterable, label: str | None = "point") -> list[Point]:
+    """The rows as ``read_lattice(rows, label)`` reads them, as points of
+    ``Fraction`` coordinates; a ``Fraction`` coordinate is kept as given."""
+    rows = list(rows)
+    den, ints = read_lattice(rows, label)
+    return [tuple(c if type(c) is Fraction else Fraction(v, den) for c, v in zip(row, p))
+            for row, p in zip(rows, ints)]
 
 
 def negate(x: Point) -> Point:
@@ -181,22 +186,11 @@ class WeylPolynomial:
     ):
         if dim not in VALID_DIMS:
             raise ValueError(f"polynomial dimension must be 2 or 4, got {dim}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        pts, coeffs = [], []
-        for pt, coeff in items:
-            pt = tuple(_coordinate(i, c) for i, c in enumerate(pt))
-            if len(pt) != dim:
-                raise ValueError(
-                    f"point of length {len(pt)} in a dimension-{dim} polynomial"
-                )
-            pts.append(pt)
-            coeffs.append(complex(coeff))
-        den, ints = lattice(pts)
-        acc: dict[tuple[int, ...], complex] = {}
-        for p, c in zip(ints, coeffs):
-            acc[p] = acc.get(p, 0j) + c
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        den, ints = read_lattice([pt for pt, _ in items], None)
+        coeffs = [complex(c) for _, c in items]
         self._dim = dim
-        self._den, self._terms = _reduced(den, acc)
+        self._den, self._terms = _reduced(den, _merged(dim, ints, coeffs))
 
     @classmethod
     def _raw(
@@ -306,21 +300,26 @@ def _reduced(
 ) -> tuple[int, dict[tuple[int, ...], complex]]:
     """Canonical form of lattice terms over ``den``: drops coefficients below
     the zero threshold, then divides out the gcd of ``den`` and every
-    coordinate so ``den`` is least again."""
+    coordinate so ``den`` is least again, and raises ``TermBudgetError`` if
+    it has more than ``LATTICE_BITS`` bits."""
     terms = {p: c for p, c in terms.items() if abs(c) >= ZERO_THRESHOLD}
     g = math.gcd(den, *(v for p in terms for v in p))
     if g > 1:
         den //= g
         terms = {tuple(v // g for v in p): c for p, c in terms.items()}
+    if den.bit_length() > LATTICE_BITS:
+        raise _over_budget("the common denominator of a polynomial", den)
     return den, terms
 
 
-def lattice(points: Iterable[Point]) -> tuple[int, list[tuple[int, ...]]]:
-    """The least common denominator L of the points' rational coordinates,
-    and each point times L as a tuple of ints, in the given order."""
-    points = list(points)
-    den = math.lcm(*(c.denominator for p in points for c in p))
-    return den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in points]
+def _merged(dim: int, ints: list, coeffs: list) -> dict[tuple[int, ...], complex]:
+    """The coefficients summed per lattice point, each of length ``dim``."""
+    acc = {}
+    for p, c in zip(ints, coeffs):
+        if len(p) != dim:
+            raise ValueError(f"point of length {len(p)} in a dimension-{dim} polynomial")
+        acc[p] = acc.get(p, 0j) + c
+    return acc
 
 
 def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
@@ -330,7 +329,7 @@ def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
     integer addition and each form is an integer s over 2 L^2.  Coefficients
     and phases accumulate in double precision, p-major and q-minor.  Raises
     ``TermBudgetError`` when a factor or the pairwise expansion would exceed
-    ``DEFAULT_TERM_CAP`` terms.
+    ``DEFAULT_TERM_CAP`` terms, or the product's least L passes ``LATTICE_BITS``.
     """
     if p.dim != q.dim:
         raise ValueError("cannot multiply polynomials of different dimension")
@@ -412,17 +411,17 @@ def from_records(records: list[dict], dim: int | None = None) -> WeylPolynomial:
         if dim is None:
             raise ValueError("cannot infer dimension from an empty record list")
         return WeylPolynomial.zero(dim)
-    pts = parse_points((rec["point"] for rec in records), "record")
-    terms = []
-    for i, (pt, rec) in enumerate(zip(pts, records)):
+    den, ints = read_lattice((rec["point"] for rec in records), "record")
+    coeffs = []
+    for i, rec in enumerate(records):
         coeff = complex(float(rec["re"]), float(rec["im"]))
         # abs() of a finite coefficient can still overflow, in canonical form
         if not math.isfinite(math.hypot(coeff.real, coeff.imag)):
             raise ValueError(
                 f"record {i}: the modulus of coefficient {coeff} is not a finite double"
             )
-        terms.append((pt, coeff))
-    inferred = len(pts[0])
+        coeffs.append(coeff)
+    inferred = len(ints[0])
     if dim is not None and dim != inferred:
         raise ValueError(f"records have dimension {inferred}, expected {dim}")
-    return WeylPolynomial(inferred, terms)
+    return WeylPolynomial._raw(inferred, den, _merged(inferred, ints, coeffs))

@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -541,6 +542,41 @@ class TestCoordinates:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert path in captured.err and f"{record}: coordinate 0" in captured.err
+
+
+class TestLatticeBudget:
+    """An input whose common denominator passes ``weyl.LATTICE_BITS`` exits
+    3 as it is read, naming the file and the bit size."""
+
+    def test_psd_on_4000_digit_denominators_exits_3_at_once(self, tmp_path, capsys):
+        dens = [str(10**3999 + 2 * k + 1) for k in range(256)]
+        pts = _write(tmp_path / "pts.json", [[f"1/{d}", "0", f"-1/{d}", "0"] for d in dens])
+        start = time.perf_counter()
+        assert main(["psd", pts]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"{pts}: point 0: the common denominator has 13285 bits, past"
+        assert f"resource cap exceeded: {message}" in captured.err
+
+    def test_eval_on_distinct_1000_digit_denominators_exits_3(self, tmp_path, capsys):
+        records = [
+            {"point": [f"1/{d}", "0", f"-1/{d}", "0"], "re": 1.0, "im": 0.0}
+            for d in (10**999 + 2 * k + 1 for k in range(64))
+        ]
+        poly = _write(tmp_path / "p.json", records)
+        assert main(["eval", poly]) == 3
+        err = capsys.readouterr().err
+        assert f"{poly}: record 1: the common denominator has" in err
+
+    def test_bell_support_of_a_5000_bit_denominator_exits_3(self, tmp_path, capsys):
+        d = 2**4999 + 1
+        zero = [["0", "0"]]
+        supports = [[[f"1/{d}", "0"], [f"-1/{d}", "0"]], zero, zero, zero]
+        cfg = _write(tmp_path / "cfg.json", {"supports": supports, "restarts": 1, "max_iters": 2})
+        assert main(["bell", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"{cfg}: support 0 point 0: the common denominator has 5000 bits" in err
 
 
 class TestMalformedJson:

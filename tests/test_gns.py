@@ -289,6 +289,12 @@ class TestBuildFrame:
         with pytest.raises(ValueError):
             build_frame(StateFunctional.epr(), [point(0, 0, 0, 0)] * 2)
 
+    @pytest.mark.parametrize("bad", [0.1, True])
+    def test_refuses_float_and_bool_coordinates(self, bad):
+        # a float is not stored as its binary fraction, nor true as 1
+        with pytest.raises(ValueError, match=f"point 1: coordinate 0 is {bad}; give it as"):
+            build_frame(StateFunctional.epr(), [(0, 0, 0, 0), (bad, 0, 0, 0)])
+
     def test_gram_psd_random(self):
         rng = random.Random(50)
         state = StateFunctional.epr(1.1, 2.3)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import distinct_points, rand_fraction, rand_point, rand_poly, same_bits
-from test_weyl import _COEFF, _SCALES, _SMALL, _polys
+from test_weyl import _COEFF, _SCALES, _SMALL, _fraction_lattice, _polys
 from eprbell import (
     EquivalenceError,
     StateFunctional,
@@ -36,7 +36,7 @@ from eprbell import (
 )
 import eprbell
 import eprbell.states
-from eprbell.weyl import direct_sum_form, lattice, unit_phase
+from eprbell.weyl import direct_sum_form, unit_phase
 
 
 class TestEvalPoint:
@@ -267,12 +267,23 @@ class TestKernelOracle:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_STATES, _kernel_points())
     @example(StateFunctional.epr(-0.5, -0.25), [(3, 1, 2, 5)])
-    @example(StateFunctional.regular(), [(0.1, 0.2, -0.1, 0.2), (0.3, 0, 0, 0)])
+    # the binary fractions of the doubles 0.1, 0.2 and 0.3
+    @example(StateFunctional.regular(), [tuple(map(Fraction, (0.1, 0.2, -0.1, 0.2))),
+                                         (Fraction(0.3), 0, 0, 0)])
     # a subnormal Gaussian factor, |x - y|^2 / 4 = 743.5, whose products with
     # the phase underflow to zeros whose signs a conjugated mirror flips
     @example(StateFunctional.regular(), [(12, 40, -9, 5), (-19, 30, 34, -3)])
     def test_matches_scalar_loop(self, state, pts):
         assert same_bits(kernel_matrix(state, pts), _kernel_reference(state, pts))
+
+    @pytest.mark.parametrize(
+        "pts, bad", [([(0.1, 0, -0.1, 0), ("0", "0", "0", "0")], "0: coordinate 0 is 0.1"),
+                     ([("0", "0", "0", "0"), (True, 0, -1, 0)], "1: coordinate 0 is True")]
+    )
+    def test_refuses_float_and_bool_coordinates(self, pts, bad):
+        # a float is not read as its binary fraction, nor true as 1
+        with pytest.raises(ValueError, match=f"point {bad}; give it as a string or an int"):
+            kernel_matrix(StateFunctional.epr(0.3, 0.7), pts)
 
     @pytest.mark.parametrize(
         "state", [StateFunctional.epr(1.3, -0.7), StateFunctional.regular()]
@@ -645,7 +656,7 @@ def _kernel_per_class(state: StateFunctional, points) -> np.ndarray:
     stacked triangle passes, through the same elementwise code."""
     points = [tuple(Fraction(c) for c in p) for p in points]
     n = len(points)
-    scale, ints = lattice(points)
+    scale, ints = _fraction_lattice(points)
     big = max(abs(v) for p in ints for v in p)
     coords = eprbell.states._lattice_array(ints, big, scale)
     classes: dict = {}

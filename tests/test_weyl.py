@@ -27,7 +27,7 @@ from eprbell import (
     weyl_multiply,
 )
 import eprbell.weyl
-from eprbell.weyl import lattice, parse_lattice, unit_phase
+from eprbell.weyl import LATTICE_BITS, read_lattice, unit_phase
 
 
 class TestForms:
@@ -91,32 +91,82 @@ class TestForms:
             parse_points([["0", "0", "0", "0"], row])
 
 
+def _fraction_coordinate(j: int, c) -> Fraction:
+    """Coordinate ``j`` as ``Fraction`` reads it, floats and bools refused."""
+    if type(c) is Fraction:
+        return c
+    if isinstance(c, (bool, float)):
+        raise ValueError(f"coordinate {j} is {c!r}; give it as a string or an int")
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"coordinate {j} is {c!r}: {exc}") from None
+
+
+def _fraction_lattice(points) -> tuple[int, list[tuple[int, ...]]]:
+    """The least common denominator of ``Fraction`` points, and each point
+    times it as a tuple of ints."""
+    points = list(points)
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    return den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in points]
+
+
+def _fraction_read(rows, label):
+    """The reader's oracle: ``Fraction`` per coordinate, each row checked
+    and named in turn, the lcm taken row by row against the budget, then
+    the scaled coordinates checked."""
+    pts, den = [], 1
+    for i, row in enumerate(rows):
+        try:
+            if not isinstance(row, (list, tuple)):
+                raise ValueError(f"a point is an array of coordinates, not {row!r}")
+            if len(row) not in (2, 4):
+                raise ValueError(f"phase-space points have 2 or 4 coordinates, got {len(row)}")
+            pts.append(tuple(_fraction_coordinate(j, c) for j, c in enumerate(row)))
+        except ValueError as exc:
+            raise ValueError(f"{label} {i}: {exc}" if label else str(exc)) from None
+        den = math.lcm(den, *(c.denominator for c in pts[-1]))
+        if den.bit_length() > LATTICE_BITS:
+            raise TermBudgetError("denominator")
+    den, ints = _fraction_lattice(pts)
+    if any(v.bit_length() > LATTICE_BITS for p in ints for v in p):
+        raise TermBudgetError("scaled coordinate")
+    return den, ints
+
+
 def _outcome(parse, rows):
-    """What ``parse(rows)`` returns, or the type and message it raises."""
+    """What ``parse(rows)`` returns, the type and message of a ValueError
+    it raises, or the type of a budget error."""
     try:
         return parse(rows)
+    except TermBudgetError:
+        return TermBudgetError
     except Exception as exc:
         return type(exc), str(exc)
 
 
-#: Coordinates the lattice parse reads itself: ints, and ASCII "p" and
-#: "p/q" strings, unreduced, signed zeros and 4000-digit numerators too.
+#: Coordinates the reader reads itself: ints, and ASCII "p" and "p/q"
+#: strings, unreduced, signed zeros, and numerators or denominators of
+#: 4000 digits, which pass the lattice budget.
 _PLAIN = st.one_of(
     st.integers(-(10**30), 10**30),
     st.integers(-(10**30), 10**30).map(str),
     st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 99)),
-    st.sampled_from(["2/4", "-0", "0/7", "-6/4", "007/010", "3" * 4000, "-1/" + "7" * 4000]),
+    st.sampled_from(["2/4", "-0", "0/7", "-6/4", "007/010", "3" * 4000, "-1/" + "7" * 4000,
+                     "1/" + str(2**4095), "-1/" + str(3**2584)]),
 )
-#: Coordinates Fraction reads that the lattice parse leaves to it.
+#: Coordinates the reader reads through Fraction: the fallback grammar and
+#: Fractions, some at the edge of the budget.
 _OTHER = st.one_of(
-    st.sampled_from(["+3", " 3/4", "1e3", "0.5", "\u0663", "\uff13/4", "1_000", "-0.0"]),
+    st.sampled_from(["+3", " 3/4", "1e3", "0.5", "\u0663", "\uff13/4", "1_000", "-0.0",
+                     Fraction(1, 2**4095), Fraction(1, 2**4096), Fraction(2**4096 - 1, 5)]),
     st.fractions(),
 )
 #: Coordinates that are refused: a zero denominator, a numerator past
 #: int()'s digit limit, floats, bools, null and nested arrays.
 _REFUSED = st.one_of(
-    st.sampled_from(["1/0", "9" * 5000, "1/x", "", "-", "3/-4", None, True, False,
-                     [1], [["0", "0"]], {"a": 1}]),
+    st.sampled_from(["1/0", "9" * 5000, "1/" + "3" * 4400, "1/x", "", "-", "3/-4", None,
+                     True, False, [1], [["0", "0"]], {"a": 1}]),
     st.floats(),
 )
 _COORD = st.one_of(_PLAIN, _PLAIN, _PLAIN, _PLAIN, _OTHER, _REFUSED)
@@ -128,35 +178,62 @@ _ROW = st.one_of(
     st.lists(_COORD, min_size=3, max_size=3),
     st.sampled_from(["0000", "12", 7, None]),
 )
-#: Rows of plain coordinates only, which the lattice parse reads itself.
+#: Rows of plain coordinates only, which the reader reads without Fraction.
 _PLAIN_ROW = st.one_of(st.lists(_PLAIN, min_size=4, max_size=4), st.tuples(_PLAIN, _PLAIN))
 
 
-class TestParseLattice:
-    """``parse_lattice`` is ``lattice(parse_points(...))``: values and errors."""
+class TestReadLattice:
+    """``read_lattice`` is the ``Fraction`` route then the lcm, within the
+    budget: values and errors."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(st.one_of(st.lists(_PLAIN_ROW, max_size=6), st.lists(_ROW, max_size=6)),
-           st.sampled_from(["point", "record"]))
+           st.sampled_from(["point", "record", None]))
     # a bool or a float equal to a coordinate read before it, and a
     # numerator past int()'s digit limit
     @example([[1, "1", 0, 0], [True, 0, 0, 0]], "point")
     @example([[1, 0], ["1", 1.0]], "point")
     @example([["1/2", "0"], ["9" * 5000, "1", "0", "0"]], "record")
-    def test_matches_lattice_of_parse_points(self, rows, label):
-        want = _outcome(lambda r: lattice(parse_points(r, label)), rows)
-        assert _outcome(lambda r: parse_lattice(r, label), rows) == want
-        assert _outcome(lambda r: parse_lattice(iter(r), label), rows) == want
+    def test_matches_the_fraction_route(self, rows, label):
+        want = _outcome(lambda r: _fraction_read(r, label), rows)
+        assert _outcome(lambda r: read_lattice(r, label), rows) == want
+        assert _outcome(lambda r: read_lattice(iter(r), label), rows) == want
+        if want is not TermBudgetError and isinstance(want[0], int):
+            den, ints = want
+            want = [tuple(Fraction(v, den) for v in p) for p in ints]
+        assert _outcome(lambda r: parse_points(r, label), rows) == want
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(st.lists(_PLAIN_ROW, max_size=6))
     def test_plain_rows_take_no_fraction(self, rows):
-        # the Fraction route is patched away, so these values are the fast path's
-        want = lattice(parse_points(rows))
+        # Fraction is patched away, so these values are the direct path's
+        want = _outcome(lambda r: _fraction_read(r, "point"), rows)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(eprbell.weyl, "parse_points", None)
             patch.setattr(eprbell.weyl, "Fraction", None)
-            assert parse_lattice(rows) == want
+            assert _outcome(read_lattice, rows) == want
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_a_denominator_of_the_budget_is_read_and_one_bit_more_raises(self, dim):
+        zeros = ["0"] * (dim - 1)
+        den, ints = read_lattice([["0"] * dim, ["1/" + str(2**4095), *zeros]])
+        assert den.bit_length() == LATTICE_BITS and ints[1] == (1, *[0] * (dim - 1))
+        with pytest.raises(TermBudgetError, match="point 1: the common denominator has 4097 bits"):
+            read_lattice([["0"] * dim, ["1/" + str(2**4096), *zeros]])
+
+    def test_a_scaled_coordinate_past_the_budget_raises(self):
+        den, ints = read_lattice([["1/3", str(2**4094)]])
+        assert (den, ints) == (3, [(1, 3 * 2**4094)])
+        with pytest.raises(TermBudgetError, match="scaled to the common denominator has 4097"):
+            read_lattice([["1/3", str(2**4095)]])
+
+    def test_sums_and_products_past_the_budget_raise(self):
+        # each denominator is within the budget, their lcm is not
+        p = WeylPolynomial.generator(point("1/" + str(3**1400), 0))
+        q = WeylPolynomial.generator(point(0, "1/" + str(5**1000)))
+        for combine in (weyl_multiply, WeylPolynomial.__add__):
+            with pytest.raises(TermBudgetError, match="common denominator of a polynomial has"):
+                combine(p, q)
+        assert len(weyl_multiply(p, p)) == len(p + p) == 1
 
 
 class TestProduct:
@@ -545,7 +622,7 @@ def _fraction_constructor(dim: int, terms) -> tuple[int, dict]:
         pt = tuple(Fraction(c) for c in pt)
         acc[pt] = acc.get(pt, 0j) + complex(coeff)
     kept = {p: c for p, c in acc.items() if abs(c) >= ZERO_THRESHOLD}
-    den, ints = lattice(kept)
+    den, ints = _fraction_lattice(kept)
     return den, dict(zip(ints, kept.values()))
 
 

@@ -14,18 +14,23 @@ interpreter:
 - ``psd`` on the 11 ``psd_batteries`` specs of ``perfbench/gen.py`` at
   seeds 0-2;
 - ``bell`` on the 160 searches of the perfbench Bell catalog;
+- ``eval`` on records that mix ints, "p/q" strings and strings only
+  ``Fraction`` reads, two of them one point, and on a bad record;
+- ``psd`` on points written in the grammar only ``Fraction`` reads, and on
+  4 points over one common denominator of 3,990 bits;
 - error cases: malformed files (bad JSON, a bad coordinate, duplicate
   points, an unknown Bell config key), a ``lambda`` of nan or of 1e308,
   and a coordinate of 10^400.
 
 Each case keeps its exit code (or the type of an exception that escapes
-``main``), its report body and its stderr, with the temporary directory
-written as ``{tmp}`` and each warning as its category and message.  A case
-matches when the exit codes and stderr are equal and the new body, with
-every object key the old body lacks removed, serializes byte for byte as
-the old body.  The script prints each added key path, with the cases it
-appears in, and every mismatch with both stderrs; it exits 1 on any
-mismatch.
+``main``), its report body, its stdout and its stderr, with the temporary
+directory written as ``{tmp}`` and each warning as its category and
+message.  Every command but ``eval``, which has no ``--out``, writes its
+report to a file.  A case matches when the exit codes, stdouts and stderrs
+are equal and the new body, with every object key the old body lacks
+removed, serializes byte for byte as the old body.  The script prints
+each added key path, with the cases it appears in, and every mismatch with
+both stderrs and stdouts; it exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -86,6 +91,23 @@ def _cases() -> dict[str, tuple[dict, list[str]]]:
         cases[f"error psd lambda {lam}"] = ({"points": wide, "state": state}, psd)
         cases[f"error verify-all lambda {lam}"] = (
             {"state": state}, ["verify-all", "--seed", "0", "--state", "{state}"])
+    records = [
+        {"point": [1, "1/2", -1, "1/2"], "re": 0.5, "im": 0.25},
+        {"point": ["+3", " 3/4", "-3", "0.75"], "re": 1.0, "im": 0.0},
+        {"point": ["2/2", "0.5", "-1e0", "2/4"], "re": 0.25, "im": -0.5},
+        {"point": [0, 0, 0, 0], "re": 1, "im": 0},
+    ]
+    evaluate = ["eval", "{poly}", "--state", "{state}"]
+    cases["eval mixed grammar"] = ({"poly": records, "state": epr}, evaluate)
+    bad = [records[0], {"point": ["1", 0.5, "0", "0"], "re": 1.0, "im": 0.0}]
+    cases["error eval bad record"] = ({"poly": bad, "state": epr}, evaluate)
+    fallback = [["+1", " 1/2", "-1", "0.5"], ["1e1", "0", "-10", "-0.0"],
+                ["0.25", "3", "-1/4", "+3"]]
+    cases["psd fallback grammar"] = ({"points": fallback, "state": epr}, psd)
+    d = 2**3989 + 1
+    near = [[f"{k}/{d}", str(k), f"-{k}/{d}", str(k)] for k in range(3)]
+    near.append([f"1/{d}", "0", "0", "0"])
+    cases["psd 3990-bit denominator"] = ({"points": near, "state": {"kind": "regular"}}, psd)
     config = {**gen.bell_spec(gen.BELL_ORBITS[0], 0, 0)["config"], "step": 1}
     cases["error bell config key"] = (
         {"config": config, "state": epr}, ["bell", "{config}", "--state", "{state}"])
@@ -94,7 +116,7 @@ def _cases() -> dict[str, tuple[dict, list[str]]]:
 
 def collect(out: str) -> None:
     """Run every case with the eprbell on sys.path; write
-    {case: [code, body, stderr]}.  A file given as a string is written as
+    {case: [code, body, stderr, stdout]}.  A file given as a string is written as
     it is, any other as JSON."""
     from eprbell.cli import main
 
@@ -107,9 +129,11 @@ def collect(out: str) -> None:
                 paths[key].write_text(content if isinstance(content, str) else json.dumps(content))
             report = Path(tmp) / "report.json"
             report.unlink(missing_ok=True)
-            argv = [a.format(**paths) for a in argv] + ["--out", str(report)]
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as seen:
+            argv = [a.format(**paths) for a in argv]
+            argv += [] if argv[0] == "eval" else ["--out", str(report)]
+            err, out_ = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out_), \
+                    warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
                 try:
                     code = main(argv)
@@ -120,7 +144,8 @@ def collect(out: str) -> None:
             body = json.loads(report.read_text()) if report.exists() else None
             if body is not None:
                 del body["wall_clock_s"]
-            results[name] = [code, body, stderr.replace(tmp, "{tmp}")]
+            results[name] = [code, body, stderr.replace(tmp, "{tmp}"),
+                             out_.getvalue().replace(tmp, "{tmp}")]
     Path(out).write_text(json.dumps(results))
 
 
@@ -153,17 +178,18 @@ def main(old_src: str, new_src: str) -> int:
         new = _run(new_src, Path(tmp) / "new.json")
     added: dict[str, list[str]] = defaultdict(list)
     mismatches = []
-    for name, (old_code, old_body, old_err) in old.items():
-        new_code, new_body, new_err = new[name]
+    for name, (old_code, old_body, old_err, old_out) in old.items():
+        new_code, new_body, new_err, new_out = new[name]
         keys: set[str] = set()
         projected = _project(new_body, old_body, "", keys)
         for key in keys:
             added[key].append(name)
         same_body = json.dumps(projected, sort_keys=True) == json.dumps(old_body, sort_keys=True)
-        if new_code != old_code or not same_body or new_err != old_err:
+        if new_code != old_code or not same_body or new_err != old_err or new_out != old_out:
             mismatches.append(
                 f"{name}: exit {old_code} -> {new_code}, body equal {same_body}"
-                f"\n  old stderr: {old_err!r}\n  new stderr: {new_err!r}")
+                f"\n  old stderr: {old_err!r}\n  new stderr: {new_err!r}"
+                f"\n  old stdout: {old_out!r}\n  new stdout: {new_out!r}")
     for key, names in sorted(added.items()):
         print(f"added {key}: {len(names)} cases, e.g. {names[0]}")
     for line in mismatches:
