@@ -37,6 +37,7 @@ from .weyl import (
     negate,
     one_norm,
     parse_points,
+    point,
     tensor_embed,
     to_records,
     unit_phase,
@@ -113,6 +114,15 @@ def bell_value(state: StateFunctional, candidate: BellCandidate) -> float:
     return float(eval_poly(state, bell_operator(candidate)).real)
 
 
+def _monomial_point(a, b) -> Point:
+    """The monomial family's point (a, b), read as ``point`` reads it; it
+    must not be zero."""
+    x = point(a, b)
+    if not any(x):
+        raise ValueError("the monomial family needs a nonzero point")
+    return x
+
+
 def monomial_candidate(
     a: Fraction,
     b: Fraction,
@@ -127,9 +137,7 @@ def monomial_candidate(
     and B_j = (e^{i beta_j} W(-a,b) + e^{-i beta_j} W(a,-b)) / 2 in factor 2.
     Each component is self-adjoint with one-norm exactly 1.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 and b == 0:
-        raise ValueError("the monomial family needs a nonzero point")
+    a, b = _monomial_point(a, b)
 
     def pair(pt: Point, angle: float) -> WeylPolynomial:
         phase = unit_phase(angle)
@@ -166,10 +174,7 @@ def monomial_family_value(
 
     p_ij = alpha_i + beta_j + shift.  The maximum over angles is sqrt(2)/2.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 and b == 0:
-        raise ValueError("the monomial family needs a nonzero point")
-    shift = state.angle(a, b)
+    shift = state.angle(*_monomial_point(a, b))
     p11, p12, p21, p22 = (x + y + shift for x in (alpha1, alpha2) for y in (beta1, beta2))
     return (math.cos(p11) + math.cos(p12) + math.cos(p21) - math.cos(p22)) / 4.0
 
@@ -178,9 +183,9 @@ def monomial_family_value(
 class SearchConfig:
     """Deterministic configuration for the derivative-free Bell search.
 
-    Each slot has its own support (closed under negation so self-adjointness
-    is expressible); the seed fixes every random draw, making reports
-    reproducible byte for byte.
+    Each slot has its own support, rows that ``weyl.parse_points`` reads
+    (closed under negation so self-adjointness is expressible); the seed
+    fixes every random draw, making reports reproducible byte for byte.
     """
 
     supports: tuple[tuple[Point, ...], ...]
@@ -190,11 +195,13 @@ class SearchConfig:
 
     def __post_init__(self):
         key = "search config key 'supports'"
-        if len(self.supports) != 4:
+        supports = tuple(tuple(parse_points(slot, f"support {s} point"))
+                         for s, slot in enumerate(self.supports))
+        object.__setattr__(self, "supports", supports)
+        if len(supports) != 4:
             raise ValueError(f"{key} must hold one support per candidate slot (4),"
-                             f" got {len(self.supports)}")
-        for s, support in enumerate(self.supports):
-            pts = list(support)
+                             f" got {len(supports)}")
+        for s, pts in enumerate(supports):
             if len(set(pts)) != len(pts):
                 raise ValueError(f"{key}: support {s} points must be distinct,"
                                  f" got {len(set(pts))} distinct of {len(pts)}")
@@ -225,10 +232,7 @@ class SearchConfig:
         if not isinstance(slots, list) or not all(isinstance(slot, list) for slot in slots):
             problem = "must be a list of lists of points" if "supports" in spec else "is missing"
             raise ValueError(f"search config key 'supports' {problem}")
-        supports = tuple(
-            tuple(parse_points(slot, f"support {s} point")) for s, slot in enumerate(slots)
-        )
-        return cls(**{**spec, "supports": supports})
+        return cls(**spec)
 
     def to_spec(self) -> dict:
         spec = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -428,7 +432,6 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     counter = 0
     best_value = -math.inf
     best_params: list[float] | None = None
-    best_key = None
     trace: list[tuple[int, float]] = []
 
     for restart in range(cfg.restarts):
@@ -453,13 +456,12 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
             if not improved:
                 step *= STEP_DECAY
             sweeps += 1
-        key = _candidate_order_key(fast.candidate(params))
-        if value > best_value or (
-            value == best_value and best_key is not None and key < best_key
+        if value > best_value or value == best_value and (
+            _candidate_order_key(fast.candidate(params))
+            < _candidate_order_key(fast.candidate(best_params))
         ):
             best_value = value
             best_params = params
-            best_key = key
             trace.append((counter, value))
 
     assert best_params is not None
@@ -500,7 +502,7 @@ def weyl_double(a: Fraction, b: Fraction, state: StateFunctional) -> dict:
     and so does the deviation of the self-adjoint doubled pair
     A = U + U*, A' = U' + U'*, both computed by full engine expansion.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = point(a, b)
     partner_point = (a, -b)
     phase = state.phase(a, b)
     u = tensor_embed(WeylPolynomial.generator((a, b)), 1)

@@ -67,7 +67,6 @@ from .weyl import (
     TermBudgetError,
     WeylPolynomial,
     from_records,
-    read_lattice,
     tensor_embed,
 )
 
@@ -186,12 +185,10 @@ CHECKS = {check.name: check for check in (
 # measurements shared by verify-all and the single-check commands
 
 
-def _measure_kernel(
-    state: StateFunctional, pts: list, den: int | None = None
-) -> tuple[float, dict | None, dict]:
+def _measure_kernel(state: StateFunctional, pts: list) -> tuple[float, dict | None, dict]:
     """Kernel positivity and, for the epr state, the support-class structure,
-    both from one kernel build on ``pts``, read as ``kernel_matrix`` reads
-    its points and ``den``.
+    both from one kernel build on the rows ``pts``, which ``kernel_matrix``
+    reads.
 
     Returns the kernel's minimum eigenvalue; the support_rank_one
     measurements with the class count, or the support relation's error
@@ -200,7 +197,7 @@ def _measure_kernel(
     support checks (support_s, 0 for other states).
     """
     start = time.perf_counter()
-    m = kernel_matrix(state, pts, den)
+    m = kernel_matrix(state, pts)
     built = time.perf_counter()
     min_eig = psd_check(m, CHECKS["kernel_psd"].tolerance)["min_eigenvalue"]
     checked = time.perf_counter()
@@ -505,24 +502,24 @@ def cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-def _points(raw) -> tuple[list, int, list[tuple[int, ...]]]:
-    """The points file as read (its digest is the input's) and its points
-    on the integer lattice: their common denominator and scaled ints."""
+def _points(raw) -> list:
+    """The points file as read, whose digest is the input's, within the
+    cap of 256 points."""
     if len(raw) > 256:
         raise ValueError(f"at most 256 points per battery, got {len(raw)}")
-    return raw, *read_lattice(raw)
+    return raw
 
 
 def cmd_psd(args) -> int:
     state, state_spec = _load_state(args.state)
-    raw, den, pts = _load(args.points, _points)
+    raw = _load(args.points, _points)
     start = time.perf_counter()
     with _naming(args.points):
-        min_eig, rank, timings = _measure_kernel(state, pts, den)
+        min_eig, rank, timings = _measure_kernel(state, raw)
     checks = [
         CHECKS["kernel_psd"].record(
             {"points": raw, "state": state.to_spec()},
-            {"min_eigenvalue": min_eig, "points": len(pts)},
+            {"min_eigenvalue": min_eig, "points": len(raw)},
         )
     ]
     if rank is not None:

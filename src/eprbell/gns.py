@@ -33,6 +33,7 @@ from .weyl import (
     WeylPolynomial,
     adjoint,
     parse_points,
+    point,
     tensor_embed,
     unit_phase,
     weyl_multiply,
@@ -120,7 +121,7 @@ def collinearity_check(
     t = (ad + bc)/2.  This is what collapses the two-sided generator family
     onto the first factor alone.
     """
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+    a, b, c, d = point(a, b, c, d)
     psi = embedded_pair((a, b), (c, d))
     phi = tensor_embed(WeylPolynomial.generator((a + c, b - d)), 1)
     overlap = eval_poly(state, weyl_multiply(adjoint(psi), phi))

@@ -34,6 +34,7 @@ from .weyl import (
     WeylPolynomial,
     adjoint,
     negate,
+    point,
     read_lattice,
     tensor_embed,
     unit_phase,
@@ -201,29 +202,25 @@ def _by_size(labels: np.ndarray) -> Iterator[np.ndarray]:
         yield order[first[counts == size, None] + np.arange(size)]
 
 
-def kernel_matrix(
-    state: StateFunctional, points: Sequence[Point], den: int | None = None
-) -> np.ndarray:
+def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray:
     """The twisted kernel M[j,k] = G(x_j - x_k) exp{-i s(x_j, x_k)}.
 
     Hermitian by the hermiticity of G and antisymmetry of the form.  With the
     corrupt flag set, the last diagonal entry is deflated below zero so the
     matrix is guaranteed non-PSD whatever the points.
 
-    ``points`` are rows that ``weyl.read_lattice`` reads or, with ``den``,
-    ints over that common denominator, as ``read_lattice`` gives them.
-    For the epr state only entries within a class of the invariant
-    (a+c, b-d) are computed, and all others are exact zeros, so M is block
-    diagonal up to a permutation of its indices.  The regular state is one
-    class of every point.  The pairs j <= k of the classes of one size are
-    stacked and computed together, a bounded pass at a time, and
-    ``_kernel_entries`` gives each entry with its mirror (k, j); each entry
-    is computed on its own, so the stacking leaves every bit as it is.
+    ``points`` are rows of exact coordinates, which ``weyl.read_lattice``
+    reads onto one common denominator, so the lattice points are distinct
+    exactly when the points are.  For the epr state only entries within a
+    class of the invariant (a+c, b-d) are computed, and all others are exact
+    zeros, so M is block diagonal up to a permutation of its indices.  The
+    regular state is one class of every point.  The pairs j <= k of the
+    classes of one size are stacked and computed together, a bounded pass at
+    a time, and ``_kernel_entries`` gives each entry with its mirror (k, j);
+    each entry is computed on its own, so the stacking leaves every bit as
+    it is.
     """
-    if den is None:
-        # one denominator for all, so the lattice points are distinct
-        # exactly when the points are
-        den, points = read_lattice(points)
+    den, points = read_lattice(points)
     if not points:
         raise ValueError("at least one point is required")
     if len(set(points)) != len(points):
@@ -535,12 +532,13 @@ def uniqueness_support_check(state: StateFunctional, x: Point) -> dict:
     """
     if state.kind != KIND_EPR:
         raise ValueError("uniqueness support check applies to the epr state")
-    value = eval_point(state, x)  # which checks the dimension
+    den, (x,) = read_lattice([x], None)
+    value = eval_point(state, x, den)  # which checks the dimension
     a, b, c, d = x
     on_manifold = (c == -a) and (d == b)
     expected = 0j
     if on_manifold:
-        expected = eval_point(state, (a, 0, -a, 0)) * eval_point(state, (0, b, 0, b))
+        expected = eval_point(state, (a, 0, -a, 0), den) * eval_point(state, (0, b, 0, b), den)
     deviation = abs(value - expected)
     return {
         "on_manifold": on_manifold,
@@ -571,7 +569,7 @@ def multiplicativity_check(
     omega(A W(x)) = omega(A) omega(W(x)) and the reversed order, for both
     A and B.
     """
-    s, t = Fraction(s), Fraction(t)
+    s, t = point(s, t)
     a_poly = embedded_pair((s, 0), (-s, 0))
     b_poly = embedded_pair((0, t), (0, t))
     wa = eval_poly(state, a_poly)

@@ -264,29 +264,37 @@ class TestOptimizer:
         first.best.validate()
 
     def test_tied_restarts_go_to_the_smallest_key(self):
-        # the benchmark's Bell catalog search o1c0/0: restarts 2 and 3 end
-        # on the same search value, bit for bit
-        state = StateFunctional.from_spec(
-            {"kind": "epr", "lambda": -1.9658309317502298, "mu": -1.5535867196665345}
-        )
+        # every weight pairs (+-1, 0) with (0, +-1), off the manifold, so the
+        # objective is exactly 0.0 at every parameter on any BLAS kernel:
+        # no move is accepted, each restart ends where it starts, and every
+        # restart ties
         spec = {
-            "supports": [[["-1", "2/3"], ["1", "-2/3"]]] * 2
-            + [[["1", "2/3"], ["-1", "-2/3"]]] * 2,
+            "supports": [[["1", "0"], ["-1", "0"]]] * 2 + [[["0", "1"], ["0", "-1"]]] * 2,
             "restarts": 4,
-            "max_iters": 120,
+            "max_iters": 40,
             "seed": 0,
         }
-        result = optimize_bell(state, SearchConfig.from_spec(spec))
-        # the first three restarts are the same search cut short; the last
-        # of them, restart 2, is their best, recorded as it ends
-        first_three = optimize_bell(state, SearchConfig.from_spec(dict(spec, restarts=3)))
-        assert first_three.trace[-1][0] == first_three.evaluations
-        # the trace records restart 3 at the tied value
-        assert result.trace[:-1] == first_three.trace
-        assert result.trace[-1] == (result.evaluations, first_three.trace[-1][1])
-        # and the tie goes to the smaller order key
-        assert result.best != first_three.best
-        assert _candidate_order_key(result.best) < _candidate_order_key(first_three.best)
+        state = StateFunctional.epr(0.3, 0.7)
+        cfg = SearchConfig.from_spec(spec)
+        result = optimize_bell(state, cfg)
+        assert result.value == 0.0
+        fast = _FastObjective(state, cfg)
+        # restart r draws its start from Random(r) at seed 0, and takes 1
+        # evaluation plus 2 per parameter in each of its 23 sweeps, one per
+        # step from STEP_INIT halved down to STEP_FLOOR
+        per_restart = 1 + 2 * fast.n_params * 23
+        assert result.evaluations == 4 * per_restart == 1476
+        keys = []
+        for r in range(4):
+            rng = random.Random(r)
+            start = [rng.uniform(-1.0, 1.0) for _ in range(fast.n_params)]
+            keys.append(_candidate_order_key(fast.candidate(start)))
+        # the trace records each restart that wins its tie, by a smaller key
+        won = [r for r in range(4) if r == 0 or keys[r] < min(keys[:r])]
+        assert result.trace == [((r + 1) * per_restart, 0.0) for r in won]
+        assert result.trace == [(369, 0.0), (738, 0.0), (1476, 0.0)]
+        # and the winner has the smallest key of the four
+        assert _candidate_order_key(result.best) == min(keys)
 
 
 class TestWeylDoubles:

@@ -12,18 +12,26 @@ from hypothesis import strategies as st
 from conftest import add_points, rand_point, rand_poly, same_bits
 from eprbell import (
     ZERO_THRESHOLD,
+    SearchConfig,
+    StateFunctional,
     TermBudgetError,
     WeylPolynomial,
     adjoint,
+    collinearity_check,
     direct_sum_form,
     from_records,
     is_self_adjoint,
+    monomial_candidate,
+    monomial_family_value,
+    multiplicativity_check,
     one_norm,
     parse_points,
     point,
     symplectic_form,
     tensor_embed,
     to_records,
+    uniqueness_support_check,
+    weyl_double,
     weyl_multiply,
 )
 import eprbell.weyl
@@ -234,6 +242,52 @@ class TestReadLattice:
             with pytest.raises(TermBudgetError, match="common denominator of a polynomial has"):
                 combine(p, q)
         assert len(weyl_multiply(p, p)) == len(p + p) == 1
+
+
+_STATE = StateFunctional.epr(0.3, 0.7)
+
+#: Public entry points that take exact coordinates as arguments: each reads
+#: the value v as its coordinate j.
+_ENTRY_POINTS = {
+    "uniqueness_support_check": (0, lambda v: uniqueness_support_check(_STATE, (v, 1, -2, 1))),
+    "multiplicativity_check": (
+        1, lambda v: multiplicativity_check(_STATE, 1, v, probes=[(1, 2, -1, 2)])),
+    "collinearity_check": (2, lambda v: collinearity_check(1, "1/3", v, -1, _STATE)),
+    "monomial_candidate": (0, lambda v: monomial_candidate(v, 1, 0.3, 0.7, -0.2, 1.1)),
+    "monomial_family_value": (
+        1, lambda v: monomial_family_value(1, v, 0.3, 0.7, -0.2, 1.1, _STATE)),
+    "weyl_double": (0, lambda v: weyl_double(v, "-1/2", _STATE)),
+    "SearchConfig": (0, lambda v: SearchConfig((((v, 0), (-2, 0)),) * 4)),
+}
+
+
+class TestOneReader:
+    """Every entry point reads its coordinates as ``read_lattice`` does."""
+
+    @pytest.mark.parametrize("name", _ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_a_float_or_bool_coordinate_is_refused(self, name, bad):
+        j, call = _ENTRY_POINTS[name]
+        with pytest.raises(ValueError, match=f"coordinate {j} is {bad!r}; give it as a string"
+                           " or an int"):
+            call(bad)
+
+    @pytest.mark.parametrize("name", _ENTRY_POINTS)
+    def test_spellings_of_one_value_give_one_result(self, name):
+        _, call = _ENTRY_POINTS[name]
+        want = call(2)
+        assert call("4/2") == want
+        assert call(Fraction(2)) == want
+
+    def test_a_search_config_refuses_a_float_when_made(self):
+        supports = (((0.5, 0), ("-1/2", 0)),) * 4
+        with pytest.raises(ValueError, match="support 0 point 0: coordinate 0 is 0.5; give"):
+            SearchConfig(supports, restarts=1, max_iters=1)
+        # made directly or from a spec, a config reads its supports alike
+        spec = {"supports": [[["1/2", "0"], ["-1/2", "0"]]] * 4, "restarts": 1}
+        direct = SearchConfig((((Fraction(1, 2), 0), ("-1/2", 0)),) * 4, restarts=1)
+        assert direct == SearchConfig.from_spec(spec)
+        assert direct.supports[0] == (point("1/2", 0), point("-1/2", 0))
 
 
 class TestProduct:

@@ -19,8 +19,9 @@ interpreter:
 - ``psd`` on points written in the grammar only ``Fraction`` reads, and on
   4 points over one common denominator of 3,990 bits;
 - error cases: malformed files (bad JSON, a bad coordinate, duplicate
-  points, an unknown Bell config key), a ``lambda`` of nan or of 1e308,
-  and a coordinate of 10^400.
+  points, an unknown Bell config key, a Bell support with a float
+  coordinate, a one-slot Bell config with a bool coordinate), a ``lambda``
+  of nan or of 1e308, and a coordinate of 10^400.
 
 Each case keeps its exit code (or the type of an exception that escapes
 ``main``), its report body, its stdout and its stderr, with the temporary
@@ -108,9 +109,14 @@ def _cases() -> dict[str, tuple[dict, list[str]]]:
     near = [[f"{k}/{d}", str(k), f"-{k}/{d}", str(k)] for k in range(3)]
     near.append([f"1/{d}", "0", "0", "0"])
     cases["psd 3990-bit denominator"] = ({"points": near, "state": {"kind": "regular"}}, psd)
-    config = {**gen.bell_spec(gen.BELL_ORBITS[0], 0, 0)["config"], "step": 1}
-    cases["error bell config key"] = (
-        {"config": config, "state": epr}, ["bell", "{config}", "--state", "{state}"])
+    config = gen.bell_spec(gen.BELL_ORBITS[0], 0, 0)["config"]
+    bell = ["bell", "{config}", "--state", "{state}"]
+    cases["error bell config key"] = ({"config": {**config, "step": 1}, "state": epr}, bell)
+    floating = {**config, "supports": [[[0.5, "0"], ["-1/2", "0"]]] * 4}
+    cases["error bell float coordinate"] = ({"config": floating, "state": epr}, bell)
+    # a bad coordinate and a wrong slot count: the coordinate is named
+    one_slot = {"supports": [[["1", "0.5"], [True, "0"]]]}
+    cases["error bell one slot, bad coordinate"] = ({"config": one_slot, "state": epr}, bell)
     return cases
 
 
