@@ -505,8 +505,8 @@ def weyl_double(a: Fraction, b: Fraction, state: StateFunctional) -> dict:
     a, b = point(a, b)
     partner_point = (a, -b)
     phase = state.phase(a, b)
-    u = tensor_embed(WeylPolynomial.generator((a, b)), 1)
-    u_partner = phase * tensor_embed(WeylPolynomial.generator(partner_point), 2)
+    u = WeylPolynomial.generator((a, b, 0, 0))
+    u_partner = phase * WeylPolynomial.generator((0, 0, *partner_point))
     deviation = correlation_deviation(state, u, u_partner)
     sa_deviation = correlation_deviation(
         state, u + adjoint(u), u_partner + adjoint(u_partner)

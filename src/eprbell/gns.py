@@ -34,7 +34,6 @@ from .weyl import (
     adjoint,
     parse_points,
     point,
-    tensor_embed,
     unit_phase,
     weyl_multiply,
 )
@@ -123,7 +122,7 @@ def collinearity_check(
     """
     a, b, c, d = point(a, b, c, d)
     psi = embedded_pair((a, b), (c, d))
-    phi = tensor_embed(WeylPolynomial.generator((a + c, b - d)), 1)
+    phi = WeylPolynomial.generator((a + c, b - d, 0, 0))
     overlap = eval_poly(state, weyl_multiply(adjoint(psi), phi))
     expected = unit_phase(a * d + b * c, 2) * state.phase(c, 0) * state.phase(0, -d)
     modulus = abs(overlap)

@@ -550,10 +550,15 @@ def uniqueness_support_check(state: StateFunctional, x: Point) -> dict:
 
 
 def embedded_pair(x: Point, y: Point) -> WeylPolynomial:
-    """W(x) x W(y): the dimension-4 product (W(x) x I)(I x W(y))."""
-    left = tensor_embed(WeylPolynomial.generator(x), 1)
-    right = tensor_embed(WeylPolynomial.generator(y), 2)
-    return weyl_multiply(left, right)
+    """W(x) x W(y): the dimension-4 product (W(x) x I)(I x W(y)).
+
+    The form between the slots is 0, so the engine's product is the term
+    1 W(x, y) over the lcm of both denominators: the generator of (x, y),
+    bit for bit.
+    """
+    if len(x) != 2 or len(y) != 2:
+        raise ValueError("embedded_pair expects dimension-2 points")
+    return WeylPolynomial.generator((*x, *y))
 
 
 def multiplicativity_check(
@@ -613,6 +618,7 @@ def traciality_check(state: StateFunctional, a: Point, b: Point) -> dict:
     verdict: when b != -a both sides must be exact zeros; when b = -a both
     reduce to omega(I) = 1.
     """
+    a, b = point(*a), point(*b)
     if len(a) != 2 or len(b) != 2:
         raise ValueError("traciality_check expects dimension-2 points")
     res = trace_vector_check(

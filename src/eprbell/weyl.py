@@ -174,7 +174,15 @@ class WeylPolynomial:
     forms and hashes are integer arithmetic.  ``lattice_items`` hands out
     L and those int points; ``terms`` and ``points`` give the reduced
     ``Fraction`` points.  Instances are immutable by convention:
-    all arithmetic returns new polynomials.
+    all arithmetic returns new polynomials, each with a terms dict of its own.
+
+    Only the operations that can break canonical form restore it with
+    ``_reduced``: the constructor, ``generator`` and ``from_records`` (they
+    merge duplicates and take any coefficient), sums and products (terms
+    merge and cancel) and scalar products (a coefficient can shrink or
+    become nan).  Negation, ``adjoint`` and ``tensor_embed`` keep every
+    |c|, and negating or appending zero coordinates keeps gcd(L,
+    coordinates) at 1, so they build their result with ``_raw`` directly.
     """
 
     __slots__ = ("_dim", "_den", "_terms")
@@ -196,17 +204,20 @@ class WeylPolynomial:
     def _raw(
         cls, dim: int, den: int, terms: dict[tuple[int, ...], complex]
     ) -> "WeylPolynomial":
-        """Trusted constructor for internal arithmetic on lattice points over
-        the denominator ``den``."""
+        """The polynomial of lattice terms over ``den`` that are already in
+        canonical form, which it takes as its own dict.  Operations that can
+        break canonical form pass ``_reduced(den, terms)``; those that cannot
+        (see the class docstring) pass their terms as they are."""
         self = object.__new__(cls)
         self._dim = dim
-        self._den, self._terms = _reduced(den, terms)
+        self._den, self._terms = den, terms
         return self
 
     @classmethod
     def generator(cls, pt: Point, coefficient: complex = 1.0) -> "WeylPolynomial":
-        """The single term coefficient * W(pt)."""
-        return cls(len(pt), [(pt, coefficient)])
+        """The single term coefficient * W(pt), read straight onto the lattice."""
+        den, (p,) = read_lattice([pt], None)
+        return cls._raw(len(p), *_reduced(den, {p: complex(coefficient)}))
 
     @classmethod
     def identity(cls, dim: int) -> "WeylPolynomial":
@@ -239,7 +250,7 @@ class WeylPolynomial:
         k = den // self._den
         if k == 1:
             return self._terms
-        return {tuple(v * k for v in p): c for p, c in self._terms.items()}
+        return {tuple([v * k for v in p]): c for p, c in self._terms.items()}
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -267,7 +278,7 @@ class WeylPolynomial:
         acc = dict(self._over(den))
         for p, c in other._over(den).items():
             acc[p] = acc.get(p, 0j) + c
-        return WeylPolynomial._raw(self._dim, den, acc)
+        return WeylPolynomial._raw(self._dim, *_reduced(den, acc))
 
     def __sub__(self, other: "WeylPolynomial") -> "WeylPolynomial":
         return self + (-other)
@@ -275,11 +286,8 @@ class WeylPolynomial:
     def __mul__(self, other):
         if isinstance(other, WeylPolynomial):
             return weyl_multiply(self, other)
-        return WeylPolynomial._raw(
-            self._dim,
-            self._den,
-            {p: c * complex(other) for p, c in self._terms.items()},
-        )
+        terms = {p: c * complex(other) for p, c in self._terms.items()}
+        return WeylPolynomial._raw(self._dim, *_reduced(self._den, terms))
 
     # called only when the left operand is not a polynomial, and a complex
     # product has the same bits in either order
@@ -301,12 +309,23 @@ def _reduced(
     """Canonical form of lattice terms over ``den``: drops coefficients below
     the zero threshold, then divides out the gcd of ``den`` and every
     coordinate so ``den`` is least again, and raises ``TermBudgetError`` if
-    it has more than ``LATTICE_BITS`` bits."""
-    terms = {p: c for p, c in terms.items() if abs(c) >= ZERO_THRESHOLD}
-    g = math.gcd(den, *(v for p in terms for v in p))
+    it has more than ``LATTICE_BITS`` bits.
+
+    ``terms`` comes back as it came unless a coefficient fails
+    ``abs(c) >= ZERO_THRESHOLD`` (as a nan does) or the gcd is above 1; the
+    gcd stops at the first term that brings it to 1."""
+    for c in terms.values():
+        if not abs(c) >= ZERO_THRESHOLD:
+            terms = {p: c for p, c in terms.items() if abs(c) >= ZERO_THRESHOLD}
+            break
+    g = den
+    for p in terms:
+        if g == 1:
+            break
+        g = math.gcd(g, *p)
     if g > 1:
         den //= g
-        terms = {tuple(v // g for v in p): c for p, c in terms.items()}
+        terms = {tuple([v // g for v in p]): c for p, c in terms.items()}
     if den.bit_length() > LATTICE_BITS:
         raise _over_budget("the common denominator of a polynomial", den)
     return den, terms
@@ -331,16 +350,17 @@ def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
     ``TermBudgetError`` when a factor or the pairwise expansion would exceed
     ``DEFAULT_TERM_CAP`` terms, or the product's least L passes ``LATTICE_BITS``.
     """
-    if p.dim != q.dim:
+    dim, m, n = p._dim, len(p._terms), len(q._terms)
+    if dim != q._dim:
         raise ValueError("cannot multiply polynomials of different dimension")
     cap = DEFAULT_TERM_CAP
-    if len(p) > cap or len(q) > cap or len(p) * len(q) > cap:
-        raise TermBudgetError(f"product of {len(p)} x {len(q)} terms exceeds cap {cap}")
+    if m > cap or n > cap or m * n > cap:
+        raise TermBudgetError(f"product of {m} x {n} terms exceeds cap {cap}")
     den = math.lcm(p._den, q._den)
     two_l2 = 2 * den * den
     ps, qs = p._over(den).items(), q._over(den).items()
     acc: dict[tuple[int, ...], complex] = {}
-    if p.dim == 2:
+    if dim == 2:
         for (x0, x1), a in ps:
             for (y0, y1), b in qs:
                 z = (x0 + y0, x1 + y1)
@@ -352,7 +372,7 @@ def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
                 z = (x0 + y0, x1 + y1, x2 + y2, x3 + y3)
                 s = x0 * y1 - x1 * y0 + x2 * y3 - x3 * y2
                 acc[z] = acc.get(z, 0j) + a * b * unit_phase(s, two_l2)
-    return WeylPolynomial._raw(p.dim, den, acc)
+    return WeylPolynomial._raw(dim, *_reduced(den, acc))
 
 
 def adjoint(p: WeylPolynomial) -> WeylPolynomial:
@@ -360,7 +380,7 @@ def adjoint(p: WeylPolynomial) -> WeylPolynomial:
     return WeylPolynomial._raw(
         p.dim,
         p._den,
-        {tuple(-v for v in x): c.conjugate() for x, c in p._terms.items()},
+        {tuple([-v for v in x]): c.conjugate() for x, c in p._terms.items()},
     )
 
 
@@ -424,4 +444,4 @@ def from_records(records: list[dict], dim: int | None = None) -> WeylPolynomial:
     inferred = len(ints[0])
     if dim is not None and dim != inferred:
         raise ValueError(f"records have dimension {inferred}, expected {dim}")
-    return WeylPolynomial._raw(inferred, den, _merged(inferred, ints, coeffs))
+    return WeylPolynomial._raw(inferred, *_reduced(den, _merged(inferred, ints, coeffs)))

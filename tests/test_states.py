@@ -13,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import distinct_points, rand_fraction, rand_point, rand_poly, same_bits
-from test_weyl import _COEFF, _SCALES, _SMALL, _fraction_lattice, _polys
+from test_weyl import (
+    _COEFF, _SCALES, _SMALL, _assert_same_lattice, _fraction_lattice, _polys
+)
 from eprbell import (
     EquivalenceError,
     StateFunctional,
@@ -36,6 +38,7 @@ from eprbell import (
 )
 import eprbell
 import eprbell.states
+from eprbell.states import embedded_pair
 from eprbell.weyl import direct_sum_form, unit_phase
 
 
@@ -943,6 +946,48 @@ class TestTraciality:
         for _ in range(100):
             res = traciality_check(state, rand_point(rng, 2), rand_point(rng, 2))
             assert res["passed"]
+
+    def test_reads_its_points(self):
+        # b = -a however the coordinates are written: both sides are 1
+        state = StateFunctional.epr(0.5, 0.5)
+        for a, b in (((Fraction(1, 2), 0), ("-1/2", 0)), (("1/2", "0"), ("-1/2", "0"))):
+            res = traciality_check(state, a, b)
+            assert res["passed"]
+            assert res["forward"] == 1.0 + 0j and res["reverse"] == 1.0 + 0j
+        with pytest.raises(ValueError, match="coordinate 1 is 0.5; give it as a string"):
+            traciality_check(state, (1, 0), (-1, 0.5))
+        with pytest.raises(ValueError, match="dimension-2 points"):
+            traciality_check(state, (1, 0, 0, 0), (-1, 0))
+
+
+def _assert_engine_pair(x, y):
+    """``embedded_pair`` has the L, keys and bits of the engine's product
+    (W(x) x I)(I x W(y))."""
+    want = weyl_multiply(tensor_embed(WeylPolynomial.generator(x), 1),
+                         tensor_embed(WeylPolynomial.generator(y), 2))
+    _assert_same_lattice(embedded_pair(x, y), (want._den, want._terms))
+
+
+class TestEmbeddedPair:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_is_the_engines_product_bit_for_bit(self, data):
+        coord = _SCALES[data.draw(st.sampled_from(sorted(_SCALES)))]
+        coord = st.one_of(coord, st.sampled_from([0, Fraction(0), "0"]))
+        _assert_engine_pair(*(data.draw(st.tuples(coord, coord)) for _ in range(2)))
+
+    @pytest.mark.parametrize("x, y", [
+        (("1/3", 0), (0, "-5/4")),
+        ((0, 0), (0, 0)),
+        (("2/6", "1/2"), ("3/9", 7)),
+        ((Fraction(1, 2**80), 1), (0, Fraction(3, 5))),
+    ])
+    def test_cases_on_different_denominators_and_zero_coordinates(self, x, y):
+        _assert_engine_pair(x, y)
+
+    def test_refuses_points_of_other_dimensions(self):
+        with pytest.raises(ValueError, match="dimension-2"):
+            embedded_pair((1, 0, 0, 0), (1, 0))
 
 
 class TestSpecRoundTrip:

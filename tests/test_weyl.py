@@ -1,5 +1,6 @@
 """Core algebra: forms, products, adjoints, embeddings, serialization."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -30,11 +31,13 @@ from eprbell import (
     symplectic_form,
     tensor_embed,
     to_records,
+    traciality_check,
     uniqueness_support_check,
     weyl_double,
     weyl_multiply,
 )
 import eprbell.weyl
+from eprbell.states import embedded_pair
 from eprbell.weyl import LATTICE_BITS, read_lattice, unit_phase
 
 
@@ -257,6 +260,7 @@ _ENTRY_POINTS = {
     "monomial_family_value": (
         1, lambda v: monomial_family_value(1, v, 0.3, 0.7, -0.2, 1.1, _STATE)),
     "weyl_double": (0, lambda v: weyl_double(v, "-1/2", _STATE)),
+    "traciality_check": (0, lambda v: traciality_check(_STATE, (v, 1), (-2, -1))),
     "SearchConfig": (0, lambda v: SearchConfig((((v, 0), (-2, 0)),) * 4)),
 }
 
@@ -738,3 +742,102 @@ class TestConstructorOracle:
     def test_fraction_coordinates_are_kept_as_given(self):
         x = Fraction(3, 4)
         assert point(x, 1)[0] is x
+
+
+def _reduced_oracle(den: int, terms: dict) -> tuple[int, dict]:
+    """``_reduced`` as it rebuilt every dict and took the gcd of every
+    coordinate: the reference for L, the keys, their order and the bits."""
+    terms = {p: c for p, c in terms.items() if abs(c) >= ZERO_THRESHOLD}
+    g = math.gcd(den, *(v for p in terms for v in p))
+    if g > 1:
+        den //= g
+        terms = {tuple(v // g for v in p): c for p, c in terms.items()}
+    if den.bit_length() > LATTICE_BITS:
+        raise TermBudgetError("the common denominator of a polynomial")
+    return den, terms
+
+
+#: Coefficients that canonical form must drop (nan, sub-threshold, zero) or
+#: keep (infinite, at the threshold), and ordinary ones.
+_EDGE_COEFF = st.one_of(
+    st.sampled_from([math.nan, complex(math.nan, 1), complex(0, math.nan), math.inf,
+                     -math.inf, complex(1, -math.inf), 1e-16, -1e-16j, 0, -0.0,
+                     ZERO_THRESHOLD, 1, -1, 0.5, 1j]),
+    _COEFF,
+)
+
+
+@st.composite
+def _lattice_terms(draw):
+    """A denominator and lattice terms over it, most of them sharing a
+    factor with it, so that dropping the others makes it reducible."""
+    dim = draw(st.sampled_from([2, 4]))
+    g = draw(st.sampled_from([1, 2, 3, 6, 2**70]))
+    den = g * draw(st.integers(1, 12))
+    shared = st.tuples(*[st.integers(-5, 5).map(lambda v: g * v)] * dim)
+    other = st.tuples(*[st.integers(-7, 7)] * dim)
+    pts = st.one_of(shared, shared, other)
+    return den, draw(st.dictionaries(pts, _EDGE_COEFF, max_size=5))
+
+
+def _assert_canonical(p: WeylPolynomial):
+    """gcd(L, coordinates) is 1 (so L is 1 without terms), and every
+    coefficient passes the threshold."""
+    den, items = p.lattice_items()
+    assert math.gcd(den, *(v for x, _ in items for v in x)) == 1
+    assert all(abs(c) >= ZERO_THRESHOLD for _, c in items)
+
+
+class TestCanonicalFormKept:
+    """Canonical form holds after every operation, though only some reduce."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_lattice_terms())
+    @example((1, {}))
+    @example((6, {}))
+    @example((6, {(3, 0): 1.0, (1, 0): 1e-16}))
+    @example((6, {(3, 0, 0, 3): 1.0, (1, 0, 0, 0): math.nan, (0, 3, 0, 0): -math.inf}))
+    @example((4, {(2, 2): 1e-16j}))
+    def test_reduced_matches_the_rebuild_everything_body(self, case):
+        den, terms = case
+        got_den, got = eprbell.weyl._reduced(den, dict(terms))
+        want_den, want = _reduced_oracle(den, dict(terms))
+        assert got_den == want_den and list(got) == list(want)
+        assert same_bits(np.array(list(got.values()), dtype=complex),
+                         np.array(list(want.values()), dtype=complex))
+
+    def test_reduced_keeps_the_budget(self):
+        big = 2 ** (LATTICE_BITS + 1)
+        with pytest.raises(TermBudgetError, match="common denominator of a polynomial"):
+            eprbell.weyl._reduced(big, {(1, 0): 1.0})
+        # a dropped term that held L up: the rest reduces inside the budget
+        assert eprbell.weyl._reduced(big, {(big, 0): 1.0, (1, 0): math.nan}) == (1, {(1, 0): 1.0})
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_operation_keeps_it(self, dim, data):
+        coord = _SCALES[data.draw(st.sampled_from(sorted(_SCALES)))]
+        # shared points, so terms merge and cancel, with a point of a larger
+        # denominator whose loss makes L reducible
+        pool = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=3))
+        pool.append(tuple(c / 7 for c in pool[0]))
+        terms = st.lists(st.tuples(st.sampled_from(pool), _EDGE_COEFF), max_size=6)
+        p, q = WeylPolynomial(dim, data.draw(terms)), WeylPolynomial(dim, data.draw(terms))
+        x, y = (data.draw(st.sampled_from(pool))[:2] for _ in range(2))
+        c, scalar = data.draw(_EDGE_COEFF), data.draw(_EDGE_COEFF)
+        p2 = WeylPolynomial(2, [(pt[:2], a) for pt, a in data.draw(terms)])
+        records = [
+            {"point": [str(v) for v in pt], "re": complex(a).real, "im": complex(a).imag}
+            for pt, a in data.draw(terms) if cmath.isfinite(a)
+        ]
+        results = [
+            WeylPolynomial.generator(pool[-1], c), p + q, p - q, p - p, p * scalar,
+            scalar * p, weyl_multiply(p, q), weyl_multiply(p, adjoint(p)), -p, adjoint(p),
+            tensor_embed(p2, 1), tensor_embed(p2, 2), from_records(records, dim),
+            embedded_pair(x, y),
+        ]
+        for r in [p, q, p2, *results]:
+            _assert_canonical(r)
+        # each result owns its terms dict
+        assert len({id(r._terms) for r in [p, q, p2, *results]}) == len(results) + 3
