@@ -293,15 +293,13 @@ class _FastObjective:
     every candidate built from it is a certified contraction.
 
     ``start`` scores a point in full and keeps the slot arrays and vectors,
-    the left products a_i.dot(w[(i, j)]), with one weight array per distinct
-    pair of supports, and the real parts of the terms a_i.dot(w[(i, j)]).dot(b_j).
-    ``move`` writes one parameter into a copy of its slot's array and
-    re-derives what its plan lists: the slot's vector, one left product per
-    distinct weight array and the terms that read the slot; ``accept`` keeps
-    them.  Every number is the same floating-point expression on the same
-    operands as a full evaluation (``ndarray.dot`` makes the BLAS calls of
-    ``@``), summed in the same order, so the value is bit for bit that of a
-    full evaluation of the moved point.
+    the left products a_i.dot(w[(i, j)]) and the real parts of the terms
+    a_i.dot(w[(i, j)]).dot(b_j).  ``move`` re-derives what one parameter's
+    slot changes, and ``accept`` keeps it.  Every number is the same
+    floating-point expression on the same operands as a full evaluation
+    (``ndarray.dot`` makes the BLAS calls of ``@``), summed in the same
+    order, so the value is bit for bit that of a full evaluation of the
+    moved point.
     """
 
     def __init__(self, state: StateFunctional, cfg: SearchConfig):
@@ -313,25 +311,21 @@ class _FastObjective:
                 for c, y in enumerate(key[1]):
                     w[r, c] = eval_point(state, (x[0], x[1], y[0], y[1]))
         self.weights = [weights[sup[i], sup[j]] for i, j in _PAIRS]
-        # per slot: ({right support: (weight, [(pair, right slot)])}, [pairs it is right of])
-        roles = [({}, [k for k, (_, j) in enumerate(_PAIRS) if j == s]) for s in range(4)]
-        for k, (i, j) in enumerate(_PAIRS):
-            roles[i][0].setdefault(sup[j], (self.weights[k], []))[1].append((k, j))
-        self.plan = []  # (slot, ((position, sign), ...), lefts, rights) per parameter
+        self.plan = []  # (slot, ((position, sign), ...)) per parameter
         for slot, support in enumerate(sup):
             index = {x: 2 * i for i, x in enumerate(support)}
             for rep in (x for x in support if index[x] <= index[negate(x)]):
                 pos, neg = index[rep], index[negate(rep)]
                 re, im = ((pos, 1.0), (neg, 1.0)), ((pos + 1, 1.0), (neg + 1, -1.0))
-                for pairs in [re[:1]] if pos == neg else [re, im]:
-                    self.plan.append((slot, pairs, roles[slot][0].values(), roles[slot][1]))
+                for writes in [re[:1]] if pos == neg else [re, im]:
+                    self.plan.append((slot, writes))
         self.n_params = len(self.plan)
 
     def _flats(self, params) -> list[np.ndarray]:
         """The four unscaled slot arrays of ``params``, each a new array."""
         flats = [np.zeros(2 * len(support)) for support in self.cfg.supports]
-        for (slot, pairs, *_), value in zip(self.plan, params):
-            for pos, sign in pairs:
+        for (slot, writes), value in zip(self.plan, params):
+            for pos, sign in writes:
                 flats[slot][pos] = value * sign + 0.0  # -0.0 becomes +0.0
         return flats
 
@@ -369,28 +363,29 @@ class _FastObjective:
 
         The current point stays as it is until ``accept`` is called.
         """
-        slot, pairs, lefts, rights = self.plan[i]
+        slot, writes = self.plan[i]
         flat = self.flats[slot].copy()
-        for pos, sign in pairs:  # as _flats writes them
+        for pos, sign in writes:  # as _flats writes them
             flat[pos] = value * sign + 0.0
         vec = self._scaled(flat)
-        terms, products = self.terms.copy(), []
-        for w, uses in lefts:
-            left = vec.dot(w)
-            products.append((left, uses))
-            for k, j in uses:
-                terms[k] = float(left.dot(self.vecs[j]).real)
-        for k in rights:
-            terms[k] = float(self.left[k].dot(vec).real)
-        self.pending = (slot, flat, vec, products, terms)
+        terms, left = self.terms.copy(), self.left
+        if slot < 2:  # the left factor of _PAIRS[2 * slot] and _PAIRS[2 * slot + 1]
+            k = 2 * slot
+            w, w1 = self.weights[k], self.weights[k + 1]
+            left = left.copy()
+            left[k] = vec.dot(w)
+            left[k + 1] = left[k] if w1 is w else vec.dot(w1)
+            terms[k] = float(left[k].dot(self.vecs[2]).real)
+            terms[k + 1] = float(left[k + 1].dot(self.vecs[3]).real)
+        else:  # the right factor of _PAIRS[slot - 2] and _PAIRS[slot]
+            for k in (slot - 2, slot):
+                terms[k] = float(left[k].dot(vec).real)
+        self.pending = (slot, flat, vec, left, terms)
         return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])  # as start sums them
 
     def accept(self):
         """Make the last point scored by ``move`` the current point."""
-        slot, self.flats[slot], self.vecs[slot], products, self.terms = self.pending
-        for left, uses in products:
-            for k, _ in uses:
-                self.left[k] = left
+        slot, self.flats[slot], self.vecs[slot], self.left, self.terms = self.pending
 
 
 def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:

@@ -67,7 +67,6 @@ from .weyl import (
     TermBudgetError,
     WeylPolynomial,
     from_records,
-    tensor_embed,
 )
 
 EXIT_PASS = 0
@@ -423,8 +422,8 @@ def _check_doubles(state: StateFunctional, rng: random.Random) -> list[CheckReco
 
         measured = _worst(n, sample)
         # negative control: the mirrored partner point must fail hard
-        u = tensor_embed(WeylPolynomial.generator((1, 1)), 1)
-        wrong = tensor_embed(WeylPolynomial.generator((1, 1)), 2)
+        u = WeylPolynomial.generator((1, 1, 0, 0))
+        wrong = WeylPolynomial.generator((0, 0, 1, 1))
         measured["perturbed_partner_deviation"] = correlation_deviation(state, u, wrong)
         inputs = {"n": n, "state": state.to_spec()}
         records.append(CHECKS["weyl_doubles"].record(inputs, measured))

@@ -22,7 +22,6 @@ from .states import (
     IDENTITY_TOL,
     StateFunctional,
     compression_matrix,
-    embedded_pair,
     eval_poly,
     trace_vector_check,
 )
@@ -121,7 +120,7 @@ def collinearity_check(
     onto the first factor alone.
     """
     a, b, c, d = point(a, b, c, d)
-    psi = embedded_pair((a, b), (c, d))
+    psi = WeylPolynomial.generator((a, b, c, d))
     phi = WeylPolynomial.generator((a + c, b - d, 0, 0))
     overlap = eval_poly(state, weyl_multiply(adjoint(psi), phi))
     expected = unit_phase(a * d + b * c, 2) * state.phase(c, 0) * state.phase(0, -d)

@@ -33,7 +33,6 @@ from .weyl import (
     Point,
     WeylPolynomial,
     adjoint,
-    negate,
     point,
     read_lattice,
     tensor_embed,
@@ -108,9 +107,9 @@ class StateFunctional:
 
     def angle(self, a, b, den: int = 1) -> float:
         """a*lambda + b*mu at the exact point (a/den, b/den), from each
-        coordinate's correctly rounded double; ValueError if not finite."""
-        fa, fb = (float(a), float(b)) if den == 1 else (a / den, b / den)
-        t = fa * self.lam + fb * self.mu
+        coordinate's correctly rounded double (a ``Fraction`` times a float
+        is its float() times it); ValueError if not finite."""
+        t = a / den * self.lam + b / den * self.mu
         if not math.isfinite(t):
             raise ValueError("state fields 'lambda' and 'mu' give no finite phase angle"
                              f" at the point a = {Fraction(a) / den}, b = {Fraction(b) / den}")
@@ -163,7 +162,7 @@ def eval_point(state: StateFunctional, x: Point, den: int = 1) -> complex:
     a, b, c, d = x
     if state.kind == KIND_EPR:
         return state.phase(a, b, den) if a + c == 0 and b - d == 0 else 0j
-    fa, fb, fc, fd = (float(t) for t in x) if den == 1 else (t / den for t in x)
+    fa, fb, fc, fd = (float(t / den) for t in x)
     norm_sq = fa * fa + fb * fb + fc * fc + fd * fd
     return complex(math.exp(-norm_sq / 4.0), 0.0)
 
@@ -385,8 +384,13 @@ def psd_check(m: np.ndarray, tol: float) -> dict:
     """
     if m.size == 0:
         raise ValueError("cannot check an empty matrix")
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol:
+    with np.errstate(invalid="ignore"):  # inf - inf is a nan deviation, which fails
+        dev = float(np.max(np.abs(m - m.conj().T)))
+    if not dev <= tol:
+        bad = np.argwhere(~np.isfinite(m))
+        if len(bad):
+            j, k = bad[0]
+            raise ValueError(f"matrix entry ({j}, {k}) is {m[j, k]}, not a finite number")
         raise ValueError(f"matrix is not Hermitian within {tol} (deviation {dev})")
     pattern = (m != 0) | (m.T != 0)
     np.fill_diagonal(pattern, True)
@@ -549,18 +553,6 @@ def uniqueness_support_check(state: StateFunctional, x: Point) -> dict:
     }
 
 
-def embedded_pair(x: Point, y: Point) -> WeylPolynomial:
-    """W(x) x W(y): the dimension-4 product (W(x) x I)(I x W(y)).
-
-    The form between the slots is 0, so the engine's product is the term
-    1 W(x, y) over the lcm of both denominators: the generator of (x, y),
-    bit for bit.
-    """
-    if len(x) != 2 or len(y) != 2:
-        raise ValueError("embedded_pair expects dimension-2 points")
-    return WeylPolynomial.generator((*x, *y))
-
-
 def multiplicativity_check(
     state: StateFunctional,
     s: Fraction,
@@ -575,8 +567,8 @@ def multiplicativity_check(
     A and B.
     """
     s, t = point(s, t)
-    a_poly = embedded_pair((s, 0), (-s, 0))
-    b_poly = embedded_pair((0, t), (0, t))
+    a_poly = WeylPolynomial.generator((s, 0, -s, 0))
+    b_poly = WeylPolynomial.generator((0, t, 0, t))
     wa = eval_poly(state, a_poly)
     wb = eval_poly(state, b_poly)
     deviations = [abs(eval_poly(state, weyl_multiply(a_poly, b_poly)) - wa * wb)]
@@ -618,13 +610,11 @@ def traciality_check(state: StateFunctional, a: Point, b: Point) -> dict:
     verdict: when b != -a both sides must be exact zeros; when b = -a both
     reduce to omega(I) = 1.
     """
-    a, b = point(*a), point(*b)
-    if len(a) != 2 or len(b) != 2:
+    ga, gb = WeylPolynomial.generator(a), WeylPolynomial.generator(b)
+    if ga.dim != 2 or gb.dim != 2:
         raise ValueError("traciality_check expects dimension-2 points")
-    res = trace_vector_check(
-        state, WeylPolynomial.generator(a), WeylPolynomial.generator(b), 1
-    )
+    res = trace_vector_check(state, ga, gb, 1)
     passed = res["deviation"] <= IDENTITY_TOL
-    if negate(a) != b:
+    if adjoint(ga) != gb:  # b != -a, exactly: canonical form is unique
         passed = passed and res["forward"] == 0 and res["reverse"] == 0
     return {**res, "passed": passed}

@@ -124,8 +124,9 @@ def _ratio(j: int, c) -> tuple[int, int]:
 
 
 def point(*coords: int | str | Fraction) -> Point:
-    """A phase-space point of 2 or 4 coordinates, as ``parse_points`` reads it."""
-    return parse_points([coords], None)[0]
+    """A point of 2 or 4 coordinates as ``read_lattice`` reads it; a ``Fraction`` is kept."""
+    den, (p,) = read_lattice([coords], None)
+    return tuple(c if type(c) is Fraction else Fraction(v, den) for c, v in zip(coords, p))
 
 
 def parse_points(rows: Iterable, label: str | None = "point") -> list[Point]:

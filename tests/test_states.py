@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,6 @@ from eprbell import (
 )
 import eprbell
 import eprbell.states
-from eprbell.states import embedded_pair
 from eprbell.weyl import direct_sum_form, unit_phase
 
 
@@ -82,6 +82,25 @@ class TestEvalPoint:
     def test_dimension_error(self):
         with pytest.raises(ValueError):
             eval_point(StateFunctional.epr(), point(1, 0))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fraction_points_are_their_lattice_ints(self, data):
+        """``Fraction`` coordinates at den = 1 give the bits of their ints
+        over the common denominator L, for coordinates past 2^53 too."""
+        past_2_53 = st.integers(-(2**70), 2**70).map(Fraction)
+        coord = st.one_of(*_SCALES.values(), past_2_53)
+        a, b = data.draw(coord), data.draw(coord)
+        c, d = data.draw(st.one_of(st.just((-a, b)), st.tuples(coord, coord)))
+        x = (a, b, c, d)
+        den, (ints,) = eprbell.weyl.read_lattice([x], None)
+        state = StateFunctional.epr(*data.draw(st.tuples(*[st.floats(-10, 10)] * 2)))
+        pairs = [(state.angle(a, b), state.angle(ints[0], ints[1], den))]
+        pairs.append((state.phase(a, b), state.phase(ints[0], ints[1], den)))
+        for s in (state, StateFunctional.regular()):
+            pairs.append((eval_point(s, x), eval_point(s, ints, den)))
+        for got, want in pairs:
+            assert same_bits(np.array([got], complex), np.array([want], complex))
 
 
 class TestEvalPoly:
@@ -403,6 +422,17 @@ class TestPsdCheck:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-10)
+
+    @pytest.mark.parametrize("m, entry", [
+        ([[-1.0, 0], [0, math.nan]], "(1, 1) is nan"),
+        ([[math.nan]], "(0, 0) is nan"),
+        ([[math.inf]], "(0, 0) is inf"),
+        ([[1.0, complex(0, math.inf)], [complex(0, -math.inf), 1.0]], "(0, 1) is infj"),
+    ])
+    def test_non_finite_entry_rejected(self, m, entry):
+        # the Hermiticity deviation is nan, which no bound on it passes
+        with pytest.raises(ValueError, match=re.escape(f"matrix entry {entry}, not a finite")):
+            psd_check(np.array(m), 1e-10)
 
 
 class TestPositivity:
@@ -959,13 +989,17 @@ class TestTraciality:
         with pytest.raises(ValueError, match="dimension-2 points"):
             traciality_check(state, (1, 0, 0, 0), (-1, 0))
 
+    def test_names_a_malformed_point(self):
+        with pytest.raises(ValueError, match="^a point is an array of coordinates, not 5$"):
+            traciality_check(StateFunctional.epr(), 5, (1, 0))
+
 
 def _assert_engine_pair(x, y):
-    """``embedded_pair`` has the L, keys and bits of the engine's product
-    (W(x) x I)(I x W(y))."""
+    """The generator of (x, y) has the L, keys and bits of the engine's
+    product (W(x) x I)(I x W(y)), so the checks may build W(x) x W(y) as it."""
     want = weyl_multiply(tensor_embed(WeylPolynomial.generator(x), 1),
                          tensor_embed(WeylPolynomial.generator(y), 2))
-    _assert_same_lattice(embedded_pair(x, y), (want._den, want._terms))
+    _assert_same_lattice(WeylPolynomial.generator((*x, *y)), (want._den, want._terms))
 
 
 class TestEmbeddedPair:
@@ -984,10 +1018,6 @@ class TestEmbeddedPair:
     ])
     def test_cases_on_different_denominators_and_zero_coordinates(self, x, y):
         _assert_engine_pair(x, y)
-
-    def test_refuses_points_of_other_dimensions(self):
-        with pytest.raises(ValueError, match="dimension-2"):
-            embedded_pair((1, 0, 0, 0), (1, 0))
 
 
 class TestSpecRoundTrip:

@@ -37,7 +37,6 @@ from eprbell import (
     weyl_multiply,
 )
 import eprbell.weyl
-from eprbell.states import embedded_pair
 from eprbell.weyl import LATTICE_BITS, read_lattice, unit_phase
 
 
@@ -835,7 +834,7 @@ class TestCanonicalFormKept:
             WeylPolynomial.generator(pool[-1], c), p + q, p - q, p - p, p * scalar,
             scalar * p, weyl_multiply(p, q), weyl_multiply(p, adjoint(p)), -p, adjoint(p),
             tensor_embed(p2, 1), tensor_embed(p2, 2), from_records(records, dim),
-            embedded_pair(x, y),
+            WeylPolynomial.generator((*x, *y)),
         ]
         for r in [p, q, p2, *results]:
             _assert_canonical(r)
