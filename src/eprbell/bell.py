@@ -44,8 +44,10 @@ from .weyl import (
     weyl_multiply,
 )
 
-SELF_ADJOINT_TOL = 1e-10
 CONTRACTION_TOL = 1e-12
+
+#: Bound on |search value - engine re-evaluation| of the search's winner.
+CERTIFY_TOL = 1e-10
 
 #: Cap on the objective evaluations a search may take in the worst case.
 MAX_EVALUATIONS = 1_000_000
@@ -67,7 +69,7 @@ class BellCandidate:
 
     a1, a2 live in factor 1 and b1, b2 in factor 2; embedding happens at
     assembly time.  A valid candidate has every component self-adjoint
-    within 1e-10 and of one-norm at most 1 + 1e-12.
+    within ``weyl.SELF_ADJOINT_TOL`` and of one-norm at most 1 + 1e-12.
     """
 
     a1: WeylPolynomial
@@ -82,7 +84,7 @@ class BellCandidate:
         for name, comp in zip(SLOT_NAMES, self.components()):
             if comp.dim != 2:
                 raise ValueError(f"component {name} must have dimension 2")
-            if not is_self_adjoint(comp, SELF_ADJOINT_TOL):
+            if not is_self_adjoint(comp):
                 raise ValueError(f"component {name} is not self-adjoint")
             if one_norm(comp) > 1.0 + CONTRACTION_TOL:
                 raise ValueError(
@@ -398,7 +400,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     uses a precomputed bilinear form, which each one-parameter move updates
     in the one slot it changes; the returned value comes from a full
     engine re-evaluation of the winning candidate, which must agree with
-    the search value to 1e-10.  The trace records (evaluation index, value)
+    the search value to ``CERTIFY_TOL``.  The trace records (evaluation index, value)
     at every improvement of the global best.
     """
     # the final certification multiplies A_i into (B_1 +- B_2); reject
@@ -463,7 +465,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     searched = time.perf_counter()
     best_candidate = fast.candidate(best_params)
     certified = bell_value(state, best_candidate)
-    if abs(certified - best_value) > 1e-10:
+    if abs(certified - best_value) > CERTIFY_TOL:
         raise AssertionError(
             "search evaluation diverged from the engine:"
             f" {best_value} vs {certified}"

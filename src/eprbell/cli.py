@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bell import (
+    CERTIFY_TOL,
     EvaluationBudgetError,
     SearchConfig,
     correlation_deviation,
@@ -43,6 +44,8 @@ from .reports import (
 )
 from .states import (
     IDENTITY_TOL,
+    KIND_EPR,
+    PSD_TOL,
     EquivalenceError,
     StateFunctional,
     eval_poly,
@@ -67,6 +70,7 @@ from .weyl import (
     TermBudgetError,
     WeylPolynomial,
     from_records,
+    negate,
 )
 
 EXIT_PASS = 0
@@ -138,9 +142,9 @@ _SAMPLED = (("failed_samples", "<=", 0), ("max_deviation", "<=", IDENTITY_TOL))
 #: Every check a report can hold, by name.  Each anchor, tolerance and bound
 #: is declared here once, whichever command runs the check.
 CHECKS = {check.name: check for check in (
-    Check("kernel_psd", 1e-10,
+    Check("kernel_psd", PSD_TOL,
           "F(x,y) = G(x-y) exp(-i s(x,y)) is a positive semidefinite kernel",
-          (("min_eigenvalue", ">=", -1e-10),)),
+          (("min_eigenvalue", ">=", -PSD_TOL),)),
     Check("support_rank_one", 1e-9, "kernel support classes carry unimodular"
           " rank-one phases M[j,k] M[k,l] = M[j,l]",
           tuple((key, "<=", 1e-9) for key in _RANK_ONE_KEYS)),
@@ -163,7 +167,7 @@ CHECKS = {check.name: check for check in (
     Check("bell_monomial_optimum", 1e-6, "search over the monomial family attains"
           " its maximum sqrt(2)/2 and never exceeds sqrt(2)",
           (("deviation", "<=", 1e-6), ("value", "<=", SQRT2 + 1e-9))),
-    Check("bell_search", 1e-10, "certified lower bound for sup omega(R) over Bell"
+    Check("bell_search", CERTIFY_TOL, "certified lower bound for sup omega(R) over Bell"
           " operators, capped by sqrt(2)", (("value", "<=", SQRT2 + 1e-9),)),
     Check("surrogate_chsh", 1e-12,
           "(1/2)<Omega,(A1(B1+B2)+A2(B1-B2))Omega> = 2 cos(pi/4) = sqrt(2)",
@@ -198,18 +202,17 @@ def _measure_kernel(state: StateFunctional, pts: list) -> tuple[float, dict | No
     start = time.perf_counter()
     m = kernel_matrix(state, pts)
     built = time.perf_counter()
-    min_eig = psd_check(m, CHECKS["kernel_psd"].tolerance)["min_eigenvalue"]
+    min_eig = psd_check(m)["min_eigenvalue"]
     checked = time.perf_counter()
     timings = {"kernel_s": built - start, "psd_s": checked - built, "support_s": 0.0}
-    if state.kind != "epr":
+    if state.kind != KIND_EPR:
         return min_eig, None, timings
     try:
         part = support_relation(m)
     except EquivalenceError as exc:
         rank = {"error": str(exc)}
     else:
-        devs = rank_one_class_check(m, part, CHECKS["support_rank_one"].tolerance)
-        rank = {"classes": len(part.classes), **{k: devs[k] for k in _RANK_ONE_KEYS}}
+        rank = {"classes": len(part.classes), **rank_one_class_check(m, part)}
     timings["support_s"] = time.perf_counter() - checked
     return min_eig, rank, timings
 
@@ -276,7 +279,7 @@ def _check_kernel_psd(state: StateFunctional, rng: random.Random) -> list[CheckR
     inputs = {"batteries": batteries, "points": points_per}
     measured = {"min_eigenvalue": min(min_eigs)}
     records = [CHECKS["kernel_psd"].record({**inputs, "state": state.to_spec()}, measured)]
-    if state.kind == "epr":
+    if state.kind == KIND_EPR:
         # the first battery whose support relation failed, else the worst
         # deviations over all of them
         worst = next((rank for rank in ranks if "error" in rank), None) or {
@@ -313,7 +316,7 @@ def _check_multiplicativity(
 def _check_traciality(state: StateFunctional, rng: random.Random) -> list[CheckRecord]:
     def sample(i):
         a = _rand_point(rng, 2)
-        b = tuple(-c for c in a) if i % 10 == 0 else _rand_point(rng, 2)
+        b = negate(a) if i % 10 == 0 else _rand_point(rng, 2)
         res = traciality_check(state, a, b)
         return res["deviation"], res["passed"]
 
@@ -414,7 +417,7 @@ def _check_surrogate(state: StateFunctional, rng: random.Random) -> list[CheckRe
 def _check_doubles(state: StateFunctional, rng: random.Random) -> list[CheckRecord]:
     n = 100
     records = []
-    if state.kind == "epr":
+    if state.kind == KIND_EPR:
         def sample(i):
             res = weyl_double(_rand_fraction(rng), _rand_fraction(rng), state)
             return {"max_deviation": abs(res["deviation"]),
@@ -606,7 +609,7 @@ def cmd_verify_all(args) -> int:
     timings: dict[str, float] = {}
     total_start = time.perf_counter()
     for name, on_regular, runner in SUITE:
-        if state.kind != "epr" and not on_regular:
+        if state.kind != KIND_EPR and not on_regular:
             continue
         start = time.perf_counter()
         checks.extend(runner(state, rng))

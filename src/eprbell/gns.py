@@ -17,18 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-# trace_vector_check is re-exported here, beside the other vector checks
+# compress_operator and trace_vector_check are re-exported here, beside the frame checks
 from .states import (
     IDENTITY_TOL,
+    PSD_TOL,
     StateFunctional,
-    compression_matrix,
+    compress_operator,
     eval_poly,
     trace_vector_check,
 )
 from .weyl import (
-    DEFAULT_TERM_CAP,
     Point,
-    TermBudgetError,
     WeylPolynomial,
     adjoint,
     parse_points,
@@ -68,7 +67,7 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
     consistency probe of the engine.  The value is the twisted kernel on the
     negated points, F(-x_j, -x_k) = G(x_k - x_j) exp{-i s(x_j, x_k)}, and
     never the corrupt control's deflated kernel.  The Gram must come out
-    positive semidefinite within 1e-10 and with unit diagonal, else the
+    positive semidefinite within ``PSD_TOL`` and with unit diagonal, else the
     engine itself is at fault.
     """
     pts = tuple(parse_points(points))
@@ -82,31 +81,11 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
         for k in range(n):
             gram[j, k] = eval_poly(state, weyl_multiply(adjs[j], gens[k]))
     lam_min = float(np.linalg.eigvalsh(gram)[0]) if n else 0.0
-    if lam_min < -1e-10:
+    if lam_min < -PSD_TOL:
         raise GramPositivityError(f"frame Gram is not positive: eigenvalue {lam_min}")
     if n and np.max(np.abs(np.diag(gram) - 1.0)) > 1e-12:
         raise GramPositivityError("frame Gram diagonal deviates from 1")
     return GnsFrame(pts, gram)
-
-
-def compress_operator(
-    state: StateFunctional, frame: GnsFrame, p: WeylPolynomial
-) -> np.ndarray:
-    """Matrix elements omega(W(x_j)* P W(x_k)) of P against the frame.
-
-    ``states.compression_matrix`` computes them term by term on the integer
-    lattice, bit for bit what the product engine gives.  A P of more than
-    ``DEFAULT_TERM_CAP`` terms raises ``TermBudgetError``, as the engine's
-    product would.  For self-adjoint P the result is Hermitian up to phase
-    roundoff.
-    """
-    if p.dim != 4:
-        raise ValueError("compress_operator expects a dimension-4 polynomial")
-    if len(p) > DEFAULT_TERM_CAP:
-        raise TermBudgetError(
-            f"product of 1 x {len(p)} terms exceeds cap {DEFAULT_TERM_CAP}"
-        )
-    return compression_matrix(state, frame.points, p)
 
 
 def collinearity_check(

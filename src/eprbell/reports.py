@@ -44,21 +44,17 @@ def build_report(
     tool: dict,
     state_spec: dict | None,
     checks: list[CheckRecord],
-    wall_clock_s: dict | None = None,
+    wall_clock_s: dict,
 ) -> VerificationReport:
     return VerificationReport(
         tool=tool,
         state_spec=state_spec,
         checks=checks,
         overall_pass=all(c.passed for c in checks),
-        wall_clock_s=wall_clock_s or {},
+        wall_clock_s=wall_clock_s,
     )
 
 
-def report_to_dict(report: VerificationReport) -> dict:
-    return asdict(report)
-
-
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
+    return json.dumps(asdict(report), sort_keys=True, indent=2)
 

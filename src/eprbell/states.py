@@ -29,12 +29,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .weyl import (
+    DEFAULT_TERM_CAP,
     ZERO_THRESHOLD,
     Point,
+    TermBudgetError,
     WeylPolynomial,
     adjoint,
     point,
     read_lattice,
+    read_number,
     tensor_embed,
     unit_phase,
     weyl_multiply,
@@ -49,6 +52,9 @@ SUPPORT_ZERO_TOL = 1e-9
 #: Tolerance of the uniqueness, multiplicativity, traciality and collinearity
 #: checks: each compares doubles against a value the identity fixes exactly.
 IDENTITY_TOL = 1e-12
+
+#: psd_check's bound on negative eigenvalues and on |M - M*|.
+PSD_TOL = 1e-10
 
 
 class EquivalenceError(Exception):
@@ -98,12 +104,9 @@ class StateFunctional:
             raise ValueError(
                 f"state field 'corrupt_kernel' must be true or false, got {corrupt!r}"
             )
-        return cls(
-            spec.get("kind", KIND_EPR),
-            _spec_number(spec, "lambda"),
-            _spec_number(spec, "mu"),
-            corrupt,
-        )
+        lam, mu = (read_number(spec.get(field, 0.0), f"state field {field!r}")
+                   for field in ("lambda", "mu"))
+        return cls(spec.get("kind", KIND_EPR), lam, mu, corrupt)
 
     def angle(self, a, b, den: int = 1) -> float:
         """a*lambda + b*mu at the exact point (a/den, b/den), from each
@@ -127,25 +130,13 @@ class StateFunctional:
         bad = ~np.isfinite(t)
         if bad.any():  # the scalar form, bit for bit the same, raises its error
             self.angle(int(a.flat[bad.argmax()]), int(b.flat[bad.argmax()]), den)
-        return np.cos(t), np.sin(t)
+        return _phase(t, 1)  # t / 1 is t
 
     def to_spec(self) -> dict:
         spec = {"kind": self.kind, "lambda": self.lam, "mu": self.mu}
         if self.corrupt_kernel:
             spec["corrupt_kernel"] = True
         return spec
-
-
-def _spec_number(spec: dict, field: str) -> float:
-    """A numeric state field, as float() reads it; JSON true/false and null
-    are rejected, naming the field."""
-    value = spec.get(field, 0.0)
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"state field {field!r} must be a number, got {value!r}")
 
 
 def eval_point(state: StateFunctional, x: Point, den: int = 1) -> complex:
@@ -310,10 +301,9 @@ def _state_factor(
     return g_re.reshape(arg.shape), np.zeros(arg.shape)
 
 
-def compression_matrix(
-    state: StateFunctional, points: Sequence[Point], p: WeylPolynomial
-) -> np.ndarray:
-    """C[j,k] = omega(W(-x_j) P W(x_k)) for the points x_j and a dimension-4 P.
+def compress_operator(state: StateFunctional, frame, p: WeylPolynomial) -> np.ndarray:
+    """C[j,k] = omega(W(x_j)* P W(x_k)) for the points x_j of a ``gns.GnsFrame``
+    and a dimension-4 P of at most ``DEFAULT_TERM_CAP`` terms, the engine's cap.
 
     Each entry is the double eval_poly gives of the engine's product
     (W(x_j)* P) W(x_k), replayed on the integer lattice a block of P's
@@ -324,12 +314,16 @@ def compression_matrix(
     out over real and imaginary parts as Python computes it; canonical
     form's 0j + v only clears a zero's sign, as the sum from 0j does.
     """
-    n = len(points)
+    if p.dim != 4:
+        raise ValueError("compress_operator expects a dimension-4 polynomial")
+    if len(p) > DEFAULT_TERM_CAP:
+        raise TermBudgetError(f"product of 1 x {len(p)} terms exceeds cap {DEFAULT_TERM_CAP}")
+    n = len(frame)
     out = np.zeros((n, n), dtype=complex)
     den, items = p.lattice_items()
     if not n or not items:
         return out
-    frame_den, frame_ints = read_lattice(points)
+    frame_den, frame_ints = read_lattice(frame.points)
     scale = math.lcm(den, frame_den)
     xs = [tuple(v * (scale // frame_den) for v in q) for q in frame_ints]
     terms, coeffs = zip(*items)
@@ -367,11 +361,11 @@ def compression_matrix(
     return out
 
 
-def psd_check(m: np.ndarray, tol: float) -> dict:
+def psd_check(m: np.ndarray) -> dict:
     """Report the minimum eigenvalue of a Hermitian matrix.
 
-    Passes when lambda_min >= -tol.  Rejects matrices that are not Hermitian
-    within the same tolerance.
+    Passes when lambda_min >= -PSD_TOL.  Rejects matrices that are not
+    Hermitian within the same tolerance.
 
     The spectrum is taken per block.  When the exact nonzero pattern m != 0
     (made symmetric and reflexive) is transitive, as a kernel's support
@@ -386,12 +380,12 @@ def psd_check(m: np.ndarray, tol: float) -> dict:
         raise ValueError("cannot check an empty matrix")
     with np.errstate(invalid="ignore"):  # inf - inf is a nan deviation, which fails
         dev = float(np.max(np.abs(m - m.conj().T)))
-    if not dev <= tol:
+    if not dev <= PSD_TOL:
         bad = np.argwhere(~np.isfinite(m))
         if len(bad):
             j, k = bad[0]
             raise ValueError(f"matrix entry ({j}, {k}) is {m[j, k]}, not a finite number")
-        raise ValueError(f"matrix is not Hermitian within {tol} (deviation {dev})")
+        raise ValueError(f"matrix is not Hermitian within {PSD_TOL} (deviation {dev})")
     pattern = (m != 0) | (m.T != 0)
     np.fill_diagonal(pattern, True)
     labels = _classes(pattern)
@@ -402,7 +396,7 @@ def psd_check(m: np.ndarray, tol: float) -> dict:
             # one block of every index is m itself, in its own order
             sub = m if size == len(m) else m[blocks[t, :, None], blocks[t, None, :]]
             lam_min = min(lam_min, float(np.linalg.eigvalsh(sub).min()))
-    return {"min_eigenvalue": lam_min, "passed": lam_min >= -tol}
+    return {"min_eigenvalue": lam_min, "passed": lam_min >= -PSD_TOL}
 
 
 def _classes(related: np.ndarray) -> np.ndarray | None:
@@ -471,10 +465,8 @@ def support_relation(m: np.ndarray) -> SupportPartition:
     return SupportPartition(labels)
 
 
-def rank_one_class_check(
-    m: np.ndarray, partition: SupportPartition, tol: float
-) -> dict:
-    """Check the rank-one phase structure of the kernel on each class.
+def rank_one_class_check(m: np.ndarray, partition: SupportPartition) -> dict:
+    """Measure the rank-one phase structure of the kernel on each class.
 
     Within a class every entry must be unimodular and satisfy the cocycle
     M[j,k] M[k,l] = M[j,l], which is equivalent to a factorization
@@ -501,14 +493,10 @@ def rank_one_class_check(
     modulus = np.hypot(m.real[same], m.imag[same])
     max_modulus_dev = float(np.max(np.abs(modulus - 1.0), initial=0.0))
     max_cross_leak = _max_hypot(m.real[~same], m.imag[~same])
-    passed = (
-        max_modulus_dev <= tol and max_cocycle_dev <= tol and max_cross_leak <= tol
-    )
     return {
         "max_modulus_dev": max_modulus_dev,
         "max_cocycle_dev": max_cocycle_dev,
         "max_cross_leak": max_cross_leak,
-        "passed": passed,
     }
 
 

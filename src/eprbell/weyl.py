@@ -123,6 +123,20 @@ def _ratio(j: int, c) -> tuple[int, int]:
     return c.numerator, c.denominator
 
 
+def read_number(value, what: str) -> float:
+    """A JSON number or numeric string as float() reads it.  JSON true/false
+    and null are refused, and so is an integer past the doubles, naming
+    ``what`` without echoing its digits."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} is past the range of a double") from None
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
 def point(*coords: int | str | Fraction) -> Point:
     """A point of 2 or 4 coordinates as ``read_lattice`` reads it; a ``Fraction`` is kept."""
     den, (p,) = read_lattice([coords], None)
@@ -178,12 +192,12 @@ class WeylPolynomial:
     all arithmetic returns new polynomials, each with a terms dict of its own.
 
     Only the operations that can break canonical form restore it with
-    ``_reduced``: the constructor, ``generator`` and ``from_records`` (they
-    merge duplicates and take any coefficient), sums and products (terms
-    merge and cancel) and scalar products (a coefficient can shrink or
-    become nan).  Negation, ``adjoint`` and ``tensor_embed`` keep every
-    |c|, and negating or appending zero coordinates keeps gcd(L,
-    coordinates) at 1, so they build their result with ``_raw`` directly.
+    ``_reduced``: the constructor and ``from_records`` (they merge
+    duplicates and take any coefficient), sums and products (terms merge
+    and cancel) and scalar products (a coefficient can shrink or become
+    nan).  Negation, ``adjoint`` and ``tensor_embed`` keep every |c|, and
+    negating or appending zero coordinates keeps gcd(L, coordinates) at 1,
+    so they, and ``generator``, build their result with ``_raw`` directly.
     """
 
     __slots__ = ("_dim", "_den", "_terms")
@@ -215,10 +229,10 @@ class WeylPolynomial:
         return self
 
     @classmethod
-    def generator(cls, pt: Point, coefficient: complex = 1.0) -> "WeylPolynomial":
-        """The single term coefficient * W(pt), read straight onto the lattice."""
+    def generator(cls, pt: Point) -> "WeylPolynomial":
+        """W(pt), read onto the lattice over its least L within the budget."""
         den, (p,) = read_lattice([pt], None)
-        return cls._raw(len(p), *_reduced(den, {p: complex(coefficient)}))
+        return cls._raw(len(p), den, {p: 1 + 0j})
 
     @classmethod
     def identity(cls, dim: int) -> "WeylPolynomial":
@@ -408,10 +422,12 @@ def one_norm(p: WeylPolynomial) -> float:
     return float(sum(abs(c) for c in p._terms.values()))
 
 
-def is_self_adjoint(p: WeylPolynomial, tol: float) -> bool:
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return one_norm(p - adjoint(p)) <= tol
+#: Bound on one_norm(p - adjoint(p)) for a self-adjoint p.
+SELF_ADJOINT_TOL = 1e-10
+
+
+def is_self_adjoint(p: WeylPolynomial) -> bool:
+    return one_norm(p - adjoint(p)) <= SELF_ADJOINT_TOL
 
 
 def to_records(p: WeylPolynomial) -> list[dict]:
@@ -426,16 +442,26 @@ def from_records(records: list[dict], dim: int | None = None) -> WeylPolynomial:
     """Rebuild a polynomial from records; re-canonicalizes on load.
 
     The dimension is inferred from the first point unless given explicitly
-    (required for an empty record list).
+    (required for an empty record list).  Points are read by
+    ``read_lattice`` and each part of a coefficient by ``read_number``; an
+    error names the record and, where it has one, the key.
     """
+    if not isinstance(records, (list, tuple)):
+        raise ValueError(f"records are a JSON array, not {type(records).__name__}")
     if not records:
         if dim is None:
             raise ValueError("cannot infer dimension from an empty record list")
         return WeylPolynomial.zero(dim)
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValueError(f"record {i}: a record is a JSON object, not {type(rec).__name__}")
+        for key in ("point", "re", "im"):
+            if key not in rec:
+                raise ValueError(f"record {i}: key {key!r} is missing")
     den, ints = read_lattice((rec["point"] for rec in records), "record")
     coeffs = []
     for i, rec in enumerate(records):
-        coeff = complex(float(rec["re"]), float(rec["im"]))
+        coeff = complex(*(read_number(rec[key], f"record {i}: {key!r}") for key in ("re", "im")))
         # abs() of a finite coefficient can still overflow, in canonical form
         if not math.isfinite(math.hypot(coeff.real, coeff.imag)):
             raise ValueError(

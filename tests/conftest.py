@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from eprbell import WeylPolynomial
 from eprbell.cli import _distinct_points as distinct_points
 from eprbell.cli import _rand_fraction as rand_fraction
 from eprbell.cli import _rand_point as rand_point
-from eprbell.reports import CheckRecord, VerificationReport, report_to_dict
+from eprbell.reports import CheckRecord, VerificationReport
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -36,7 +37,7 @@ def add_points(x: tuple, y: tuple) -> tuple:
 
 def report_body_json(report: VerificationReport) -> str:
     """The deterministic body of a report: everything except timings."""
-    data = report_to_dict(report)
+    data = asdict(report)
     data.pop("wall_clock_s")
     return json.dumps(data, sort_keys=True)
 

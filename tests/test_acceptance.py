@@ -8,6 +8,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -60,7 +61,7 @@ def test_criterion_1_surrogate_chsh(tmp_path):
         elapsed = time.perf_counter() - start
         slowest = max(slowest, elapsed)
         assert code == 0
-        report = report_from_json(open(out).read())
+        report = report_from_json(Path(out).read_text())
         chsh = next(c for c in report.checks if c.name == "surrogate_chsh")
         worst = max(worst, abs(chsh.measured["value"] - 1.414213562373095))
     ok = worst <= 1e-12 and slowest < 1.0
@@ -99,7 +100,7 @@ def test_criterion_3_kernel_positivity():
         state = StateFunctional.epr(rng.uniform(-5, 5), rng.uniform(-5, 5))
         for _ in range(10):
             pts = distinct_points(rng, 64, 4)
-            res = psd_check(kernel_matrix(state, pts), 1e-10)
+            res = psd_check(kernel_matrix(state, pts))
             worst = min(worst, res["min_eigenvalue"])
             batteries += 1
     elapsed = time.perf_counter() - start

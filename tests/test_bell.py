@@ -80,10 +80,15 @@ def _contraction(rng: random.Random, support_size: int = 2) -> WeylPolynomial:
 
 class TestCandidates:
     def test_validate_rejects_non_self_adjoint(self):
-        bad = WeylPolynomial.generator(point(1, 0), 1j)
+        bad = WeylPolynomial(2, {point(1, 0): 1j})
         good = WeylPolynomial.identity(2)
         with pytest.raises(ValueError):
             BellCandidate(bad, good, good, good).validate()
+
+    def test_validate_rejects_a_component_of_dimension_4(self):
+        good = WeylPolynomial.identity(2)
+        with pytest.raises(ValueError, match="component a1 must have dimension 2"):
+            BellCandidate(WeylPolynomial.identity(4), good, good, good).validate()
 
     def test_validate_rejects_expansion(self):
         big = 1.5 * WeylPolynomial.identity(2)

@@ -12,7 +12,8 @@ import pytest
 import eprbell.cli
 from conftest import report_body_json, report_from_json
 from eprbell.cli import CHECKS, Check, main
-from eprbell.states import IDENTITY_TOL, EquivalenceError, StateFunctional
+from eprbell.bell import CERTIFY_TOL
+from eprbell.states import IDENTITY_TOL, PSD_TOL, EquivalenceError, StateFunctional
 
 
 def _write(path, data):
@@ -60,6 +61,40 @@ class TestEval:
         assert main(["eval", poly]) == 2
         err = capsys.readouterr().err
         assert f"error: {poly}: states are defined on the dimension-4 algebra" in err
+
+    def test_mixed_dimensions_exit_2_naming_the_point(self, tmp_path, capsys):
+        records = [
+            {"point": ["1", "0", "-1", "0"], "re": 1.0, "im": 0.0},
+            {"point": ["1", "0"], "re": 1.0, "im": 0.0},
+        ]
+        poly = _write(tmp_path / "p.json", records)
+        assert main(["eval", poly]) == 2
+        err = capsys.readouterr().err
+        assert f"{poly}: point of length 2 in a dimension-4 polynomial" in err
+
+    ONE = {"point": ["1", "0", "-1", "0"], "re": 1.0, "im": 0.0}
+
+    @pytest.mark.parametrize(
+        "data, says",
+        [
+            ([{**ONE, "re": True, "im": False}], "record 0: 're' must be a number, got True"),
+            ([ONE, {**ONE, "re": None}], "record 1: 're' must be a number, got None"),
+            ([{**ONE, "im": [0.0]}], "record 0: 'im' must be a number, got [0.0]"),
+            ([{**ONE, "re": 10**400}], "record 0: 're' is past the range of a double"),
+            ([{**ONE, "im": -(10**400)}], "record 0: 'im' is past the range of a double"),
+            ([{"point": ONE["point"], "im": 0.0}], "record 0: key 're' is missing"),
+            ([{"re": 1.0, "im": 0.0}], "record 0: key 'point' is missing"),
+            ([ONE, ONE["point"]], "record 1: a record is a JSON object, not list"),
+            (ONE, "records are a JSON array, not dict"),
+        ],
+    )
+    def test_a_malformed_record_exits_2_naming_record_and_key(
+        self, tmp_path, capsys, data, says
+    ):
+        poly = _write(tmp_path / "p.json", data)
+        assert main(["eval", poly]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {poly}: {says}" in captured.err
 
     def test_infinite_coefficient_exits_2(self, tmp_path, capsys):
         poly = _write(
@@ -116,7 +151,7 @@ class TestPsd:
         )
         out = str(tmp_path / "rep.json")
         assert main(["psd", pts, "--out", out]) == 0
-        report = report_from_json(open(out).read())
+        report = report_from_json(Path(out).read_text())
         record = report.checks[0]
         assert record.name == "kernel_psd"
         assert abs(record.measured["min_eigenvalue"]) <= 1e-12
@@ -196,7 +231,7 @@ class TestPsd:
         )
         out = str(tmp_path / "rep.json")
         assert main(["psd", pts, "--state", epr_state_file, "--out", out]) == 0
-        timings = report_from_json(open(out).read()).wall_clock_s
+        timings = report_from_json(Path(out).read_text()).wall_clock_s
         assert set(timings) == {"kernel_s", "psd_s", "support_s", "total"}
         parts = timings["kernel_s"] + timings["psd_s"] + timings["support_s"]
         assert min(timings.values()) >= 0 and parts <= timings["total"]
@@ -256,7 +291,7 @@ class TestBell:
         cfg = _family_config(tmp_path)
         out = str(tmp_path / "rep.json")
         assert main(["bell", cfg, "--out", out]) == 0
-        report = report_from_json(open(out).read())
+        report = report_from_json(Path(out).read_text())
         value = report.checks[0].measured["value"]
         assert abs(value - math.sqrt(2) / 2) <= 1e-6
 
@@ -272,7 +307,7 @@ class TestBell:
         )
         out = str(tmp_path / "rep.json")
         assert main(["bell", cfg, "--out", out]) == 0
-        report = report_from_json(open(out).read())
+        report = report_from_json(Path(out).read_text())
         assert report.checks[0].measured["value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_seeds_identical_bodies(self, tmp_path):
@@ -280,15 +315,15 @@ class TestBell:
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert main(["bell", cfg, "--out", out1]) == 0
         assert main(["bell", cfg, "--out", out2]) == 0
-        body1 = report_body_json(report_from_json(open(out1).read()))
-        body2 = report_body_json(report_from_json(open(out2).read()))
+        body1 = report_body_json(report_from_json(Path(out1).read_text()))
+        body2 = report_body_json(report_from_json(Path(out2).read_text()))
         assert body1 == body2
 
     def test_wall_clock_splits_search_and_certify(self, tmp_path):
         cfg = _family_config(tmp_path)
         out = str(tmp_path / "rep.json")
         assert main(["bell", cfg, "--out", out]) == 0
-        timings = report_from_json(open(out).read()).wall_clock_s
+        timings = report_from_json(Path(out).read_text()).wall_clock_s
         assert set(timings) == {"search_s", "certify_s", "total"}
         parts = timings["search_s"] + timings["certify_s"]
         assert min(timings.values()) > 0 and parts <= timings["total"]
@@ -298,8 +333,8 @@ class TestBell:
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert main(["bell", cfg, "--seed", "12", "--out", out1]) == 0
         assert main(["bell", cfg, "--seed", "11", "--out", out2]) == 0
-        d1 = report_from_json(open(out1).read()).checks[0].inputs_digest
-        d2 = report_from_json(open(out2).read()).checks[0].inputs_digest
+        d1 = report_from_json(Path(out1).read_text()).checks[0].inputs_digest
+        d2 = report_from_json(Path(out2).read_text()).checks[0].inputs_digest
         assert d1 != d2
 
     def test_engine_certifies_once(self, tmp_path, monkeypatch):
@@ -319,11 +354,18 @@ class TestBell:
         out = str(tmp_path / "rep.json")
         assert main(["bell", _family_config(tmp_path), "--out", out]) == 0
         assert len(calls) == 1
-        measured = report_from_json(open(out).read()).checks[0].measured
+        measured = report_from_json(Path(out).read_text()).checks[0].measured
         assert measured["reproduced_value"] == measured["value"]
 
+    @pytest.mark.parametrize("key", ["restarts", "max_iters"])
+    def test_a_zero_count_exits_2(self, tmp_path, capsys, key):
+        cfg = json.loads(Path(_family_config(tmp_path)).read_text())
+        path = _write(tmp_path / "zero.json", dict(cfg, **{key: 0}))
+        assert main(["bell", path]) == 2
+        assert "restarts and max_iters must be positive" in capsys.readouterr().err
+
     def test_evaluation_cap_exits_3(self, tmp_path, capsys):
-        cfg = json.loads(open(_family_config(tmp_path)).read())
+        cfg = json.loads(Path(_family_config(tmp_path)).read_text())
         path = _write(tmp_path / "big.json", dict(cfg, restarts=100_000_000))
         assert main(["bell", path]) == 3
         err = capsys.readouterr().err
@@ -335,7 +377,7 @@ class TestBell:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, key):
         # the step schedule is fixed, so a config that sets one fails loudly
         # instead of running with a value it ignores, and so does a typo
-        cfg = json.loads(open(_family_config(tmp_path)).read())
+        cfg = json.loads(Path(_family_config(tmp_path)).read_text())
         path = _write(tmp_path / "keys.json", dict(cfg, **{key: 0.25}))
         assert main(["bell", path]) == 2
         err = capsys.readouterr().err
@@ -377,12 +419,12 @@ class TestBell:
         assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
 
     def test_seed_flag_replaces_the_file_seed(self, tmp_path, capsys):
-        cfg = json.loads(open(_family_config(tmp_path)).read())
+        cfg = json.loads(Path(_family_config(tmp_path)).read_text())
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert main(["bell", _write(tmp_path / "a.json", dict(cfg, seed=5)),
                      "--seed", "3", "--out", out1]) == 0
         assert main(["bell", _write(tmp_path / "b.json", dict(cfg, seed=3)), "--out", out2]) == 0
-        r1, r2 = (report_from_json(open(out).read()).checks[0] for out in (out1, out2))
+        r1, r2 = (report_from_json(Path(out).read_text()).checks[0] for out in (out1, out2))
         assert (r1.inputs_digest, r1.measured) == (r2.inputs_digest, r2.measured)
         # the file is read whole before --seed replaces its seed
         assert main(["bell", _write(tmp_path / "c.json", dict(cfg, seed="7")), "--seed", "3"]) == 2
@@ -400,7 +442,7 @@ class TestBell:
         ],
     )
     def test_non_integer_count_exits_2(self, tmp_path, capsys, field, raw):
-        cfg = json.loads(open(_family_config(tmp_path)).read())
+        cfg = json.loads(Path(_family_config(tmp_path)).read_text())
         text = json.dumps(dict(cfg, **{field: "VALUE"})).replace('"VALUE"', raw)
         path = tmp_path / "counts.json"
         path.write_text(text)
@@ -460,14 +502,14 @@ class TestSurrogate:
     def test_dim_two_reports_sqrt2(self, tmp_path):
         out = str(tmp_path / "rep.json")
         assert main(["surrogate", "--dim", "2", "--out", out]) == 0
-        report = report_from_json(open(out).read())
+        report = report_from_json(Path(out).read_text())
         chsh = next(c for c in report.checks if c.name == "surrogate_chsh")
         assert abs(chsh.measured["value"] - math.sqrt(2)) <= 1e-12
 
     def test_dim_sixteen_same_value(self, tmp_path):
         out = str(tmp_path / "rep.json")
         assert main(["surrogate", "--dim", "16", "--out", out]) == 0
-        report = report_from_json(open(out).read())
+        report = report_from_json(Path(out).read_text())
         chsh = next(c for c in report.checks if c.name == "surrogate_chsh")
         assert abs(chsh.measured["value"] - math.sqrt(2)) <= 1e-12
 
@@ -499,7 +541,7 @@ class TestModuleEntry:
             capture_output=True,
         )
         assert proc.returncode == 0
-        assert report_from_json(open(out).read()).overall_pass
+        assert report_from_json(Path(out).read_text()).overall_pass
 
     def test_state_spec_embedded_verbatim(self, tmp_path):
         spec = {"kind": "epr", "lambda": 0.5, "mu": 0.25, "note": "battery 7"}
@@ -507,7 +549,7 @@ class TestModuleEntry:
         pts = _write(tmp_path / "pts.json", [["0", "0", "0", "0"]])
         out = str(tmp_path / "rep.json")
         assert main(["psd", pts, "--state", state, "--out", out]) == 0
-        assert report_from_json(open(out).read()).state_spec == spec
+        assert report_from_json(Path(out).read_text()).state_spec == spec
 
 
 class TestCoordinates:
@@ -664,6 +706,8 @@ class TestMalformedStateSpec:
             ({"lambda": True}, "'lambda'"),
             ({"mu": False}, "'mu'"),
             ({"mu": [0.5]}, "'mu'"),
+            ({"lambda": 10**400}, "state field 'lambda' is past the range of a double"),
+            ({"mu": -(10**400)}, "state field 'mu' is past the range of a double"),
             ({"corrupt_kernel": "false"}, "'corrupt_kernel'"),
             ({"corrupt_kernel": 1}, "'corrupt_kernel'"),
             ({"corrupt_kernel": None}, "'corrupt_kernel'"),
@@ -694,7 +738,7 @@ class TestVerifyAll:
     def test_default_state_passes(self, tmp_path):
         out = str(tmp_path / "rep.json")
         assert main(["verify-all", "--seed", "0", "--out", out]) == 0
-        report = report_from_json(open(out).read())
+        report = report_from_json(Path(out).read_text())
         assert report.overall_pass
         names = {c.name for c in report.checks}
         assert {
@@ -724,7 +768,7 @@ class TestVerifyAll:
         )
         out = str(tmp_path / "rep.json")
         assert main(["verify-all", "--state", state, "--out", out]) == 1
-        report = report_from_json(open(out).read())
+        report = report_from_json(Path(out).read_text())
         failing = [c.name for c in report.checks if not c.passed]
         assert "kernel_psd" in failing
 
@@ -735,7 +779,7 @@ class TestVerifyAll:
         out = str(tmp_path / "rep.json")
         assert main(["verify-all", "--seed", "0", "--state", state, "--out", out]) == 1
         verdicts = {}
-        for c in report_from_json(open(out).read()).checks:
+        for c in report_from_json(Path(out).read_text()).checks:
             verdicts.setdefault(c.name, []).append(c.passed)
         assert verdicts["gram_orthonormality"] == [True]
         assert not all(verdicts["kernel_psd"])
@@ -745,8 +789,8 @@ class TestVerifyAll:
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
         assert main(["verify-all", "--seed", "7", "--out", out1]) == 0
         assert main(["verify-all", "--seed", "7", "--out", out2]) == 0
-        body1 = report_body_json(report_from_json(open(out1).read()))
-        body2 = report_body_json(report_from_json(open(out2).read()))
+        body1 = report_body_json(report_from_json(Path(out1).read_text()))
+        body2 = report_body_json(report_from_json(Path(out2).read_text()))
         assert body1 == body2
 
 
@@ -764,7 +808,7 @@ class TestRegistry:
         for command, argv in runs.items():
             out = str(tmp_path / f"{command}.json")
             assert main(argv + ["--out", out]) == 0
-            for rec in report_from_json(open(out).read()).checks:
+            for rec in report_from_json(Path(out).read_text()).checks:
                 seen.setdefault(rec.name, {})[command] = (rec.anchor, rec.tolerance)
         shared = {name: by for name, by in seen.items() if len(by) > 1}
         assert set(shared) == {
@@ -795,13 +839,16 @@ class TestRegistry:
         for i, argv in enumerate(runs):
             out = str(tmp_path / f"rep{i}.json")
             assert main(argv + ["--out", out]) == 0
-            for rec in report_from_json(open(out).read()).checks:
+            for rec in report_from_json(Path(out).read_text()).checks:
                 assert rec.tolerance == CHECKS[rec.name].tolerance, rec.name
                 names.add(rec.name)
         assert names == set(CHECKS)
         for name in ("uniqueness_support", "multiplicativity", "traciality"):
             assert CHECKS[name].tolerance == IDENTITY_TOL
         assert CHECKS["collinearity"].tolerance == IDENTITY_TOL
+        # the engine's own thresholds, each declared once where it decides
+        assert CHECKS["kernel_psd"].tolerance == PSD_TOL
+        assert CHECKS["bell_search"].tolerance == CERTIFY_TOL
 
     def test_every_verdict_is_its_records_bounds(self, tmp_path, monkeypatch):
         pts = _write(
@@ -828,7 +875,7 @@ class TestRegistry:
                 monkeypatch.setattr(eprbell.cli, "support_relation", intransitive)
             out = str(tmp_path / f"rep{i}.json")
             assert main(argv + ["--out", out]) == code, argv
-            checks = report_from_json(open(out).read()).checks
+            checks = report_from_json(Path(out).read_text()).checks
             records += [(i >= len(runs), rec) for rec in checks]
         failed = set()
         for is_forced, rec in records:
@@ -850,15 +897,16 @@ class TestRegistry:
         )
         out = str(tmp_path / "rep.json")
         assert main(["verify-all", "--seed", "0", "--out", out]) == 1
-        checks = report_from_json(open(out).read()).checks
+        checks = report_from_json(Path(out).read_text()).checks
         assert [c.name for c in checks if not c.passed] == ["traciality"]
         record = next(c for c in checks if c.name == "traciality")
         assert record.measured["failed_samples"] == 100
         assert record.measured["max_deviation"] == 1e-13
 
     def test_engine_tolerances_match_their_bounds(self):
-        # psd_check and rank_one_class_check take the registry tolerance,
-        # and the records' bounds state the same threshold
+        # each record's bounds state its registry tolerance: kernel_psd's
+        # is psd_check's PSD_TOL, support_rank_one's bounds the deviations
+        # that rank_one_class_check measures
         assert CHECKS["kernel_psd"].bounds == (
             ("min_eigenvalue", ">=", -CHECKS["kernel_psd"].tolerance),
         )

@@ -197,7 +197,7 @@ class TestFrameOracles:
     def test_both_products_drop_terms_below_the_threshold(self, x, y, c):
         state = StateFunctional.regular()
         frame = _checked_frame(state, [x])
-        p = WeylPolynomial.generator(y, c)
+        p = WeylPolynomial(4, {y: c})
         assert len(p) == 1
         comp = compress_operator(state, frame, p)
         assert comp[0, 0] == 0
@@ -242,6 +242,12 @@ class TestFrameErrors:
         monkeypatch.setattr(eprbell.gns, "eval_poly", lambda state, p: 2.0)
         with pytest.raises(GramPositivityError, match="diagonal"):
             build_frame(StateFunctional.epr(), [point(0, 0, 0, 0)])
+
+    def test_compress_operator_refuses_a_dimension_2_polynomial(self):
+        state = StateFunctional.epr()
+        frame = build_frame(state, [point(0, 0, 0, 0)])
+        with pytest.raises(ValueError, match="compress_operator expects a dimension-4"):
+            compress_operator(state, frame, WeylPolynomial.identity(2))
 
     def test_term_cap_is_the_engine_budget(self):
         # the engine multiplies 1 x len(P) terms: the cap itself passes
@@ -310,6 +316,9 @@ class TestBuildFrame:
 
 
 class TestCompress:
+    def test_one_compression_function(self):
+        assert eprbell.gns.compress_operator is eprbell.states.compress_operator
+
     def test_identity_compression_is_gram(self):
         rng = random.Random(51)
         state = StateFunctional.epr(0.4, 0.9)
@@ -361,7 +370,7 @@ class TestCompress:
         for _ in range(10):
             x = rand_point(rng, 4)
             coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            p = WeylPolynomial.generator(x, coeff)
+            p = WeylPolynomial(4, {x: coeff})
             p = p + adjoint(p)
             comp = compress_operator(state, frame, p)
             assert float(np.max(np.abs(comp - comp.conj().T))) <= 1e-10
@@ -408,6 +417,11 @@ class TestTraceVector:
         assert res["passed"]
         assert res["forward"] == 0j and res["reverse"] == 0j
 
+    def test_refuses_dimension_4_polynomials(self):
+        p = WeylPolynomial.identity(4)
+        with pytest.raises(ValueError, match="trace_vector_check expects dimension-2"):
+            trace_vector_check(StateFunctional.epr(), p, p, slot=1)
+
     def test_adjoint_pair_gives_identity(self):
         p = WeylPolynomial.generator(point(Fraction(5, 4), Fraction(-1, 3)))
         res = trace_vector_check(StateFunctional.epr(1.0, 1.0), p, adjoint(p), slot=1)
@@ -448,6 +462,11 @@ class TestNormLowerBound:
         frame = self._orthonormal_frame(state)
         value = norm_lower_bound(state, frame, WeylPolynomial.generator(point(1, 2, 0, 1)))
         assert value <= 1.0 + 1e-9
+
+    def test_empty_frame_bounds_nothing(self):
+        state = StateFunctional.epr()
+        frame = build_frame(state, [])
+        assert norm_lower_bound(state, frame, WeylPolynomial.identity(4)) == 0.0
 
     def test_scalar(self):
         state = StateFunctional.epr()

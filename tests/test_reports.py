@@ -35,7 +35,7 @@ def test_overall_pass_is_conjunction():
     report = _sample_report()
     assert report.overall_pass is False
     report.checks[1].passed = True
-    rebuilt = build_report(report.tool, report.state_spec, report.checks)
+    rebuilt = build_report(report.tool, report.state_spec, report.checks, report.wall_clock_s)
     assert rebuilt.overall_pass is True
 
 

@@ -39,6 +39,7 @@ from eprbell import (
 )
 import eprbell
 import eprbell.states
+from eprbell.states import PSD_TOL
 from eprbell.weyl import direct_sum_form, unit_phase
 
 
@@ -181,7 +182,7 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel_matrix(StateFunctional.epr(), [])
         with pytest.raises(ValueError):
-            psd_check(np.empty((0, 0), dtype=complex), 1e-10)
+            psd_check(np.empty((0, 0), dtype=complex))
 
     def test_integer_coordinates_coerced(self):
         m = kernel_matrix(StateFunctional.epr(), [(0, 0, 0, 0), (1, 0, -1, 0)])
@@ -199,20 +200,20 @@ class TestKernel:
         for _ in range(4):
             state = StateFunctional.epr(rng.uniform(-5, 5), rng.uniform(-5, 5))
             pts = distinct_points(rng, 64, 4)
-            res = psd_check(kernel_matrix(state, pts), 1e-10)
+            res = psd_check(kernel_matrix(state, pts))
             assert res["passed"]
 
     def test_regular_kernel_psd(self):
         rng = random.Random(33)
         pts = distinct_points(rng, 48, 4)
-        res = psd_check(kernel_matrix(StateFunctional.regular(), pts), 1e-10)
+        res = psd_check(kernel_matrix(StateFunctional.regular(), pts))
         assert res["passed"]
 
     def test_corrupted_kernel_fails(self):
         rng = random.Random(34)
         state = StateFunctional.from_spec({"kind": "regular", "corrupt_kernel": True})
         pts = distinct_points(rng, 16, 4)
-        res = psd_check(kernel_matrix(state, pts), 1e-10)
+        res = psd_check(kernel_matrix(state, pts))
         assert not res["passed"]
         assert res["min_eigenvalue"] <= -0.4
 
@@ -406,22 +407,22 @@ class TestEvalPolyOracle:
 class TestPsdCheck:
     def test_rank_one_ones(self):
         # eigenvalues {2, 0} by hand
-        res = psd_check(np.ones((2, 2), dtype=complex), 1e-10)
+        res = psd_check(np.ones((2, 2), dtype=complex))
         assert res["passed"] and abs(res["min_eigenvalue"]) <= 1e-12
 
     def test_identity(self):
-        res = psd_check(np.eye(3, dtype=complex), 1e-10)
+        res = psd_check(np.eye(3, dtype=complex))
         assert res["passed"] and res["min_eigenvalue"] == pytest.approx(1.0)
 
     def test_indefinite(self):
         # eigenvalues {3, -1} by hand
-        res = psd_check(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex), 1e-10)
+        res = psd_check(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
         assert not res["passed"]
         assert res["min_eigenvalue"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-10)
+            psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("m, entry", [
         ([[-1.0, 0], [0, math.nan]], "(1, 1) is nan"),
@@ -432,7 +433,7 @@ class TestPsdCheck:
     def test_non_finite_entry_rejected(self, m, entry):
         # the Hermiticity deviation is nan, which no bound on it passes
         with pytest.raises(ValueError, match=re.escape(f"matrix entry {entry}, not a finite")):
-            psd_check(np.array(m), 1e-10)
+            psd_check(np.array(m))
 
 
 class TestPositivity:
@@ -464,7 +465,7 @@ class TestPositivity:
                 for _ in range(4):
                     a, b = rand_fraction(rng), rand_fraction(rng)
                     coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                    p = p + WeylPolynomial.generator((a, b, u - a, b - v), coeff)
+                    p = p + WeylPolynomial(4, {(a, b, u - a, b - v): coeff})
             p_star = adjoint(p)
             pts = p_star.points()
             coeffs = np.array([p_star.terms[y] for y in pts])
@@ -603,7 +604,7 @@ class TestRankOne:
         state = StateFunctional.epr()
         m = kernel_matrix(state, pts)
         part = support_relation(m)
-        assert rank_one_class_check(m, part, 1e-12)["passed"]
+        assert max(rank_one_class_check(m, part).values()) <= 1e-12
 
     def test_collinear_class_cocycle(self):
         state = StateFunctional.epr(1.0)
@@ -611,8 +612,7 @@ class TestRankOne:
         m = kernel_matrix(state, pts)
         part = support_relation(m)
         assert part.classes == ((0, 1, 2),)
-        res = rank_one_class_check(m, part, 1e-12)
-        assert res["passed"]
+        assert max(rank_one_class_check(m, part).values()) <= 1e-12
 
     def test_random_batteries(self):
         rng = random.Random(38)
@@ -632,8 +632,8 @@ class TestRankOne:
                     pts.append(cand)
             m = kernel_matrix(state, pts)
             part = support_relation(m)
-            assert rank_one_class_check(m, part, 1e-10)["passed"]
-            assert psd_check(m, 1e-10)["passed"]
+            assert max(rank_one_class_check(m, part).values()) <= 1e-10
+            assert psd_check(m)["passed"]
 
 
     def test_matches_triple_loop_on_wide_clustered_batteries(self):
@@ -655,12 +655,10 @@ class TestRankOne:
             if battery % 2:
                 j, k = rng.randrange(len(pts)), rng.randrange(len(pts))
                 m[j, k] += complex(rng.gauss(0, 1e-7), rng.gauss(0, 1e-7))
-            assert rank_one_class_check(m, part, 1e-9) == _rank_one_reference(
-                m, part, 1e-9
-            )
+            assert rank_one_class_check(m, part) == _rank_one_reference(m, part)
 
 
-def _rank_one_reference(m, partition: SupportPartition, tol: float) -> dict:
+def _rank_one_reference(m, partition: SupportPartition) -> dict:
     """rank_one_class_check written entry by entry with scalar arithmetic."""
     modulus_dev = cocycle_dev = cross_leak = 0.0
     for cls in partition.classes:
@@ -674,12 +672,10 @@ def _rank_one_reference(m, partition: SupportPartition, tol: float) -> dict:
         for k in range(partition.size):
             if cls_of[j] != cls_of[k]:
                 cross_leak = max(cross_leak, abs(m[j, k]))
-    values = [float(modulus_dev), float(cocycle_dev), float(cross_leak)]
     return {
-        "max_modulus_dev": values[0],
-        "max_cocycle_dev": values[1],
-        "max_cross_leak": values[2],
-        "passed": all(v <= tol for v in values),
+        "max_modulus_dev": float(modulus_dev),
+        "max_cocycle_dev": float(cocycle_dev),
+        "max_cross_leak": float(cross_leak),
     }
 
 
@@ -708,13 +704,13 @@ def _kernel_per_class(state: StateFunctional, points) -> np.ndarray:
     return m
 
 
-def _psd_dense(m: np.ndarray, tol: float) -> dict:
+def _psd_dense(m: np.ndarray) -> dict:
     """psd_check as one eigvalsh of the whole matrix."""
     lam_min = float(np.linalg.eigvalsh(m)[0])
-    return {"min_eigenvalue": lam_min, "passed": lam_min >= -tol}
+    return {"min_eigenvalue": lam_min, "passed": lam_min >= -PSD_TOL}
 
 
-def _rank_one_per_class(m, partition: SupportPartition, tol: float) -> dict:
+def _rank_one_per_class(m, partition: SupportPartition) -> dict:
     """rank_one_class_check one class at a time, and one k at a time
     within it."""
     same = np.zeros((partition.size, partition.size), dtype=bool)
@@ -730,12 +726,10 @@ def _rank_one_per_class(m, partition: SupportPartition, tol: float) -> dict:
     modulus = np.hypot(m.real, m.imag)
     max_modulus_dev = float(np.max(np.abs(modulus - 1.0), where=same, initial=0.0))
     max_cross_leak = float(np.max(modulus, where=~same, initial=0.0))
-    values = (max_modulus_dev, max_cocycle_dev, max_cross_leak)
     return {
         "max_modulus_dev": max_modulus_dev,
         "max_cocycle_dev": max_cocycle_dev,
         "max_cross_leak": max_cross_leak,
-        "passed": all(v <= tol for v in values),
     }
 
 
@@ -804,8 +798,8 @@ class TestStackedPasses:
         except EquivalenceError:
             return
         with _pass_entries(budget):
-            got = rank_one_class_check(m, part, 1e-9)
-        assert got == _rank_one_per_class(m, part, 1e-9)
+            got = rank_one_class_check(m, part)
+        assert got == _rank_one_per_class(m, part)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_batteries(), _BUDGETS)
@@ -813,8 +807,8 @@ class TestStackedPasses:
         state, pts = battery
         m = kernel_matrix(state, pts)
         with _pass_entries(budget):
-            got = psd_check(m, 1e-10)
-        want = _psd_dense(m, 1e-10)
+            got = psd_check(m)
+        want = _psd_dense(m)
         assert abs(got["min_eigenvalue"] - want["min_eigenvalue"]) <= 1e-13
         assert got["passed"] == want["passed"]
 
@@ -823,7 +817,7 @@ class TestStackedPasses:
         # but neither reaches back, and eigvalsh reads this lower triangle
         m = np.eye(3, dtype=complex)
         m[2, 0], m[2, 1] = 5e-11, 3e-11j
-        got, want = psd_check(m, 1e-10), _psd_dense(m, 1e-10)
+        got, want = psd_check(m), _psd_dense(m)
         assert abs(got["min_eigenvalue"] - want["min_eigenvalue"]) <= 1e-13
 
     def test_path_pattern_is_one_block(self, monkeypatch):
@@ -832,9 +826,9 @@ class TestStackedPasses:
         pts = [(80, 0, 0, 0), (0, 0, 0, 0), (40, 0, 0, 0)]
         m = kernel_matrix(StateFunctional.regular(), pts)
         assert m[0, 1] == 0 and m[0, 2] != 0 and m[1, 2] != 0
-        want = _psd_dense(m, 1e-10)
+        want = _psd_dense(m)
         shapes = _spy_eigvalsh(monkeypatch)
-        assert psd_check(m, 1e-10) == want
+        assert psd_check(m) == want
         assert shapes == [(3, 3)]
 
     def test_spectrum_never_solves_more_than_a_class(self, monkeypatch):
@@ -852,7 +846,7 @@ class TestStackedPasses:
             ]
             m = kernel_matrix(StateFunctional.epr(0.7, -1.3), pts)
             shapes.clear()
-            assert psd_check(m, 1e-10)["passed"]
+            assert psd_check(m)["passed"]
             assert shapes and max(shape[-1] for shape in shapes) == 32
             calls[count] = len(shapes)
         assert calls[8] <= calls[4]
@@ -1053,11 +1047,11 @@ def _owned_nodes(module: str, owners: set[str]):
 
 class TestPhaseSeam:
     def test_phases_of_exact_data_are_made_only_at_the_seam(self):
-        """The form phase (weyl.unit_phase, states._phase) and the state's
-        phase (StateFunctional) are the only code that turns an angle into
-        cos/sin, so a change to how angles are reduced is made there."""
+        """weyl.unit_phase and its array form states._phase are the only code
+        that turns an angle into cos/sin, the state's phases included, so a
+        change to how angles are reduced is made there."""
         calls = {("np", "cos"), ("np", "sin"), ("cmath", "rect"), ("cmath", "exp")}
-        owners = {"unit_phase", "_phase", "StateFunctional"}
+        owners = {"unit_phase", "_phase"}
         owned_calls = 0
         for module in ("states", "gns", "bell", "weyl"):
             for node, owned in _owned_nodes(module, owners):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -342,9 +343,20 @@ class TestProduct:
             (coeff,) = weyl_multiply(g, h).terms.values()
             assert abs(abs(coeff) - 1.0) <= 1e-12
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            weyl_multiply(WeylPolynomial.identity(2), WeylPolynomial.identity(4))
+    @pytest.mark.parametrize("op", [weyl_multiply, operator.add, operator.sub])
+    def test_dimension_mismatch(self, op):
+        with pytest.raises(ValueError, match="polynomials of different dimension"):
+            op(WeylPolynomial.identity(2), WeylPolynomial.identity(4))
+
+    def test_star_of_two_polynomials_is_weyl_multiply(self):
+        rng = random.Random(16)
+        for dim in (2, 4):
+            for _ in range(10):
+                p, q = rand_poly(rng, dim), rand_poly(rng, dim)
+                got, want = p * q, weyl_multiply(p, q)
+                assert got == want and list(got._terms) == list(want._terms)
+                assert same_bits(np.array(list(got._terms.values()), dtype=complex),
+                                 np.array(list(want._terms.values()), dtype=complex))
 
     def test_term_budget(self):
         rng = random.Random(15)
@@ -391,8 +403,8 @@ class TestProduct:
 
 class TestAdjoint:
     def test_conjugates_and_negates(self):
-        p = adjoint(WeylPolynomial.generator(point(1, 2), 1j))
-        assert p == WeylPolynomial.generator(point(-1, -2), -1j)
+        p = adjoint(WeylPolynomial(2, {point(1, 2): 1j}))
+        assert p == WeylPolynomial(2, {point(-1, -2): -1j})
 
     def test_identity_self_adjoint(self):
         one = WeylPolynomial.identity(2)
@@ -407,9 +419,9 @@ class TestAdjoint:
 
 class TestEmbed:
     def test_slots(self):
-        g = WeylPolynomial.generator(point(1, 2), 0.5j)
-        assert tensor_embed(g, 1) == WeylPolynomial.generator(point(1, 2, 0, 0), 0.5j)
-        assert tensor_embed(g, 2) == WeylPolynomial.generator(point(0, 0, 1, 2), 0.5j)
+        g = WeylPolynomial(2, {point(1, 2): 0.5j})
+        assert tensor_embed(g, 1) == WeylPolynomial(4, {point(1, 2, 0, 0): 0.5j})
+        assert tensor_embed(g, 2) == WeylPolynomial(4, {point(0, 0, 1, 2): 0.5j})
 
     def test_no_cross_phase(self):
         rng = random.Random(19)
@@ -443,10 +455,11 @@ class TestNorms:
     def test_self_adjoint_symmetric_pair(self):
         x = point(2, 3)
         p = WeylPolynomial.generator(x) + WeylPolynomial.generator(point(-2, -3))
-        assert is_self_adjoint(p, 1e-12)
+        assert is_self_adjoint(p)
+        assert one_norm(p - adjoint(p)) <= 1e-12
 
     def test_not_self_adjoint(self):
-        assert not is_self_adjoint(WeylPolynomial.generator(point(1, 0), 1j), 1e-10)
+        assert not is_self_adjoint(WeylPolynomial(2, {point(1, 0): 1j}))
 
     def test_phase_pair_self_adjoint(self):
         alpha = 0.8345
@@ -454,10 +467,15 @@ class TestNorms:
         p = WeylPolynomial(
             2, {point(1, 2): phase, point(-1, -2): phase.conjugate()}
         )
-        assert is_self_adjoint(p, 1e-12)
+        assert is_self_adjoint(p)
+        assert one_norm(p - adjoint(p)) <= 1e-12
 
 
 class TestCanonicalForm:
+    def test_dimension_is_2_or_4(self):
+        with pytest.raises(ValueError, match="must be 2 or 4, got 3"):
+            WeylPolynomial(3)
+
     def test_merges_duplicate_points(self):
         p = WeylPolynomial(2, [(point(1, 0), 0.5), (point(1, 0), 0.25)])
         assert p.terms[point(1, 0)] == 0.75
@@ -494,8 +512,8 @@ class TestCanonicalForm:
             2, [((Fraction(1), 2), 1j), ((Fraction(3, 6), Fraction(9, 3)), 0.5)]
         )
         assert p == q
-        assert p + WeylPolynomial.generator(point("1/4", 0), 0.25) == (
-            WeylPolynomial.generator(point("2/8", 0), 0.25) + q
+        assert p + WeylPolynomial(2, {point("1/4", 0): 0.25}) == (
+            WeylPolynomial(2, {point("2/8", 0): 0.25}) + q
         )
 
     def test_terms_are_reduced_fractions(self):
@@ -554,6 +572,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_records([])
         assert from_records([], dim=4) == WeylPolynomial.zero(4)
+
+    def test_a_given_dim_must_be_the_records(self):
+        recs = [{"point": ["1", "0"], "re": 1.0, "im": 0.0}]
+        assert from_records(recs, dim=2) == WeylPolynomial.generator(point(1, 0))
+        with pytest.raises(ValueError, match="records have dimension 2, expected 4"):
+            from_records(recs, dim=4)
 
     def test_records_sorted(self):
         p = WeylPolynomial(2, {point(3, 0): 1.0, point(-1, 0): 1.0})
@@ -831,7 +855,7 @@ class TestCanonicalFormKept:
             for pt, a in data.draw(terms) if cmath.isfinite(a)
         ]
         results = [
-            WeylPolynomial.generator(pool[-1], c), p + q, p - q, p - p, p * scalar,
+            WeylPolynomial.generator(pool[-1]), WeylPolynomial(dim, {pool[-1]: c}), p + q, p - q, p - p, p * scalar,
             scalar * p, weyl_multiply(p, q), weyl_multiply(p, adjoint(p)), -p, adjoint(p),
             tensor_embed(p2, 1), tensor_embed(p2, 2), from_records(records, dim),
             WeylPolynomial.generator((*x, *y)),
