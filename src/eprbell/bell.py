@@ -19,6 +19,7 @@ in a weak closure, which the finite matrix model realizes instead.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field, fields
@@ -250,8 +251,10 @@ class SearchResult:
     value: float
     trace: list[tuple[int, float]] = field(default_factory=list)
     evaluations: int = 0
-    #: wall-clock seconds of the coordinate search and of the engine
-    #: certification of the winner; not part of the result's value
+    #: the evaluations the screen could not decide, scored by the exact
+    #: move, and the wall-clock seconds of the coordinate search and of the
+    #: engine certification of the winner; not part of the result's value
+    exact_moves: int = field(default=0, compare=False)
     search_s: float = field(default=0.0, compare=False)
     certify_s: float = field(default=0.0, compare=False)
 
@@ -272,12 +275,41 @@ def _candidate_order_key(candidate: BellCandidate):
     return (candidate.term_count(), supports, serialized)
 
 
-#: The bilinear terms (i, j) of the Bell value, in the order they are summed.
+#: The bilinear terms (i, j) of the Bell value, in the order they are summed,
+#: and the sign each takes in the sum.
 _PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
+_SIGNS = (1.0, 1.0, 1.0, -1.0)
+
+#: The two terms of _PAIRS that read each slot, and the slots on their other
+#: side: a factor-1 slot is the left factor of its two terms, a factor-2 slot
+#: the right factor of its two.
+_SLOT_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3))
+_PARTNERS = ((2, 3), (2, 3), (0, 1), (0, 1))
+
+#: Margin by which the screen's estimate of a move must fall below the
+#: current value before the move is rejected unscored (see _FastObjective).
+SCREEN_BOUND = 2.0**-36
+
+
+def _real_form(w: np.ndarray) -> np.ndarray:
+    """The real matrix q with Re(a^T w b) = f_a^T q f_b, where f_a and f_b
+    interleave the real and imaginary parts of a and b."""
+    q = np.empty((2 * w.shape[0], 2 * w.shape[1]))
+    q[0::2, 0::2], q[1::2, 1::2] = w.real, -w.real
+    q[0::2, 1::2] = q[1::2, 0::2] = -w.imag
+    return q
+
+
+def _gather(q: np.ndarray, writes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Rows of q combined as a slot's parameters write them: row t is the
+    sum of the rows at parameter t's two positions, times their signs."""
+    pos, sign = writes
+    return sign[:, :1] * q[pos[:, 0]] + sign[:, 1:] * q[pos[:, 1]]
 
 
 class _FastObjective:
-    """Precomputed bilinear evaluation of the Bell value, kept incrementally.
+    """Precomputed bilinear evaluation of the Bell value, kept incrementally,
+    and a float screen in front of it.
 
     Factor-1 and factor-2 embeddings commute without any Weyl phase, so
     omega(R) is bilinear in the slot coefficient vectors with weights
@@ -302,6 +334,59 @@ class _FastObjective:
     (``ndarray.dot`` makes the BLAS calls of ``@``), summed in the same
     order, so the value is bit for bit that of a full evaluation of the
     moved point.
+
+    **The screen.**  ``estimate`` approximates ``move`` in a few Python
+    float operations.  With p_s the parameters of slot s, the unscaled term
+    k = (i, j) is the real bilinear form T_k = p_i^T R_k p_j, where R_k is
+    w's real form (``_real_form``) gathered by the two slots' writes
+    (``_gather``, signed sums of entries, not a matrix product), and the
+    value is
+
+        0.5 * sum_k sign_k T_k / (S_i S_j),   S_s = max(1, N_s),
+
+    N_s the one-norm of slot s.  A move of parameter t of slot s by d
+    changes only the two terms that read s, each by d g[t] with g the
+    gradient R_k p_j (or p_i^T R_k) kept per slot, and N_s by the change of
+    one orbit's share 2|z|.  At ``start``, and for the changed slot at each
+    ``accept``, the norms, gradients and terms and each slot's sum of the
+    scaled terms that do not read it are recomputed from the parameters:
+    one matrix-vector product per accepted move, and nothing carried over
+    from an earlier point, so there is no drift to bound.
+
+    **The bound.**  ``optimize_bell`` rejects a move unscored when its
+    estimate is below the current value by more than ``SCREEN_BOUND`` = B.
+    That is sound when |estimate - exact| stays below B less the rounding
+    of value - B.  Write u = 2^-53 and gamma_n = n u / (1 - n u), which
+    bounds the rounding of an n-term sum in any order, blocked or by SIMD
+    lanes, with or without FMA, relative to the sum of the moduli; a
+    complex product adds sqrt(2) gamma_2 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Sec. 3.1 and 3.6).  Take every modulus,
+    numpy's SIMD ``abs`` of a complex as well as libm's ``hypot``, within
+    4u.  Every weight has modulus at most 1, up to rounding (a state's
+    values do); every scaled vector has one-norm at most 1; and sum |p_i|
+    |R_k| |p_j| <= 2 N_i N_j, since each real or imaginary part is written
+    by one parameter and |re z| + |im z| <= sqrt(2) |z|.  For a term k =
+    (i, j) let L = n_i + n_j, the sizes of its slots' supports.  To first
+    order in u:
+
+    - *exact path:* each norm is within (n + 4) u of N, each scaled part
+      within (n + 6) u; ``zgemv`` and ``zdotu`` add 2 gamma_(n+2) each, so
+      each term is within (3L + 20) u, and the value, after its three
+      additions, within (6L + 54) u;
+    - *screen:* a recomputed term is within 2 (L + 2) u of S_i S_j (two
+      roundings in the gather, gamma_(n_i) and gamma_(n_j) in the products),
+      and within twice that of the moved point's scales, since a step of at
+      most ``STEP_INIT`` = 0.5 changes a norm by at most 1; d g[t] adds
+      1.5 (n + 4) u, an unmoved slot's norm (n + 4) u, the moved slot's
+      2 (n + 8) u, and the additions and divisions a few u more.  So each
+      moved scaled term is within (6.5L + 37) u, each unmoved one within
+      (3L + 14) u, and the estimate within (9.5L + 57) u.
+
+    Together |estimate - exact| <= (15.5L + 111) u.  A term with an empty
+    slot is an exact 0.0 on both paths, and ``optimize_bell``'s term cap
+    gives n_i n_j <= 4096 for every other term, so L <= 4097 and the
+    difference is at most 7.1e-12.  B = 2^-36 = 1.46e-11 is twice that.  A
+    NaN estimate compares false and goes to the exact path.
     """
 
     def __init__(self, state: StateFunctional, cfg: SearchConfig):
@@ -314,14 +399,42 @@ class _FastObjective:
                     w[r, c] = eval_point(state, (x[0], x[1], y[0], y[1]))
         self.weights = [weights[sup[i], sup[j]] for i, j in _PAIRS]
         self.plan = []  # (slot, ((position, sign), ...)) per parameter
+        self.orbits = []  # per slot: the parameters of each of its orbits
+        self.bounds = []  # per slot: its range of parameters
+        # per parameter, what the screen reads: its slot, its index in the
+        # slot, the other parameter of its orbit (None for the zero point),
+        # its orbit's index in the slot, the slot's terms and partner slots
+        self.screen = []
         for slot, support in enumerate(sup):
             index = {x: 2 * i for i, x in enumerate(support)}
+            lo, orbits = len(self.plan), []
             for rep in (x for x in support if index[x] <= index[negate(x)]):
                 pos, neg = index[rep], index[negate(rep)]
                 re, im = ((pos, 1.0), (neg, 1.0)), ((pos + 1, 1.0), (neg + 1, -1.0))
-                for writes in [re[:1]] if pos == neg else [re, im]:
-                    self.plan.append((slot, writes))
+                orbit = [re[:1]] if pos == neg else [re, im]
+                ids = range(len(self.plan), len(self.plan) + len(orbit))
+                for n, i in enumerate(ids):
+                    other = ids[1 - n] if len(ids) == 2 else None
+                    self.screen.append((slot, i - lo, other, len(orbits),
+                                        *_SLOT_PAIRS[slot], *_PARTNERS[slot]))
+                orbits.append(tuple(ids))
+                self.plan.extend((slot, writes) for writes in orbit)
+            self.orbits.append(orbits)
+            self.bounds.append((lo, len(self.plan)))
         self.n_params = len(self.plan)
+        # the screen's forms: p_s.dot(stacked[s]) is the gradients, with
+        # respect to the other slot, of the two signed terms that read slot
+        # s; each slot's writes are (m, 2) positions and signs, a single
+        # write padded with a copy of sign 0
+        writes = []
+        for lo, hi in self.bounds:
+            rows = [w + ((w[0][0], 0.0),) if len(w) == 1 else w for _, w in self.plan[lo:hi]]
+            rows = np.array(rows, float).reshape(-1, 2, 2)
+            writes.append((rows[:, :, 0].astype(int), rows[:, :, 1]))
+        forms = [sign * _gather(_gather(_real_form(w), writes[i]).T, writes[j]).T
+                 for (i, j), w, sign in zip(_PAIRS, self.weights, _SIGNS)]
+        self.stacked = [np.hstack([forms[k] if s < 2 else forms[k].T for k in _SLOT_PAIRS[s]])
+                        for s in range(4)]
 
     def _flats(self, params) -> list[np.ndarray]:
         """The four unscaled slot arrays of ``params``, each a new array."""
@@ -358,7 +471,54 @@ class _FastObjective:
         self.terms = [
             float(left.dot(self.vecs[j]).real) for left, (_, j) in zip(self.left, _PAIRS)
         ]
+        self.params = list(params)
+        self.mods = [[self._modulus(orbit) for orbit in orbits] for orbits in self.orbits]
+        self.norms, self.scales = [0.0] * 4, [1.0] * 4
+        self.grads = [[None, None] for _ in range(4)]
+        self.sterms = [0.0] * 4  # signed unscaled terms sign_k T_k
+        for slot in range(4):
+            self._refresh(slot)
         return 0.5 * (self.terms[0] + self.terms[1] + self.terms[2] - self.terms[3])
+
+    def _modulus(self, orbit: tuple[int, ...]) -> float:
+        """The orbit's share of its slot's one-norm: 2|z| for {x, -x}."""
+        if len(orbit) == 1:
+            return abs(self.params[orbit[0]])
+        return 2.0 * math.hypot(self.params[orbit[0]], self.params[orbit[1]])
+
+    def _refresh(self, slot: int):
+        """Recompute, from the current parameters, the screen's quantities
+        that read ``slot``: its norm and scale, the other slots' gradients
+        of its two terms, those terms, and every slot's sum of the scaled
+        terms that do not read it."""
+        params, (lo, hi) = self.params, self.bounds[slot]
+        self.norms[slot] = norm = sum(self.mods[slot])
+        self.scales[slot] = max(1.0, norm)
+        grads = np.array(params[lo:hi]).dot(self.stacked[slot]).tolist()
+        (ka, kb), (oa, ob) = _SLOT_PAIRS[slot], _PARTNERS[slot]
+        (alo, ahi), (blo, bhi) = self.bounds[oa], self.bounds[ob]
+        ga, gb = grads[:ahi - alo], grads[ahi - alo:]
+        # the pair is the (slot % 2)-th of each partner's two
+        self.grads[oa][slot % 2], self.grads[ob][slot % 2] = ga, gb
+        terms = self.sterms
+        terms[ka] = sum(map(operator.mul, ga, params[alo:ahi]))
+        terms[kb] = sum(map(operator.mul, gb, params[blo:bhi]))
+        t0, t1, t2, t3 = terms
+        s0, s1, s2, s3 = self.scales
+        q0, q1, q2, q3 = t0 / (s0 * s2), t1 / (s0 * s3), t2 / (s1 * s2), t3 / (s1 * s3)
+        self.rest = [q2 + q3, q0 + q1, q1 + q3, q0 + q2]
+
+    def estimate(self, i: int, value: float) -> float:
+        """The screen's float estimate of ``move(i, value)``, within
+        ``SCREEN_BOUND`` of it; it leaves every state as it is."""
+        slot, t, other, o, ka, kb, oa, ob = self.screen[i]
+        d = value - self.params[i]
+        mod = abs(value) if other is None else 2.0 * math.hypot(value, self.params[other])
+        norm = self.norms[slot] + (mod - self.mods[slot][o])
+        ga, gb = self.grads[slot]
+        terms, scales = self.sterms, self.scales
+        moved = (terms[ka] + d * ga[t]) / scales[oa] + (terms[kb] + d * gb[t]) / scales[ob]
+        return 0.5 * (self.rest[slot] + moved / max(1.0, norm))
 
     def move(self, i: int, value: float) -> float:
         """Score the current point with parameter ``i`` set to ``value``.
@@ -371,23 +531,27 @@ class _FastObjective:
             flat[pos] = value * sign + 0.0
         vec = self._scaled(flat)
         terms, left = self.terms.copy(), self.left
-        if slot < 2:  # the left factor of _PAIRS[2 * slot] and _PAIRS[2 * slot + 1]
-            k = 2 * slot
-            w, w1 = self.weights[k], self.weights[k + 1]
+        ka, kb = _SLOT_PAIRS[slot]
+        if slot < 2:  # the left factor of both terms, whose right factors are b1, b2
+            w, w1 = self.weights[ka], self.weights[kb]
             left = left.copy()
-            left[k] = vec.dot(w)
-            left[k + 1] = left[k] if w1 is w else vec.dot(w1)
-            terms[k] = float(left[k].dot(self.vecs[2]).real)
-            terms[k + 1] = float(left[k + 1].dot(self.vecs[3]).real)
-        else:  # the right factor of _PAIRS[slot - 2] and _PAIRS[slot]
-            for k in (slot - 2, slot):
+            left[ka] = vec.dot(w)
+            left[kb] = left[ka] if w1 is w else vec.dot(w1)
+            terms[ka] = float(left[ka].dot(self.vecs[2]).real)
+            terms[kb] = float(left[kb].dot(self.vecs[3]).real)
+        else:  # the right factor of both
+            for k in (ka, kb):
                 terms[k] = float(left[k].dot(vec).real)
-        self.pending = (slot, flat, vec, left, terms)
+        self.pending = (i, value, flat, vec, left, terms)
         return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])  # as start sums them
 
     def accept(self):
         """Make the last point scored by ``move`` the current point."""
-        slot, self.flats[slot], self.vecs[slot], self.left, self.terms = self.pending
+        i, value, flat, vec, self.left, self.terms = self.pending
+        slot, _, _, o = self.screen[i][:4]
+        self.flats[slot], self.vecs[slot], self.params[i] = flat, vec, value
+        self.mods[slot][o] = self._modulus(self.orbits[slot][o])
+        self._refresh(slot)
 
 
 def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
@@ -398,10 +562,16 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     value seen during the search is a lower bound for the Bell supremum and
     can never exceed sqrt(2) up to roundoff.  Evaluation inside the loop
     uses a precomputed bilinear form, which each one-parameter move updates
-    in the one slot it changes; the returned value comes from a full
-    engine re-evaluation of the winning candidate, which must agree with
-    the search value to ``CERTIFY_TOL``.  The trace records (evaluation index, value)
-    at every improvement of the global best.
+    in the one slot it changes.  Each move is first screened by a float
+    estimate: one below the current value by more than ``SCREEN_BOUND``,
+    more than the estimate's error can be, is a rejection, counted as an
+    evaluation but not scored; every other move is scored and compared
+    exactly, so every accept, every near-tie and with them the search path
+    and the evaluation count are bit for bit those of scoring every move.
+    The returned value comes from a full engine re-evaluation of the winning
+    candidate, which must agree with the search value to ``CERTIFY_TOL``.
+    The trace records (evaluation index, value) at every improvement of the
+    global best.
     """
     # the final certification multiplies A_i into (B_1 +- B_2); reject
     # configurations whose products would breach the term cap before
@@ -426,7 +596,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     fast = _FastObjective(state, cfg)
     n_params = fast.n_params
 
-    counter = 0
+    counter = exact_moves = 0
     best_value = -math.inf
     best_params: list[float] | None = None
     trace: list[tuple[int, float]] = []
@@ -443,8 +613,11 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
             for i in range(n_params):
                 for delta in (step, -step):
                     trial = params[i] + delta
-                    trial_value = fast.move(i, trial)
                     counter += 1
+                    if fast.estimate(i, trial) < value - SCREEN_BOUND:
+                        continue  # the exact value is below the current one too
+                    exact_moves += 1
+                    trial_value = fast.move(i, trial)
                     if trial_value > value:
                         fast.accept()
                         value, params[i] = trial_value, trial
@@ -475,6 +648,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
         value=certified,
         trace=trace,
         evaluations=counter,
+        exact_moves=exact_moves,
         search_s=searched - start,
         certify_s=time.perf_counter() - searched,
     )

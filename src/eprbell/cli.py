@@ -507,6 +507,8 @@ def cmd_eval(args) -> int:
 def _points(raw) -> list:
     """The points file as read, whose digest is the input's, within the
     cap of 256 points."""
+    if not isinstance(raw, list):
+        raise ValueError(f"a points file is a JSON array, not {type(raw).__name__}")
     if len(raw) > 256:
         raise ValueError(f"at most 256 points per battery, got {len(raw)}")
     return raw

@@ -83,7 +83,7 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
     lam_min = float(np.linalg.eigvalsh(gram)[0]) if n else 0.0
     if lam_min < -PSD_TOL:
         raise GramPositivityError(f"frame Gram is not positive: eigenvalue {lam_min}")
-    if n and np.max(np.abs(np.diag(gram) - 1.0)) > 1e-12:
+    if n and np.max(np.abs(np.diag(gram) - 1.0)) > IDENTITY_TOL:
         raise GramPositivityError("frame Gram diagonal deviates from 1")
     return GnsFrame(pts, gram)
 

@@ -33,7 +33,7 @@ from eprbell import (
     weyl_double,
     weyl_multiply,
 )
-from eprbell.bell import _candidate_order_key, _FastObjective
+from eprbell.bell import SCREEN_BOUND, _candidate_order_key, _FastObjective
 from eprbell.states import eval_point
 from eprbell.weyl import negate
 
@@ -358,6 +358,17 @@ class TestWeylDoubles:
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _catalog_search(orbits: int):
+    """The key and the search result of the benchmark's Bell catalog entry
+    o{orbits}c0/0."""
+    loader = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(gen)
+    spec = gen.bell_spec(orbits, 0, 0)
+    cfg = SearchConfig.from_spec(dict(spec["config"], seed=spec["search_seed"]))
+    return spec["key"], optimize_bell(StateFunctional.from_spec(spec["state"]), cfg)
+
+
 def _reference_vectors(cfg, params) -> list:
     """The slot vectors built orbit by orbit, each orbit {x, -x} at the first
     of its points in the support: the reference for _FastObjective.vectors."""
@@ -495,6 +506,44 @@ class TestIncrementalObjective:
         assert fast.start(params).hex() == _objective_reference(weights, cfg, params).hex()
 
 
+class TestScreenedMoves:
+    """The screen's estimate of each move is within SCREEN_BOUND / 2^10 of the
+    exact move, so it never rejects a move the exact comparison would accept."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_searches(), st.booleans(), st.sampled_from([1.0, 1e3]))
+    @example((  # the catalog's shape, each slot's norm far above 1
+        StateFunctional.epr(-0.7, 0.45),
+        SearchConfig(supports=((point(1, 2), point(-1, -2), point(0, 0)),) * 2
+                     + ((point(-1, 2), point(1, -2), point("1/3", 1), point("-1/3", -1)),) * 2),
+        [0.0625, -0.125, 0.25, 0.5, -0.0625, 0.125, -0.25, -0.5, 0.375, 0.1875,
+         -0.375, 0.0625, 0.25, -0.125],
+        [(0, 0.5, True), (4, -0.25, True), (7, 0.5, False), (11, 0.5, True),
+         (3, -0.5, True), (9, 0.25, True), (1, 0.5, True), (13, -0.25, True)],
+    ), True, 1e3)
+    def test_estimate_brackets_the_exact_move(self, search, regular, size):
+        state, cfg, params, moves = search
+        state = StateFunctional.regular() if regular else state
+        params = [size * p for p in params]
+        fast = _FastObjective(state, cfg)
+        value = fast.start(params)
+        for i, delta, keep in moves:
+            trial = params[i] + delta
+            estimate = fast.estimate(i, trial)
+            exact = fast.move(i, trial)
+            assert abs(estimate - exact) <= SCREEN_BOUND / 2**10
+            assert not (exact > value and estimate < value - SCREEN_BOUND)
+            if keep:
+                fast.accept()
+                params[i], value = trial, exact
+
+    def test_catalog_search_scores_few_moves_exactly(self):
+        # the screen decides about 90 % of this search's evaluations; scoring
+        # every move exactly again would fail here, not only in the benchmark
+        _, result = _catalog_search(6)
+        assert 0 < result.exact_moves <= 0.2 * result.evaluations
+
+
 class TestTsirelsonBound:
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(_searches())
@@ -545,12 +594,7 @@ class TestSearchPins:
 
     @pytest.mark.parametrize("orbits", [1, 2, 3, 4, 6])
     def test_catalog_evaluation_counts(self, orbits):
-        # the benchmark's catalog and its recorded counts, read, never written
-        loader = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
-        gen = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(gen)
+        # the benchmark's recorded counts, read, never written
         counts = json.loads((PERFBENCH / "bell_evaluations.json").read_text())
-        spec = gen.bell_spec(orbits, 0, 0)
-        cfg = SearchConfig.from_spec(dict(spec["config"], seed=spec["search_seed"]))
-        result = optimize_bell(StateFunctional.from_spec(spec["state"]), cfg)
-        assert result.evaluations == counts[spec["key"]]
+        key, result = _catalog_search(orbits)
+        assert result.evaluations == counts[key]

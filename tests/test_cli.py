@@ -260,6 +260,8 @@ class TestPsd:
             ([], "at least one point is required"),
             ([["1", "2"]], "states are defined on the dimension-4 algebra"),
             ([["0", "0", "0", "0"], ["0", "0", "0", "0"]], "points must be pairwise distinct"),
+            (5, "a points file is a JSON array, not int"),
+            ({"a": 1}, "a points file is a JSON array, not dict"),
         ],
     )
     def test_kernel_rejections_name_the_file(self, tmp_path, capsys, rows, message):
