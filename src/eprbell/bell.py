@@ -251,9 +251,10 @@ class SearchResult:
     value: float
     trace: list[tuple[int, float]] = field(default_factory=list)
     evaluations: int = 0
-    #: the evaluations the screen could not decide, scored by the exact
-    #: move, and the wall-clock seconds of the coordinate search and of the
-    #: engine certification of the winner; not part of the result's value
+    #: the evaluations the screen could not decide, the near-ties, scored
+    #: by the exact move, and the wall-clock seconds of the coordinate
+    #: search and of the engine certification of the winner; not part of
+    #: the result's value
     exact_moves: int = field(default=0, compare=False)
     search_s: float = field(default=0.0, compare=False)
     certify_s: float = field(default=0.0, compare=False)
@@ -286,9 +287,10 @@ _SIGNS = (1.0, 1.0, 1.0, -1.0)
 _SLOT_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3))
 _PARTNERS = ((2, 3), (2, 3), (0, 1), (0, 1))
 
-#: Margin by which the screen's estimate of a move must fall below the
-#: current value before the move is rejected unscored (see _FastObjective).
-SCREEN_BOUND = 2.0**-36
+#: Margin by which the screen's estimate of a move must fall below, or rise
+#: above, its estimate of the current point before the move is rejected, or
+#: accepted, unscored (see _FastObjective).
+SCREEN_BOUND = 2.0**-35
 
 
 def _real_form(w: np.ndarray) -> np.ndarray:
@@ -318,7 +320,7 @@ class _FastObjective:
     re-certified through the full polynomial engine, so the shortcut can
     only ever speed the search up, not change what gets reported.
 
-    Each slot keeps its unscaled coefficients, in support order, as one
+    A slot's unscaled coefficients, in support order, form one
     interleaved float array (re, im, re, im, ...).  Parameter i writes
     value * sign + 0.0 at its one or two (position, sign) pairs there: an
     orbit {x, -x} takes a complex coefficient (two parameters, conjugated
@@ -326,14 +328,18 @@ class _FastObjective:
     vector is its array scaled down whenever its one-norm exceeds 1, so
     every candidate built from it is a certified contraction.
 
-    ``start`` scores a point in full and keeps the slot arrays and vectors,
-    the left products a_i.dot(w[(i, j)]) and the real parts of the terms
-    a_i.dot(w[(i, j)]).dot(b_j).  ``move`` re-derives what one parameter's
-    slot changes, and ``accept`` keeps it.  Every number is the same
-    floating-point expression on the same operands as a full evaluation
-    (``ndarray.dot`` makes the BLAS calls of ``@``), summed in the same
-    order, so the value is bit for bit that of a full evaluation of the
-    moved point.
+    The exact value keeps, per slot, the vector and, per term k = (i, j),
+    the left product a_i.dot(w[k]) and the real part of
+    a_i.dot(w[k]).dot(b_j).  ``accept`` changes a parameter and marks its
+    slot stale; ``sync`` rebuilds every stale slot's vector from the
+    parameters, then the left products and terms that read it, and sums
+    the terms; ``start`` marks every slot stale and syncs.  ``move`` scores
+    one parameter's change against the synced point, re-deriving only what
+    that slot changes.  Every number is the same floating-point expression
+    on the same operands as a full evaluation (``ndarray.dot`` makes the
+    BLAS calls of ``@``), summed in the same order, so each value is bit for
+    bit that of a full evaluation of its point, however many accepts came
+    before the sync.
 
     **The screen.**  ``estimate`` approximates ``move`` in a few Python
     float operations.  With p_s the parameters of slot s, the unscaled term
@@ -348,45 +354,55 @@ class _FastObjective:
     changes only the two terms that read s, each by d g[t] with g the
     gradient R_k p_j (or p_i^T R_k) kept per slot, and N_s by the change of
     one orbit's share 2|z|.  At ``start``, and for the changed slot at each
-    ``accept``, the norms, gradients and terms and each slot's sum of the
-    scaled terms that do not read it are recomputed from the parameters:
-    one matrix-vector product per accepted move, and nothing carried over
-    from an earlier point, so there is no drift to bound.
+    ``accept``, the norms, gradients and terms, each slot's sum of the
+    scaled terms that do not read it, and ``current``, the estimate 0.5 *
+    (q_0 + q_1 + q_2 + q_3) of the current point from the signed scaled
+    terms q_k, are recomputed from the parameters: one matrix-vector
+    product per accepted move, and nothing carried over from an earlier
+    point, so there is no drift to bound.
 
-    **The bound.**  ``optimize_bell`` rejects a move unscored when its
-    estimate is below the current value by more than ``SCREEN_BOUND`` = B.
-    That is sound when |estimate - exact| stays below B less the rounding
-    of value - B.  Write u = 2^-53 and gamma_n = n u / (1 - n u), which
-    bounds the rounding of an n-term sum in any order, blocked or by SIMD
-    lanes, with or without FMA, relative to the sum of the moduli; a
-    complex product adds sqrt(2) gamma_2 (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., Sec. 3.1 and 3.6).  Take every modulus,
-    numpy's SIMD ``abs`` of a complex as well as libm's ``hypot``, within
-    4u.  Every weight has modulus at most 1, up to rounding (a state's
-    values do); every scaled vector has one-norm at most 1; and sum |p_i|
-    |R_k| |p_j| <= 2 N_i N_j, since each real or imaginary part is written
-    by one parameter and |re z| + |im z| <= sqrt(2) |z|.  For a term k =
-    (i, j) let L = n_i + n_j, the sizes of its slots' supports.  To first
-    order in u:
+    **The bound.**  ``optimize_bell`` compares a move's estimate with
+    ``current``: it rejects the move unscored when the estimate is below
+    by more than ``SCREEN_BOUND`` = B, and accepts it unscored when the
+    estimate is above by more than B.  Either is sound when the errors of
+    the two estimates against the exact values sum to less than B less the
+    rounding of current -+ B.  Write u = 2^-53 and gamma_n = n u / (1 - n
+    u), which bounds the rounding of an n-term sum in any order, blocked or
+    by SIMD lanes, with or without FMA, relative to the sum of the moduli;
+    a complex product adds sqrt(2) gamma_2 (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., Sec. 3.1 and 3.6).  Take every
+    modulus, numpy's SIMD ``abs`` of a complex as well as libm's ``hypot``,
+    within 4u.  Every weight has modulus at most 1, up to rounding (a
+    state's values do); every scaled vector has one-norm at most 1, so
+    every value lies in [-2, 2]; and sum |p_i| |R_k| |p_j| <= 2 N_i N_j,
+    since each real or imaginary part is written by one parameter and
+    |re z| + |im z| <= sqrt(2) |z|.  For a term k = (i, j) let L = n_i +
+    n_j, the sizes of its slots' supports.  To first order in u:
 
     - *exact path:* each norm is within (n + 4) u of N, each scaled part
       within (n + 6) u; ``zgemv`` and ``zdotu`` add 2 gamma_(n+2) each, so
       each term is within (3L + 20) u, and the value, after its three
       additions, within (6L + 54) u;
-    - *screen:* a recomputed term is within 2 (L + 2) u of S_i S_j (two
-      roundings in the gather, gamma_(n_i) and gamma_(n_j) in the products),
-      and within twice that of the moved point's scales, since a step of at
-      most ``STEP_INIT`` = 0.5 changes a norm by at most 1; d g[t] adds
-      1.5 (n + 4) u, an unmoved slot's norm (n + 4) u, the moved slot's
-      2 (n + 8) u, and the additions and divisions a few u more.  So each
-      moved scaled term is within (6.5L + 37) u, each unmoved one within
-      (3L + 14) u, and the estimate within (9.5L + 57) u.
+    - *a move's estimate:* a recomputed term is within 2 (L + 2) u of S_i
+      S_j (two roundings in the gather, gamma_(n_i) and gamma_(n_j) in the
+      products), and within twice that of the moved point's scales, since a
+      step of at most ``STEP_INIT`` = 0.5 changes a norm by at most 1; d
+      g[t] adds 1.5 (n + 4) u, an unmoved slot's norm (n + 4) u, the moved
+      slot's 2 (n + 8) u, and the additions and divisions a few u more.  So
+      each moved scaled term is within (6.5L + 37) u, each unmoved one
+      within (3L + 14) u, and the estimate within (9.5L + 57) u;
+    - *the current point's estimate:* four unmoved scaled terms, (3L + 14)
+      u each, and three additions of partial sums at most 2, 3 and 4, then
+      the halving: within (6L + 33) u.
 
-    Together |estimate - exact| <= (15.5L + 111) u.  A term with an empty
-    slot is an exact 0.0 on both paths, and ``optimize_bell``'s term cap
-    gives n_i n_j <= 4096 for every other term, so L <= 4097 and the
-    difference is at most 7.1e-12.  B = 2^-36 = 1.46e-11 is twice that.  A
-    NaN estimate compares false and goes to the exact path.
+    So |estimate - exact| <= (15.5L + 111) u for a move, |current - exact|
+    <= (12L + 87) u for the current point, and with 2u for the rounding of
+    current -+ B a decision needs (27.5L + 200) u < B.  A term with an
+    empty slot is an exact 0.0 on both paths, and ``optimize_bell``'s term
+    cap gives n_i n_j <= 4096 for every other term, so L <= 4097 and the
+    sum is at most 1.26e-11.  B = 2^-35 = 2.91e-11 is more than twice
+    that.  A NaN estimate compares false both ways and goes to the exact
+    path.
     """
 
     def __init__(self, state: StateFunctional, cfg: SearchConfig):
@@ -436,13 +452,14 @@ class _FastObjective:
         self.stacked = [np.hstack([forms[k] if s < 2 else forms[k].T for k in _SLOT_PAIRS[s]])
                         for s in range(4)]
 
-    def _flats(self, params) -> list[np.ndarray]:
-        """The four unscaled slot arrays of ``params``, each a new array."""
-        flats = [np.zeros(2 * len(support)) for support in self.cfg.supports]
-        for (slot, writes), value in zip(self.plan, params):
+    def _flat(self, slot: int, params) -> np.ndarray:
+        """Slot ``slot``'s unscaled array of ``params``, a new array."""
+        lo, hi = self.bounds[slot]
+        flat = np.zeros(2 * len(self.cfg.supports[slot]))
+        for (_, writes), value in zip(self.plan[lo:hi], params[lo:hi]):
             for pos, sign in writes:
-                flats[slot][pos] = value * sign + 0.0  # -0.0 becomes +0.0
-        return flats
+                flat[pos] = value * sign + 0.0  # -0.0 becomes +0.0
+        return flat
 
     @staticmethod
     def _scaled(flat: np.ndarray) -> np.ndarray:
@@ -452,7 +469,7 @@ class _FastObjective:
 
     def vectors(self, params) -> list[np.ndarray]:
         """The four slot coefficient vectors, each in support order."""
-        return [self._scaled(flat) for flat in self._flats(params)]
+        return [self._scaled(self._flat(slot, params)) for slot in range(4)]
 
     def candidate(self, params) -> BellCandidate:
         """The candidate whose coefficient vectors the search scores."""
@@ -464,13 +481,7 @@ class _FastObjective:
         )
 
     def start(self, params) -> float:
-        """Score ``params`` in full and make it the current point."""
-        self.flats = self._flats(params)
-        self.vecs = [self._scaled(flat) for flat in self.flats]
-        self.left = [self.vecs[i].dot(w) for (i, _), w in zip(_PAIRS, self.weights)]
-        self.terms = [
-            float(left.dot(self.vecs[j]).real) for left, (_, j) in zip(self.left, _PAIRS)
-        ]
+        """Make ``params`` the current point and return its exact value."""
         self.params = list(params)
         self.mods = [[self._modulus(orbit) for orbit in orbits] for orbits in self.orbits]
         self.norms, self.scales = [0.0] * 4, [1.0] * 4
@@ -478,7 +489,9 @@ class _FastObjective:
         self.sterms = [0.0] * 4  # signed unscaled terms sign_k T_k
         for slot in range(4):
             self._refresh(slot)
-        return 0.5 * (self.terms[0] + self.terms[1] + self.terms[2] - self.terms[3])
+        self.vecs, self.left, self.terms = [None] * 4, [None] * 4, [None] * 4
+        self.stale = set(range(4))
+        return self.sync()
 
     def _modulus(self, orbit: tuple[int, ...]) -> float:
         """The orbit's share of its slot's one-norm: 2|z| for {x, -x}."""
@@ -489,8 +502,9 @@ class _FastObjective:
     def _refresh(self, slot: int):
         """Recompute, from the current parameters, the screen's quantities
         that read ``slot``: its norm and scale, the other slots' gradients
-        of its two terms, those terms, and every slot's sum of the scaled
-        terms that do not read it."""
+        of its two terms, those terms, every slot's sum of the scaled terms
+        that do not read it, and the estimate ``current`` of the current
+        point."""
         params, (lo, hi) = self.params, self.bounds[slot]
         self.norms[slot] = norm = sum(self.mods[slot])
         self.scales[slot] = max(1.0, norm)
@@ -507,10 +521,11 @@ class _FastObjective:
         s0, s1, s2, s3 = self.scales
         q0, q1, q2, q3 = t0 / (s0 * s2), t1 / (s0 * s3), t2 / (s1 * s2), t3 / (s1 * s3)
         self.rest = [q2 + q3, q0 + q1, q1 + q3, q0 + q2]
+        self.current = 0.5 * (q0 + q1 + q2 + q3)
 
     def estimate(self, i: int, value: float) -> float:
-        """The screen's float estimate of ``move(i, value)``, within
-        ``SCREEN_BOUND`` of it; it leaves every state as it is."""
+        """The screen's float estimate of ``move(i, value)``; it leaves every
+        state as it is."""
         slot, t, other, o, ka, kb, oa, ob = self.screen[i]
         d = value - self.params[i]
         mod = abs(value) if other is None else 2.0 * math.hypot(value, self.params[other])
@@ -520,14 +535,40 @@ class _FastObjective:
         moved = (terms[ka] + d * ga[t]) / scales[oa] + (terms[kb] + d * gb[t]) / scales[ob]
         return 0.5 * (self.rest[slot] + moved / max(1.0, norm))
 
-    def move(self, i: int, value: float) -> float:
-        """Score the current point with parameter ``i`` set to ``value``.
+    def accept(self, i: int, value: float):
+        """Set parameter ``i`` of the current point to ``value``.
 
-        The current point stays as it is until ``accept`` is called.
+        Only the screen follows at once; the slot's vector, left products
+        and terms go stale until the next ``sync``.
         """
+        slot, _, _, o = self.screen[i][:4]
+        self.params[i] = value
+        self.mods[slot][o] = self._modulus(self.orbits[slot][o])
+        self._refresh(slot)
+        self.stale.add(slot)
+
+    def sync(self) -> float:
+        """The exact value of the current point, after rebuilding every stale
+        slot from the parameters: its vector, then the left products and
+        terms that read it, then the sum in ``move``'s order."""
+        stale, vecs, left, terms = self.stale, self.vecs, self.left, self.terms
+        for slot in stale:
+            vecs[slot] = self._scaled(self._flat(slot, self.params))
+        for k, ((i, j), w) in enumerate(zip(_PAIRS, self.weights)):
+            if i in stale:
+                left[k] = vecs[i].dot(w)
+            if i in stale or j in stale:
+                terms[k] = float(left[k].dot(vecs[j]).real)
+        stale.clear()
+        return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])
+
+    def move(self, i: int, value: float) -> float:
+        """The exact value of the current point with parameter ``i`` set to
+        ``value``; the current point, which must be synced, stays as it is."""
+        assert not self.stale, "move needs a synced current point"
         slot, writes = self.plan[i]
-        flat = self.flats[slot].copy()
-        for pos, sign in writes:  # as _flats writes them
+        flat = self._flat(slot, self.params)
+        for pos, sign in writes:  # as _flat writes them
             flat[pos] = value * sign + 0.0
         vec = self._scaled(flat)
         terms, left = self.terms.copy(), self.left
@@ -542,16 +583,7 @@ class _FastObjective:
         else:  # the right factor of both
             for k in (ka, kb):
                 terms[k] = float(left[k].dot(vec).real)
-        self.pending = (i, value, flat, vec, left, terms)
-        return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])  # as start sums them
-
-    def accept(self):
-        """Make the last point scored by ``move`` the current point."""
-        i, value, flat, vec, self.left, self.terms = self.pending
-        slot, _, _, o = self.screen[i][:4]
-        self.flats[slot], self.vecs[slot], self.params[i] = flat, vec, value
-        self.mods[slot][o] = self._modulus(self.orbits[slot][o])
-        self._refresh(slot)
+        return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])  # as sync sums them
 
 
 def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
@@ -561,13 +593,16 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     to a genuine candidate (self-adjoint components, one-norm <= 1), so each
     value seen during the search is a lower bound for the Bell supremum and
     can never exceed sqrt(2) up to roundoff.  Evaluation inside the loop
-    uses a precomputed bilinear form, which each one-parameter move updates
-    in the one slot it changes.  Each move is first screened by a float
-    estimate: one below the current value by more than ``SCREEN_BOUND``,
-    more than the estimate's error can be, is a rejection, counted as an
-    evaluation but not scored; every other move is scored and compared
-    exactly, so every accept, every near-tie and with them the search path
-    and the evaluation count are bit for bit those of scoring every move.
+    uses a precomputed bilinear form, kept per slot.  Each move is first
+    judged by the screen, which compares its float estimate with the
+    estimate of the current point: a move below it by more than
+    ``SCREEN_BOUND``, more than the two estimates' errors can be, is
+    rejected, and one above it by more than that is accepted, both counted
+    as evaluations but not scored.  Only a near-tie is scored and compared
+    exactly, after the exact value of the current point is brought up to
+    date from its parameters, as it is again at the end of each restart.
+    So every decision, and with them the search path, the evaluation count
+    and every value, is bit for bit that of scoring every move exactly.
     The returned value comes from a full engine re-evaluation of the winning
     candidate, which must agree with the search value to ``CERTIFY_TOL``.
     The trace records (evaluation index, value) at every improvement of the
@@ -604,7 +639,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     for restart in range(cfg.restarts):
         rng = random.Random((cfg.seed * 1_000_003 + restart) & 0xFFFFFFFF)
         params = [rng.uniform(-1.0, 1.0) for _ in range(n_params)]
-        value = fast.start(params)
+        fast.start(params)
         counter += 1
         step = STEP_INIT
         sweeps = 0
@@ -614,18 +649,22 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
                 for delta in (step, -step):
                     trial = params[i] + delta
                     counter += 1
-                    if fast.estimate(i, trial) < value - SCREEN_BOUND:
+                    estimate, current = fast.estimate(i, trial), fast.current
+                    if estimate < current - SCREEN_BOUND:
                         continue  # the exact value is below the current one too
-                    exact_moves += 1
-                    trial_value = fast.move(i, trial)
-                    if trial_value > value:
-                        fast.accept()
-                        value, params[i] = trial_value, trial
-                        improved = True
-                        break
+                    if not estimate > current + SCREEN_BOUND:  # a near-tie, or NaN
+                        exact_moves += 1
+                        value = fast.sync()
+                        if not fast.move(i, trial) > value:
+                            continue
+                    fast.accept(i, trial)
+                    params[i] = trial
+                    improved = True
+                    break
             if not improved:
                 step *= STEP_DECAY
             sweeps += 1
+        value = fast.sync()
         if value > best_value or value == best_value and (
             _candidate_order_key(fast.candidate(params))
             < _candidate_order_key(fast.candidate(best_params))

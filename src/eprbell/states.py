@@ -587,7 +587,7 @@ def trace_vector_check(
         "forward": forward,
         "reverse": reverse,
         "deviation": float(deviation),
-        "passed": deviation <= 1e-10,
+        "passed": deviation <= IDENTITY_TOL,
     }
 
 
@@ -595,14 +595,14 @@ def traciality_check(state: StateFunctional, a: Point, b: Point) -> dict:
     """omega(W(a)W(b) x I) = omega(W(b)W(a) x I) for one-particle points.
 
     ``trace_vector_check`` on the two generators in slot 1, with a stricter
-    verdict: when b != -a both sides must be exact zeros; when b = -a both
-    reduce to omega(I) = 1.
+    verdict: when b != -a both sides must also be exact zeros; when b = -a
+    both reduce to omega(I) = 1.
     """
     ga, gb = WeylPolynomial.generator(a), WeylPolynomial.generator(b)
     if ga.dim != 2 or gb.dim != 2:
         raise ValueError("traciality_check expects dimension-2 points")
     res = trace_vector_check(state, ga, gb, 1)
-    passed = res["deviation"] <= IDENTITY_TOL
+    passed = res["passed"]
     if adjoint(ga) != gb:  # b != -a, exactly: canonical form is unique
         passed = passed and res["forward"] == 0 and res["reverse"] == 0
     return {**res, "passed": passed}
