@@ -205,14 +205,15 @@ class SearchConfig:
             raise ValueError(f"{key} must hold one support per candidate slot (4),"
                              f" got {len(supports)}")
         for s, pts in enumerate(supports):
-            if len(set(pts)) != len(pts):
+            distinct = set(pts)
+            if len(distinct) != len(pts):
                 raise ValueError(f"{key}: support {s} points must be distinct,"
-                                 f" got {len(set(pts))} distinct of {len(pts)}")
+                                 f" got {len(distinct)} distinct of {len(pts)}")
             for i, x in enumerate(pts):
                 if len(x) != 2:
                     raise ValueError(f"{key}: support {s} point {i} must have dimension 2,"
                                      f" got {len(x)}")
-                if negate(x) not in pts:
+                if negate(x) not in distinct:
                     raise ValueError(f"{key}: support {s} must be closed under negation,"
                                      f" but lacks the negative of point {i}")
         for name in ("restarts", "max_iters", "seed"):
@@ -287,11 +288,6 @@ _SIGNS = (1.0, 1.0, 1.0, -1.0)
 _SLOT_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3))
 _PARTNERS = ((2, 3), (2, 3), (0, 1), (0, 1))
 
-#: Margin by which the screen's estimate of a move must fall below, or rise
-#: above, its estimate of the current point before the move is rejected, or
-#: accepted, unscored (see _FastObjective).
-SCREEN_BOUND = 2.0**-35
-
 
 def _real_form(w: np.ndarray) -> np.ndarray:
     """The real matrix q with Re(a^T w b) = f_a^T q f_b, where f_a and f_b
@@ -307,6 +303,14 @@ def _gather(q: np.ndarray, writes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     sum of the rows at parameter t's two positions, times their signs."""
     pos, sign = writes
     return sign[:, :1] * q[pos[:, 0]] + sign[:, 1:] * q[pos[:, 1]]
+
+
+def _estimate(line: tuple, value: float) -> float:
+    """The screen's float estimate of the exact value of the current point
+    with ``line``'s parameter set to ``value`` (see ``_FastObjective``)."""
+    _, rest, base, partner, x0, c0, c1 = line
+    norm = base + (abs(value) if partner is None else 2.0 * math.hypot(value, partner))
+    return 0.5 * (rest + (c0 + (value - x0) * c1) / (norm if norm > 1.0 else 1.0))
 
 
 class _FastObjective:
@@ -341,68 +345,87 @@ class _FastObjective:
     bit that of a full evaluation of its point, however many accepts came
     before the sync.
 
-    **The screen.**  ``estimate`` approximates ``move`` in a few Python
-    float operations.  With p_s the parameters of slot s, the unscaled term
-    k = (i, j) is the real bilinear form T_k = p_i^T R_k p_j, where R_k is
-    w's real form (``_real_form``) gathered by the two slots' writes
-    (``_gather``, signed sums of entries, not a matrix product), and the
-    value is
+    **The screen.**  ``line`` and ``_estimate`` approximate ``move`` in a
+    few Python float operations.  With p_s the parameters of slot s, the
+    unscaled term k = (i, j) is the real bilinear form T_k = p_i^T R_k p_j,
+    where R_k is w's real form (``_real_form``) gathered by the two slots'
+    writes (``_gather``, signed sums of entries, not a matrix product), and
+    the value is
 
         0.5 * sum_k sign_k T_k / (S_i S_j),   S_s = max(1, N_s),
 
     N_s the one-norm of slot s.  A move of parameter t of slot s by d
-    changes only the two terms that read s, each by d g[t] with g the
+    changes only the two terms a, b that read s, each by d g[t] with g the
     gradient R_k p_j (or p_i^T R_k) kept per slot, and N_s by the change of
-    one orbit's share 2|z|.  At ``start``, and for the changed slot at each
-    ``accept``, the norms, gradients and terms, each slot's sum of the
-    scaled terms that do not read it, and ``current``, the estimate 0.5 *
-    (q_0 + q_1 + q_2 + q_3) of the current point from the signed scaled
-    terms q_k, are recomputed from the parameters: one matrix-vector
-    product per accepted move, and nothing carried over from an earlier
-    point, so there is no drift to bound.
+    one orbit's share 2|z|.  Divided by the scales S_oa, S_ob of their other
+    slots oa, ob, the two moved terms are c0 + d c1, with c0 = T_a / S_oa +
+    T_b / S_ob and c1 = g_a[t] / S_oa + g_b[t] / S_ob.  ``line(i)`` forms,
+    once for both trials of parameter i, c0, c1, the sum of the two scaled
+    terms that do not read s, the slot's norm without the orbit, the orbit
+    partner's value and ``current``; ``_estimate`` then scores a trial with
+    one ``hypot`` and a few float operations.  At ``start``, and for the
+    changed slot at each ``accept``, the norms, gradients and terms, each
+    slot's sum of the scaled terms that do not read it, and ``current``, the
+    estimate 0.5 * (q_0 + q_1 + q_2 + q_3) of the current point from the
+    signed scaled terms q_k, are recomputed from the parameters: one
+    matrix-vector product per accepted move, and nothing carried over from
+    an earlier point, so there is no drift to bound.
 
-    **The bound.**  ``optimize_bell`` compares a move's estimate with
-    ``current``: it rejects the move unscored when the estimate is below
-    by more than ``SCREEN_BOUND`` = B, and accepts it unscored when the
-    estimate is above by more than B.  Either is sound when the errors of
-    the two estimates against the exact values sum to less than B less the
-    rounding of current -+ B.  Write u = 2^-53 and gamma_n = n u / (1 - n
-    u), which bounds the rounding of an n-term sum in any order, blocked or
-    by SIMD lanes, with or without FMA, relative to the sum of the moduli;
-    a complex product adds sqrt(2) gamma_2 (Higham, *Accuracy and Stability
+    **The bound.**  ``optimize_bell`` compares a trial's estimate with
+    ``current``: it rejects the trial unscored when the estimate is below
+    by more than ``bound`` = B, and accepts it unscored when the estimate
+    is above by more than B.  Either is sound when the errors of the two
+    estimates against the exact values sum to less than B less the rounding
+    of current -+ B.  Write u = 2^-53 and gamma_n = n u / (1 - n u), which
+    bounds the rounding of an n-term sum in any order, blocked or by SIMD
+    lanes, with or without FMA, relative to the sum of the moduli; a
+    complex product adds sqrt(2) gamma_2 (Higham, *Accuracy and Stability
     of Numerical Algorithms*, 2nd ed., Sec. 3.1 and 3.6).  Take every
     modulus, numpy's SIMD ``abs`` of a complex as well as libm's ``hypot``,
     within 4u.  Every weight has modulus at most 1, up to rounding (a
     state's values do); every scaled vector has one-norm at most 1, so
-    every value lies in [-2, 2]; and sum |p_i| |R_k| |p_j| <= 2 N_i N_j,
-    since each real or imaginary part is written by one parameter and
-    |re z| + |im z| <= sqrt(2) |z|.  For a term k = (i, j) let L = n_i +
-    n_j, the sizes of its slots' supports.  To first order in u:
+    every value lies in [-2, 2] and every scaled term in [-1, 1]; sum |p_i|
+    |R_k| |p_j| <= 2 N_i N_j, since each real or imaginary part is written
+    by one parameter and |re z| + |im z| <= sqrt(2) |z|; and sum_j |R_k[t,
+    j]| |p_j| <= 2 N_j for each row t, since a row adds two rows of the
+    real form and |re w| |re b| + |im w| |im b| <= |w| |b|.  For a term k =
+    (i, j) with both slots non-empty let L_k = n_i + n_j, the sizes of its
+    slots' supports, and L the largest L_k; a term with an empty slot is an
+    exact 0.0 on both paths.  To first order in u:
 
     - *exact path:* each norm is within (n + 4) u of N, each scaled part
       within (n + 6) u; ``zgemv`` and ``zdotu`` add 2 gamma_(n+2) each, so
       each term is within (3L + 20) u, and the value, after its three
       additions, within (6L + 54) u;
-    - *a move's estimate:* a recomputed term is within 2 (L + 2) u of S_i
-      S_j (two roundings in the gather, gamma_(n_i) and gamma_(n_j) in the
-      products), and within twice that of the moved point's scales, since a
-      step of at most ``STEP_INIT`` = 0.5 changes a norm by at most 1; d
-      g[t] adds 1.5 (n + 4) u, an unmoved slot's norm (n + 4) u, the moved
-      slot's 2 (n + 8) u, and the additions and divisions a few u more.  So
-      each moved scaled term is within (6.5L + 37) u, each unmoved one
-      within (3L + 14) u, and the estimate within (9.5L + 57) u;
-    - *the current point's estimate:* four unmoved scaled terms, (3L + 14)
-      u each, and three additions of partial sums at most 2, 3 and 4, then
-      the halving: within (6L + 33) u.
+    - *the current point's estimate:* a recomputed term is within 2 (L +
+      2) u of S_i S_j (two roundings in the gather, gamma_(n_i) and
+      gamma_(n_j) in the products) and each scale within (n + 4) u of
+      itself, so each scaled term is within (3L + 14) u; three additions of
+      partial sums at most 2, 3 and 4, then the halving: within (6L + 33) u;
+    - *a trial's estimate:* take the errors relative to S', the moved slot's
+      scale at the trial, which is at least half its scale S at the current
+      point, since a step of at most ``STEP_INIT`` = 0.5 changes a norm by
+      at most 1, and write o for oa or ob.  Each term of c0 is within
+      4 (L + 2) u, and at most 2, after the division by S_o.  Each gradient
+      is within 2 (n_o + 2) u N_o, so with |d| <= 0.5 its share of d c1 is
+      within (n_o + 2) u and at most 1.  Each S_o is within (n_o + 4) u of
+      itself, and divides both parts of its moved term, at most 1, so it
+      adds that much.  The four divisions add 6u; the additions in c0 and
+      c1, the rounding of d, the product d c1 and the addition c0 + d c1,
+      12u.  The moved slot's norm, the norm without the orbit plus the
+      trial's share, is within (2 n_s + 23) u of S', and the division of
+      the two moved terms, at most 2, by it adds twice that and 2u.  With
+      n_o + n_s <= L the two moved terms are within (12L + 94) u; the two
+      others, (3L + 14) u each, their sum and the last addition add
+      (6L + 34) u, and after the halving the estimate is within (9L + 64) u.
 
-    So |estimate - exact| <= (15.5L + 111) u for a move, |current - exact|
+    So |estimate - exact| <= (15L + 118) u for a trial, |current - exact|
     <= (12L + 87) u for the current point, and with 2u for the rounding of
-    current -+ B a decision needs (27.5L + 200) u < B.  A term with an
-    empty slot is an exact 0.0 on both paths, and ``optimize_bell``'s term
-    cap gives n_i n_j <= 4096 for every other term, so L <= 4097 and the
-    sum is at most 1.26e-11.  B = 2^-35 = 2.91e-11 is more than twice
-    that.  A NaN estimate compares false both ways and goes to the exact
-    path.
+    current -+ B a decision needs (27L + 207) u < B.  ``bound`` is the least
+    power of two at least twice that: 2^-43 for one orbit per slot (L = 4),
+    2^-42 for six (L = 24), and 2^-35 at L = 4097, the largest
+    ``optimize_bell``'s term cap admits.  A NaN estimate compares false
+    both ways and goes to the exact path.
     """
 
     def __init__(self, state: StateFunctional, cfg: SearchConfig):
@@ -451,6 +474,11 @@ class _FastObjective:
                  for (i, j), w, sign in zip(_PAIRS, self.weights, _SIGNS)]
         self.stacked = [np.hstack([forms[k] if s < 2 else forms[k].T for k in _SLOT_PAIRS[s]])
                         for s in range(4)]
+        # the screen's bound: the least power of two at least twice the
+        # derived error (27L + 207) u, counted in units of u = 2^-53
+        sizes = [len(support) for support in sup]
+        L = max((sizes[i] + sizes[j] for i, j in _PAIRS if sizes[i] and sizes[j]), default=0)
+        self.bound = math.ldexp(1.0, (2 * (27 * L + 207) - 1).bit_length() - 53)
 
     def _flat(self, slot: int, params) -> np.ndarray:
         """Slot ``slot``'s unscaled array of ``params``, a new array."""
@@ -523,17 +551,20 @@ class _FastObjective:
         self.rest = [q2 + q3, q0 + q1, q1 + q3, q0 + q2]
         self.current = 0.5 * (q0 + q1 + q2 + q3)
 
-    def estimate(self, i: int, value: float) -> float:
-        """The screen's float estimate of ``move(i, value)``; it leaves every
-        state as it is."""
+    def line(self, i: int) -> tuple:
+        """What the screen reads to estimate ``move(i, value)`` for any
+        value, from the current point: ``current``, the sum of the scaled
+        terms that do not read parameter i's slot, the slot's norm without
+        i's orbit, the orbit partner's value (None for the zero point), the
+        parameter's value, and the two moved terms' c0 and c1, whose sum at
+        a change d is c0 + d c1 (see the class docstring)."""
         slot, t, other, o, ka, kb, oa, ob = self.screen[i]
-        d = value - self.params[i]
-        mod = abs(value) if other is None else 2.0 * math.hypot(value, self.params[other])
-        norm = self.norms[slot] + (mod - self.mods[slot][o])
         ga, gb = self.grads[slot]
-        terms, scales = self.sterms, self.scales
-        moved = (terms[ka] + d * ga[t]) / scales[oa] + (terms[kb] + d * gb[t]) / scales[ob]
-        return 0.5 * (self.rest[slot] + moved / max(1.0, norm))
+        terms, sa, sb = self.sterms, self.scales[oa], self.scales[ob]
+        params = self.params
+        return (self.current, self.rest[slot], self.norms[slot] - self.mods[slot][o],
+                None if other is None else params[other], params[i],
+                terms[ka] / sa + terms[kb] / sb, ga[t] / sa + gb[t] / sb)
 
     def accept(self, i: int, value: float):
         """Set parameter ``i`` of the current point to ``value``.
@@ -595,8 +626,8 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     can never exceed sqrt(2) up to roundoff.  Evaluation inside the loop
     uses a precomputed bilinear form, kept per slot.  Each move is first
     judged by the screen, which compares its float estimate with the
-    estimate of the current point: a move below it by more than
-    ``SCREEN_BOUND``, more than the two estimates' errors can be, is
+    estimate of the current point: a move below it by more than the
+    objective's ``bound``, more than the two estimates' errors can be, is
     rejected, and one above it by more than that is accepted, both counted
     as evaluations but not scored.  Only a near-tie is scored and compared
     exactly, after the exact value of the current point is brought up to
@@ -629,7 +660,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
 
     start = time.perf_counter()
     fast = _FastObjective(state, cfg)
-    n_params = fast.n_params
+    n_params, bound = fast.n_params, fast.bound
 
     counter = exact_moves = 0
     best_value = -math.inf
@@ -646,13 +677,15 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
         while step >= STEP_FLOOR and sweeps < cfg.max_iters:
             improved = False
             for i in range(n_params):
+                line = fast.line(i)
+                low, high = line[0] - bound, line[0] + bound
                 for delta in (step, -step):
                     trial = params[i] + delta
                     counter += 1
-                    estimate, current = fast.estimate(i, trial), fast.current
-                    if estimate < current - SCREEN_BOUND:
+                    estimate = _estimate(line, trial)
+                    if estimate < low:
                         continue  # the exact value is below the current one too
-                    if not estimate > current + SCREEN_BOUND:  # a near-tie, or NaN
+                    if not estimate > high:  # a near-tie, or NaN
                         exact_moves += 1
                         value = fast.sync()
                         if not fast.move(i, trial) > value:

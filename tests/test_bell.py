@@ -33,7 +33,14 @@ from eprbell import (
     weyl_double,
     weyl_multiply,
 )
-from eprbell.bell import SCREEN_BOUND, _candidate_order_key, _FastObjective
+from eprbell.bell import (
+    STEP_DECAY,
+    STEP_FLOOR,
+    STEP_INIT,
+    _candidate_order_key,
+    _estimate,
+    _FastObjective,
+)
 from eprbell.states import eval_point
 from eprbell.weyl import negate
 
@@ -425,32 +432,39 @@ _COORD = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _STEPS = st.sampled_from([0.5, 0.25, 2.0**-10, 1e-7])
 
 
+def _draw_supports(draw, max_orbits: int, empty: bool) -> tuple:
+    """Four slot supports, each of up to ``max_orbits`` orbits, with or
+    without the zero point, in a drawn order; a slot is empty only where
+    ``empty`` allows it.  Some are shaped like the catalog's, a1 and a2 on
+    one support and b1 and b2 on another, so that all four pairs share one
+    weight matrix; the others draw each slot's support on its own."""
+    catalog_shaped = draw(st.booleans())
+    supports = []
+    for _ in range(2 if catalog_shaped else 4):
+        reps = []
+        for x in draw(st.lists(st.tuples(_COORD, _COORD), max_size=max_orbits)):
+            if any(x) and x not in reps and negate(x) not in reps:
+                reps.append(x)
+        support = [y for x in reps for y in (x, negate(x))]
+        if draw(st.booleans()) or not (empty or support):
+            support.append((Fraction(0), Fraction(0)))
+        supports.append(tuple(draw(st.permutations(support))))
+    if catalog_shaped:
+        supports = [supports[0]] * 2 + [supports[1]] * 2
+    return tuple(supports)
+
+
 @st.composite
 def _searches(draw):
     """A state, a configuration, a start point and a sequence of moves.
 
     Each move is (parameter, step, accepted).  Start points scaled by 1/16
     keep every slot's one-norm below 1 until steps of 0.5 push it over, so
-    moves both skip and trigger the rescale.  Some configurations are shaped
-    like the catalog's, a1 and a2 on one support and b1 and b2 on another, so
-    that all four pairs share one weight matrix; the others draw each slot's
-    support on its own.
+    moves both skip and trigger the rescale.  No slot is empty.
     """
     state = StateFunctional.epr(draw(st.floats(-3, 3)), draw(st.floats(-3, 3)))
-    catalog_shaped = draw(st.booleans())
-    supports = []
-    for _ in range(2 if catalog_shaped else 4):
-        reps = []
-        for x in draw(st.lists(st.tuples(_COORD, _COORD), max_size=4)):
-            if any(x) and x not in reps and negate(x) not in reps:
-                reps.append(x)
-        support = [y for x in reps for y in (x, negate(x))]
-        if draw(st.booleans()) or not support:
-            support.append((Fraction(0), Fraction(0)))
-        supports.append(tuple(draw(st.permutations(support))))
-    if catalog_shaped:
-        supports = [supports[0]] * 2 + [supports[1]] * 2
-    cfg = SearchConfig(supports=tuple(supports))
+    supports = _draw_supports(draw, max_orbits=4, empty=False)
+    cfg = SearchConfig(supports=supports)
     # two real parameters per orbit {x, -x}, one for the zero point
     n_params = sum(len(support) for support in supports)
     scale = draw(st.sampled_from([1.0, 1.0 / 16]))
@@ -524,10 +538,17 @@ class TestIncrementalObjective:
         assert fast.sync().hex() == _objective_reference(weights, cfg, params).hex()
 
 
+def _monomial_config(restarts: int = 4, max_iters: int = 120, seed: int = 0) -> SearchConfig:
+    """verify-all's monomial search: one orbit per slot, catalog-shaped."""
+    xa, xb = point(1, 2), point(-1, 2)
+    return SearchConfig(supports=((xa, negate(xa)),) * 2 + ((xb, negate(xb)),) * 2,
+                        restarts=restarts, max_iters=max_iters, seed=seed)
+
+
 class TestScreenedMoves:
     """The screen's estimates, of each move and of the current point, are
-    within 2^-46 of the exact values, so each move the screen decides goes
-    the way the exact comparison would take it."""
+    within 2^-46 of the exact values, and each move the screen decides at
+    the objective's bound goes the way the exact comparison would take it."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(_searches(), st.booleans(), st.sampled_from([1.0, 1e3]))
@@ -541,8 +562,8 @@ class TestScreenedMoves:
          (3, -0.5, True), (9, 0.25, True), (1, 0.5, True), (13, -0.25, True)],
     ), True, 1e3)
     def test_estimate_brackets_the_exact_move(self, search, regular, size):
-        # the tolerance is written out, not derived from SCREEN_BOUND, so
-        # that a larger bound does not loosen it
+        # the tolerance is written out, not derived from the bound, so that a
+        # larger bound does not loosen it
         tol = 2.0**-46
         state, cfg, params, moves = search
         state = StateFunctional.regular() if regular else state
@@ -551,19 +572,46 @@ class TestScreenedMoves:
         fast.start(params)
         for i, delta, keep in moves:
             trial = params[i] + delta
-            estimate, current = fast.estimate(i, trial), fast.current
+            line = fast.line(i)  # as optimize_bell scores its trials
+            estimate, current = _estimate(line, trial), line[0]
             value = fast.sync()
             exact = fast.move(i, trial)
             assert abs(current - value) <= tol
             assert abs(estimate - exact) <= tol
-            if estimate > current + SCREEN_BOUND:
+            if estimate > current + fast.bound:
                 assert exact > value
-            if estimate < current - SCREEN_BOUND:
+            if estimate < current - fast.bound:
                 assert not exact > value
             if keep:
                 fast.accept(i, trial)
                 params[i] = trial
         assert abs(fast.current - fast.sync()) <= tol
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(_searches())
+    def test_bound_is_twice_the_derived_error(self, search):
+        _, cfg, _, _ = search
+        sizes = [len(support) for support in cfg.supports]
+        L = max(sizes[i] + sizes[j] for i in (0, 1) for j in (2, 3))
+        bound = _FastObjective(StateFunctional.regular(), cfg).bound
+        assert math.frexp(bound)[0] == 0.5  # a power of two
+        assert bound >= 2 * (27 * L + 207) * 2.0**-53
+        assert bound < 4 * (27 * L + 207) * 2.0**-53
+
+    def test_bound_at_one_orbit_per_slot_and_at_the_term_cap(self):
+        state = StateFunctional.epr(0.3, -1.1)
+        assert _FastObjective(state, _monomial_config()).bound == 2.0**-43
+        # the zero point against 2,048 orbits: L = 4097, the most the term
+        # cap admits; the two empty slots' terms do not count
+        wide = tuple(x for k in range(1, 2049) for x in (point(k, 1), point(-k, -1)))
+        cfg = SearchConfig(supports=((point(0, 0),), (), wide, ()))
+        assert _FastObjective(state, cfg).bound == 2.0**-35
+
+    def test_monomial_search_scores_few_moves_exactly(self):
+        # verify-all's one-orbit search sits on a plateau of near-ties; a
+        # bound sized to L = 4 leaves few of them to the exact move
+        result = optimize_bell(StateFunctional.epr(0.3, -1.1), _monomial_config())
+        assert result.exact_moves <= 0.15 * result.evaluations
 
     def test_catalog_search_scores_few_moves_exactly(self):
         # the screen decides every move of this six-orbit search, accepts
@@ -577,6 +625,76 @@ class TestScreenedMoves:
         # exact path keeps running in this suite
         _, result = _catalog_search(1)
         assert 0 < result.exact_moves
+
+
+def _exact_search(state, cfg):
+    """optimize_bell's search with every trial scored by the exact move: the
+    value, trace, evaluation count and candidate the screen must reproduce."""
+    fast = _FastObjective(state, cfg)
+    counter, best_value, best_params, trace = 0, -math.inf, None, []
+    for restart in range(cfg.restarts):
+        rng = random.Random((cfg.seed * 1_000_003 + restart) & 0xFFFFFFFF)
+        params = [rng.uniform(-1.0, 1.0) for _ in range(fast.n_params)]
+        value = fast.start(params)
+        counter += 1
+        step, sweeps = STEP_INIT, 0
+        while step >= STEP_FLOOR and sweeps < cfg.max_iters:
+            improved = False
+            for i in range(fast.n_params):
+                for delta in (step, -step):
+                    trial = params[i] + delta
+                    counter += 1
+                    if fast.move(i, trial) > value:
+                        fast.accept(i, trial)
+                        params[i] = trial
+                        value = fast.sync()
+                        improved = True
+                        break
+            if not improved:
+                step *= STEP_DECAY
+            sweeps += 1
+        if value > best_value or value == best_value and (
+            _candidate_order_key(fast.candidate(params))
+            < _candidate_order_key(fast.candidate(best_params))
+        ):
+            best_value, best_params = value, params
+            trace.append((counter, value))
+    candidate = fast.candidate(best_params)
+    return bell_value(state, candidate), trace, counter, candidate
+
+
+@st.composite
+def _configs(draw):
+    """A regular or EPR state and a small search whose slots may differ in
+    size or be empty."""
+    state = draw(st.sampled_from([StateFunctional.regular()]) | st.builds(
+        StateFunctional.epr, st.floats(-3, 3), st.floats(-3, 3)))
+    supports = _draw_supports(draw, max_orbits=3, empty=True)
+    return state, SearchConfig(supports=supports, restarts=draw(st.integers(1, 2)),
+                               max_iters=draw(st.integers(1, 15)),
+                               seed=draw(st.integers(0, 2**16)))
+
+
+class TestScreenedSearch:
+    """The screened search is the all-exact search, bit for bit."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_configs())
+    @example((StateFunctional.epr(0.3, -1.1), _monomial_config(2, 15)))
+    @example((  # the zero point beside an orbit, unequal slot sizes
+        StateFunctional.epr(-0.7, 0.45),
+        SearchConfig(supports=((point(1, 2), point(0, 0), point(-1, -2)),) * 2
+                     + ((point(1, -2), point(-1, 2), point(0, 0)),) * 2,
+                     restarts=2, max_iters=15, seed=5),
+    ))
+    def test_equals_the_all_exact_search(self, search):
+        state, cfg = search
+        result = optimize_bell(state, cfg)
+        value, trace, evaluations, candidate = _exact_search(state, cfg)
+        assert result.value.hex() == value.hex()
+        assert [(i, v.hex()) for i, v in result.trace] == [(i, v.hex()) for i, v in trace]
+        assert result.evaluations == evaluations
+        assert result.best == candidate
 
 
 class TestTsirelsonBound:

@@ -13,7 +13,9 @@ interpreter:
 - ``surrogate --dim m`` for every even m in 2..64;
 - ``psd`` on the 11 ``psd_batteries`` specs of ``perfbench/gen.py`` at
   seeds 0-2;
-- ``bell`` on the 160 searches of the perfbench Bell catalog;
+- ``bell`` on the 160 searches of the perfbench Bell catalog, and on four
+  shapes it lacks: a support with the zero point, slots of unequal
+  sizes, an empty slot, and the regular state;
 - ``eval`` on records that mix ints, "p/q" strings and strings only
   ``Fraction`` reads, two of them one point, and on a bad record;
 - ``psd`` on points written in the grammar only ``Fraction`` reads, and on
@@ -78,6 +80,25 @@ def _cases() -> dict[str, tuple[dict, list[str]]]:
                 files = {"config": spec["config"], "state": spec["state"]}
                 argv = ["bell", "{config}", "--seed", str(seed), "--state", "{state}"]
                 cases[f"bell {spec['key']}"] = (files, argv)
+    orbit = [["1", "2"], ["-1", "-2"]]
+    partner = [["-1", "2"], ["1", "-2"]]
+    third = [["1/3", "-1"], ["-1/3", "1"]]
+    zero = [["0", "0"]]
+    shapes = {
+        # tests/test_bell.py's TestSearchPins::test_support_with_the_zero_point
+        "zero point": ([orbit[:1] + zero + orbit[1:] + third] * 2 + [partner[::-1] + zero] * 2,
+                       3, 80, 5, {"kind": "epr", "lambda": -0.7, "mu": 0.45}),
+        "unequal slots": ([orbit + zero, orbit + third, partner, partner + third + zero],
+                          4, 120, 1, {"kind": "epr", "lambda": 0.3, "mu": -1.1}),
+        "empty slot": ([orbit + third, [], partner + zero, partner],
+                       4, 120, 2, {"kind": "epr", "lambda": 1.2, "mu": 0.4}),
+        "regular state": ([orbit + zero] * 2 + [partner + zero] * 2,
+                          4, 120, 3, {"kind": "regular"}),
+    }
+    for name, (supports, restarts, max_iters, seed, state) in shapes.items():
+        config = {"supports": supports, "restarts": restarts, "max_iters": max_iters}
+        argv = ["bell", "{config}", "--seed", str(seed), "--state", "{state}"]
+        cases[f"bell {name}"] = ({"config": config, "state": state}, argv)
     psd = ["psd", "{points}", "--state", "{state}"]
     epr = {"kind": "epr", "lambda": 0.3, "mu": 0.7}
     wide = [["1", "2", "-1", "2"], ["3", "2", "-3", "2"], ["5", "1", "-5", "1"]]
