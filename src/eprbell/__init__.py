@@ -72,13 +72,11 @@ from .weyl import (
     WeylPolynomial,
     ZERO_THRESHOLD,
     adjoint,
-    direct_sum_form,
     from_records,
     is_self_adjoint,
     one_norm,
     parse_points,
     point,
-    symplectic_form,
     tensor_embed,
     to_records,
     weyl_multiply,

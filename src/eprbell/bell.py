@@ -334,16 +334,21 @@ class _FastObjective:
 
     The exact value keeps, per slot, the vector and, per term k = (i, j),
     the left product a_i.dot(w[k]) and the real part of
-    a_i.dot(w[k]).dot(b_j).  ``accept`` changes a parameter and marks its
-    slot stale; ``sync`` rebuilds every stale slot's vector from the
-    parameters, then the left products and terms that read it, and sums
-    the terms; ``start`` marks every slot stale and syncs.  ``move`` scores
-    one parameter's change against the synced point, re-deriving only what
-    that slot changes.  Every number is the same floating-point expression
-    on the same operands as a full evaluation (``ndarray.dot`` makes the
-    BLAS calls of ``@``), summed in the same order, so each value is bit for
-    bit that of a full evaluation of its point, however many accepts came
-    before the sync.
+    a_i.dot(w[k]).dot(b_j).  ``_vector`` is the one builder of a slot's
+    vector from a list of parameters, and ``_value`` the one term update:
+    for the slots it is told changed, it recomputes the left products and
+    the terms that read them, a left product once when a slot's two terms
+    share one weight array, and sums the four terms.  ``accept`` changes a
+    parameter and marks its slot stale; ``sync`` rebuilds every stale
+    slot's vector and runs ``_value`` on the kept lists; ``start`` marks
+    every slot stale and syncs.  ``move`` builds the moved slot's vector
+    with the trial value in place of the current one and runs ``_value``
+    on copies, so the current point stays as it is.  Every number is the
+    same floating-point expression on the same operands as a full
+    evaluation (``ndarray.dot`` makes the BLAS calls of ``@``; a shared
+    left product is the very ``dot`` its pair would compute), summed in
+    the same order, so each value is bit for bit that of a full evaluation
+    of its point, however many accepts came before the sync.
 
     **The screen.**  ``line`` and ``_estimate`` approximate ``move`` in a
     few Python float operations.  With p_s the parameters of slot s, the
@@ -437,7 +442,7 @@ class _FastObjective:
                 for c, y in enumerate(key[1]):
                     w[r, c] = eval_point(state, (x[0], x[1], y[0], y[1]))
         self.weights = [weights[sup[i], sup[j]] for i, j in _PAIRS]
-        self.plan = []  # (slot, ((position, sign), ...)) per parameter
+        self.plan = []  # ((position, sign), ...) per parameter
         self.orbits = []  # per slot: the parameters of each of its orbits
         self.bounds = []  # per slot: its range of parameters
         # per parameter, what the screen reads: its slot, its index in the
@@ -457,7 +462,7 @@ class _FastObjective:
                     self.screen.append((slot, i - lo, other, len(orbits),
                                         *_SLOT_PAIRS[slot], *_PARTNERS[slot]))
                 orbits.append(tuple(ids))
-                self.plan.extend((slot, writes) for writes in orbit)
+                self.plan.extend(orbit)
             self.orbits.append(orbits)
             self.bounds.append((lo, len(self.plan)))
         self.n_params = len(self.plan)
@@ -467,7 +472,7 @@ class _FastObjective:
         # write padded with a copy of sign 0
         writes = []
         for lo, hi in self.bounds:
-            rows = [w + ((w[0][0], 0.0),) if len(w) == 1 else w for _, w in self.plan[lo:hi]]
+            rows = [w + ((w[0][0], 0.0),) if len(w) == 1 else w for w in self.plan[lo:hi]]
             rows = np.array(rows, float).reshape(-1, 2, 2)
             writes.append((rows[:, :, 0].astype(int), rows[:, :, 1]))
         forms = [sign * _gather(_gather(_real_form(w), writes[i]).T, writes[j]).T
@@ -480,24 +485,21 @@ class _FastObjective:
         L = max((sizes[i] + sizes[j] for i, j in _PAIRS if sizes[i] and sizes[j]), default=0)
         self.bound = math.ldexp(1.0, (2 * (27 * L + 207) - 1).bit_length() - 53)
 
-    def _flat(self, slot: int, params) -> np.ndarray:
-        """Slot ``slot``'s unscaled array of ``params``, a new array."""
+    def _vector(self, slot: int, params) -> np.ndarray:
+        """Slot ``slot``'s coefficient vector of ``params``, a new array: its
+        unscaled array, scaled down when its one-norm exceeds 1."""
         lo, hi = self.bounds[slot]
         flat = np.zeros(2 * len(self.cfg.supports[slot]))
-        for (_, writes), value in zip(self.plan[lo:hi], params[lo:hi]):
+        for writes, value in zip(self.plan[lo:hi], params[lo:hi]):
             for pos, sign in writes:
                 flat[pos] = value * sign + 0.0  # -0.0 becomes +0.0
-        return flat
-
-    @staticmethod
-    def _scaled(flat: np.ndarray) -> np.ndarray:
         coeffs = flat.view(complex)
         norm = float(np.add.reduce(np.abs(coeffs)))
         return coeffs * (1.0 / norm) if norm > 1.0 else coeffs
 
     def vectors(self, params) -> list[np.ndarray]:
         """The four slot coefficient vectors, each in support order."""
-        return [self._scaled(self._flat(slot, params)) for slot in range(4)]
+        return [self._vector(slot, params) for slot in range(4)]
 
     def candidate(self, params) -> BellCandidate:
         """The candidate whose coefficient vectors the search scores."""
@@ -581,40 +583,34 @@ class _FastObjective:
     def sync(self) -> float:
         """The exact value of the current point, after rebuilding every stale
         slot from the parameters: its vector, then the left products and
-        terms that read it, then the sum in ``move``'s order."""
-        stale, vecs, left, terms = self.stale, self.vecs, self.left, self.terms
-        for slot in stale:
-            vecs[slot] = self._scaled(self._flat(slot, self.params))
-        for k, ((i, j), w) in enumerate(zip(_PAIRS, self.weights)):
-            if i in stale:
-                left[k] = vecs[i].dot(w)
-            if i in stale or j in stale:
-                terms[k] = float(left[k].dot(vecs[j]).real)
-        stale.clear()
-        return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])
+        terms that read it."""
+        for slot in self.stale:
+            self.vecs[slot] = self._vector(slot, self.params)
+        value = self._value(self.vecs, self.left, self.terms, self.stale)
+        self.stale.clear()
+        return value
 
     def move(self, i: int, value: float) -> float:
         """The exact value of the current point with parameter ``i`` set to
         ``value``; the current point, which must be synced, stays as it is."""
         assert not self.stale, "move needs a synced current point"
-        slot, writes = self.plan[i]
-        flat = self._flat(slot, self.params)
-        for pos, sign in writes:  # as _flat writes them
-            flat[pos] = value * sign + 0.0
-        vec = self._scaled(flat)
-        terms, left = self.terms.copy(), self.left
-        ka, kb = _SLOT_PAIRS[slot]
-        if slot < 2:  # the left factor of both terms, whose right factors are b1, b2
-            w, w1 = self.weights[ka], self.weights[kb]
-            left = left.copy()
-            left[ka] = vec.dot(w)
-            left[kb] = left[ka] if w1 is w else vec.dot(w1)
-            terms[ka] = float(left[ka].dot(self.vecs[2]).real)
-            terms[kb] = float(left[kb].dot(self.vecs[3]).real)
-        else:  # the right factor of both
-            for k in (ka, kb):
-                terms[k] = float(left[k].dot(vec).real)
-        return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])  # as sync sums them
+        slot, params = self.screen[i][0], self.params.copy()
+        params[i] = value
+        vecs = self.vecs.copy()
+        vecs[slot] = self._vector(slot, params)
+        return self._value(vecs, self.left.copy(), self.terms.copy(), (slot,))
+
+    def _value(self, vecs, left, terms, changed) -> float:
+        """Bring the left products and terms that read a slot in ``changed``
+        up to date with ``vecs``, in place, and return their sum.  A term
+        whose weights are its pair's (b1 and b2 on one support) reuses the
+        left product just computed for that pair."""
+        for k, ((i, j), w) in enumerate(zip(_PAIRS, self.weights)):
+            if i in changed:
+                left[k] = left[k - 1] if k % 2 and w is self.weights[k - 1] else vecs[i].dot(w)
+            if i in changed or j in changed:
+                terms[k] = float(left[k].dot(vecs[j]).real)
+        return 0.5 * (terms[0] + terms[1] + terms[2] - terms[3])
 
 
 def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
@@ -669,8 +665,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
 
     for restart in range(cfg.restarts):
         rng = random.Random((cfg.seed * 1_000_003 + restart) & 0xFFFFFFFF)
-        params = [rng.uniform(-1.0, 1.0) for _ in range(n_params)]
-        fast.start(params)
+        fast.start([rng.uniform(-1.0, 1.0) for _ in range(n_params)])
         counter += 1
         step = STEP_INIT
         sweeps = 0
@@ -680,7 +675,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
                 line = fast.line(i)
                 low, high = line[0] - bound, line[0] + bound
                 for delta in (step, -step):
-                    trial = params[i] + delta
+                    trial = fast.params[i] + delta
                     counter += 1
                     estimate = _estimate(line, trial)
                     if estimate < low:
@@ -691,7 +686,6 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
                         if not fast.move(i, trial) > value:
                             continue
                     fast.accept(i, trial)
-                    params[i] = trial
                     improved = True
                     break
             if not improved:
@@ -699,11 +693,11 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
             sweeps += 1
         value = fast.sync()
         if value > best_value or value == best_value and (
-            _candidate_order_key(fast.candidate(params))
+            _candidate_order_key(fast.candidate(fast.params))
             < _candidate_order_key(fast.candidate(best_params))
         ):
             best_value = value
-            best_params = params
+            best_params = fast.params  # start makes a new list per restart
             trace.append((counter, value))
 
     assert best_params is not None

@@ -457,7 +457,7 @@ def _naming(what: str):
         raise TermBudgetError(f"{what}: {exc}") from None
 
 
-def _load(path: str, parse=lambda raw: raw):
+def _load(path: str, parse):
     """Read and parse a JSON file, naming the file in any error about its content."""
     with open(path) as fh, _naming(path):
         return parse(json.load(fh))

@@ -431,10 +431,6 @@ class SupportPartition:
     labels: np.ndarray
 
     @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """The classes in the order of their least indices, each increasing:
         the indices in stable label order, cut where the label changes."""

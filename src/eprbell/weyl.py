@@ -156,20 +156,6 @@ def negate(x: Point) -> Point:
     return tuple(-c for c in x)
 
 
-def symplectic_form(x: Point, y: Point) -> Fraction:
-    """The form (x1*y2 - x2*y1)/2 on R^2, computed exactly."""
-    if len(x) != 2 or len(y) != 2:
-        raise ValueError("symplectic_form expects two points of dimension 2")
-    return (x[0] * y[1] - x[1] * y[0]) / 2
-
-
-def direct_sum_form(x: Point, y: Point) -> Fraction:
-    """Sum of the symplectic form over both coordinate pairs of R^4."""
-    if len(x) != 4 or len(y) != 4:
-        raise ValueError("direct_sum_form expects two points of dimension 4")
-    return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) / 2
-
-
 def unit_phase(s: int | Fraction | float, q: int = 1) -> complex:
     """exp(i s/q) from the double nearest the exact ratio s/q, an exact 1
     at a zero angle.  Its array form is ``states._phase``."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +34,20 @@ def add_points(x: tuple, y: tuple) -> tuple:
     """The coordinatewise sum of two points of one dimension."""
     assert len(x) == len(y)
     return tuple(a + b for a, b in zip(x, y))
+
+
+def symplectic_form(x: tuple, y: tuple) -> Fraction:
+    """The form (x1*y2 - x2*y1)/2 on R^2, computed exactly."""
+    if len(x) != 2 or len(y) != 2:
+        raise ValueError("symplectic_form expects two points of dimension 2")
+    return (x[0] * y[1] - x[1] * y[0]) / 2
+
+
+def direct_sum_form(x: tuple, y: tuple) -> Fraction:
+    """Sum of the symplectic form over both coordinate pairs of R^4."""
+    if len(x) != 4 or len(y) != 4:
+        raise ValueError("direct_sum_form expects two points of dimension 4")
+    return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) / 2
 
 
 def report_body_json(report: VerificationReport) -> str:

@@ -522,6 +522,16 @@ class TestIncrementalObjective:
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(_searches())
+    @example((  # b1 and b2 on one support, a1 and a2 on two: each factor-1
+        # slot's two terms share one left product, which sync reuses
+        StateFunctional.epr(-0.7, 0.45),
+        SearchConfig(supports=((point(1, 2), point(-1, -2)),
+                               (point(1, 2), point(-1, -2), point(0, 0)))
+                     + ((point(-1, 2), point(1, -2)),) * 2),
+        [0.25, -0.125, 0.0625, 0.5, -0.375, 0.125, 0.25, -0.5, 0.1875],
+        # a1 alone, a2 alone, then both before one sync
+        [(0, 0.5, True), (3, -0.25, True), (1, 0.25, False), (4, 0.5, True)],
+    ))
     def test_sync_after_unscored_accepts(self, search):
         """Accepts that score nothing, as the screen's do, leave their slots
         stale; a sync after any run of them rebuilds the full evaluation."""

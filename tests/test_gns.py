@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import add_points, rand_fraction, rand_point, same_bits
+from conftest import add_points, direct_sum_form, rand_fraction, rand_point, same_bits
 from test_states import _COORDS, _PARAMETER
 from test_weyl import _COEFF
 from eprbell import (
@@ -34,7 +34,7 @@ from eprbell import (
 )
 import eprbell.gns
 from eprbell.states import kernel_matrix
-from eprbell.weyl import direct_sum_form, negate, unit_phase
+from eprbell.weyl import negate, unit_phase
 
 
 def _compress_reference(

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import distinct_points, rand_fraction, rand_point, rand_poly, same_bits
+from conftest import (
+    direct_sum_form,
+    distinct_points,
+    rand_fraction,
+    rand_point,
+    rand_poly,
+    same_bits,
+)
 from test_weyl import (
     _COEFF, _SCALES, _SMALL, _assert_same_lattice, _fraction_lattice, _polys
 )
@@ -40,7 +47,7 @@ from eprbell import (
 import eprbell
 import eprbell.states
 from eprbell.states import PSD_TOL
-from eprbell.weyl import direct_sum_form, unit_phase
+from eprbell.weyl import unit_phase
 
 
 class TestEvalPoint:
@@ -531,7 +538,7 @@ class TestSupport:
         part = support_relation(kernel_matrix(StateFunctional.epr(), pts))
         assert part.labels.tolist() == [0, 1, 0, 1]
         assert part.classes == ((0, 2), (1, 3))
-        assert type(part.size) is int and part.size == 4
+        assert len(part.labels) == 4
 
     def test_gaussian_tail_violates_transitivity(self):
         # chained near/far Gaussian points: x~y and y~z but not x~z once the
@@ -668,8 +675,8 @@ def _rank_one_reference(m, partition: SupportPartition) -> dict:
                 for l in cls:
                     cocycle_dev = max(cocycle_dev, abs(m[j, k] * m[k, l] - m[j, l]))
     cls_of = {j: ci for ci, cls in enumerate(partition.classes) for j in cls}
-    for j in range(partition.size):
-        for k in range(partition.size):
+    for j in range(len(partition.labels)):
+        for k in range(len(partition.labels)):
             if cls_of[j] != cls_of[k]:
                 cross_leak = max(cross_leak, abs(m[j, k]))
     return {
@@ -713,7 +720,7 @@ def _psd_dense(m: np.ndarray) -> dict:
 def _rank_one_per_class(m, partition: SupportPartition) -> dict:
     """rank_one_class_check one class at a time, and one k at a time
     within it."""
-    same = np.zeros((partition.size, partition.size), dtype=bool)
+    same = np.zeros((len(partition.labels),) * 2, dtype=bool)
     max_cocycle_dev = 0.0
     for cls in partition.classes:
         block = np.ix_(cls, cls)

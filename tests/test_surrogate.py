@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eprbell import (
     a_theta,
@@ -346,6 +349,44 @@ class TestCorrelation:
         for _ in range(60):
             j, k = rng.randrange(40), rng.randrange(40)
             assert abs(grid[j, k] - correlation(model, thetas[j], thetas[k])) <= 1e-15
+
+
+#: Even factor dimensions 2..64, angles of several turns either way, and
+#: Hermitian matrices of a drawn dimension from drawn real and imaginary parts.
+_DIMS = st.integers(1, 32).map(lambda half: 2 * half)
+_ANGLES = st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6)
+
+
+@st.composite
+def _hermitians(draw):
+    m = draw(_DIMS)
+    parts = draw(arrays(np.float64, (2, m, m), elements=st.floats(-1.0, 1.0)))
+    raw = parts[0] + 1j * parts[1]
+    return m, (raw + raw.conj().T) / 2
+
+
+class TestSurrogateProperties:
+    """The correlation law and the doubles over generated dimensions,
+    angles and Hermitian matrices."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_DIMS, _ANGLES)
+    def test_correlation_grid_is_the_cosine_law(self, m, thetas):
+        model = build_model(m)
+        grid = correlation_grid(model, np.array(thetas))
+        for j, t1 in enumerate(thetas):
+            for k, t2 in enumerate(thetas):
+                pointwise = correlation(model, t1, t2)
+                assert abs(grid[j, k] - pointwise) <= 1e-14
+                assert abs(pointwise - math.cos(t1 - t2)) <= 1e-12
+                assert abs(grid[j, k] - math.cos(t1 - t2)) <= 1e-12
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(_hermitians())
+    def test_double_has_zero_deviation(self, drawn):
+        m, a = drawn
+        model = build_model(m)
+        assert abs(double_deviation(model, a, double_of(model, a)["double"])) <= 1e-12
 
 
 class TestChsh:

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import add_points, rand_point, rand_poly, same_bits
+from conftest import (
+    add_points,
+    direct_sum_form,
+    rand_point,
+    rand_poly,
+    same_bits,
+    symplectic_form,
+)
 from eprbell import (
     ZERO_THRESHOLD,
     SearchConfig,
@@ -20,7 +27,6 @@ from eprbell import (
     WeylPolynomial,
     adjoint,
     collinearity_check,
-    direct_sum_form,
     from_records,
     is_self_adjoint,
     monomial_candidate,
@@ -29,7 +35,6 @@ from eprbell import (
     one_norm,
     parse_points,
     point,
-    symplectic_form,
     tensor_embed,
     to_records,
     traciality_check,
