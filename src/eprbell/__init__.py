@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 from .bell import (
     BellCandidate,
-    EvaluationBudgetError,
     SearchConfig,
     SearchResult,
     bell_operator,
@@ -31,7 +30,6 @@ from .bell import (
 )
 from .gns import (
     GnsFrame,
-    GramPositivityError,
     build_frame,
     collinearity_check,
     compress_operator,

@@ -60,10 +60,6 @@ STEP_INIT, STEP_DECAY, STEP_FLOOR = 0.5, 0.5, 1e-7
 SLOT_NAMES = ("a1", "a2", "b1", "b2")
 
 
-class EvaluationBudgetError(RuntimeError):
-    """A search configuration could exceed the objective evaluation cap."""
-
-
 @dataclass(frozen=True)
 class BellCandidate:
     """Two observables per factor, as dimension-2 polynomials.
@@ -340,8 +336,9 @@ class _FastObjective:
     the terms that read them, a left product once when a slot's two terms
     share one weight array, and sums the four terms.  ``accept`` changes a
     parameter and marks its slot stale; ``sync`` rebuilds every stale
-    slot's vector and runs ``_value`` on the kept lists; ``start`` marks
-    every slot stale and syncs.  ``move`` builds the moved slot's vector
+    slot's vector and runs ``_value`` on the kept lists, and is the only way
+    the current point gets an exact value: ``start`` scores nothing and
+    marks every slot stale.  ``move`` builds the moved slot's vector
     with the trial value in place of the current one and runs ``_value``
     on copies, so the current point stays as it is.  Every number is the
     same floating-point expression on the same operands as a full
@@ -497,21 +494,18 @@ class _FastObjective:
         norm = float(np.add.reduce(np.abs(coeffs)))
         return coeffs * (1.0 / norm) if norm > 1.0 else coeffs
 
-    def vectors(self, params) -> list[np.ndarray]:
-        """The four slot coefficient vectors, each in support order."""
-        return [self._vector(slot, params) for slot in range(4)]
-
     def candidate(self, params) -> BellCandidate:
         """The candidate whose coefficient vectors the search scores."""
         return BellCandidate(
             *(
-                WeylPolynomial(2, zip(support, coeffs))
-                for support, coeffs in zip(self.cfg.supports, self.vectors(params))
+                WeylPolynomial(2, zip(support, self._vector(slot, params)))
+                for slot, support in enumerate(self.cfg.supports)
             )
         )
 
-    def start(self, params) -> float:
-        """Make ``params`` the current point and return its exact value."""
+    def start(self, params):
+        """Make ``params`` the current point, with every slot stale: the
+        next ``sync`` scores it."""
         self.params = list(params)
         self.mods = [[self._modulus(orbit) for orbit in orbits] for orbits in self.orbits]
         self.norms, self.scales = [0.0] * 4, [1.0] * 4
@@ -521,7 +515,6 @@ class _FastObjective:
             self._refresh(slot)
         self.vecs, self.left, self.terms = [None] * 4, [None] * 4, [None] * 4
         self.stale = set(range(4))
-        return self.sync()
 
     def _modulus(self, orbit: tuple[int, ...]) -> float:
         """The orbit's share of its slot's one-norm: 2|z| for {x, -x}."""
@@ -650,7 +643,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     params = sum(len(support) for support in cfg.supports)
     worst = cfg.restarts * (1 + 2 * cfg.max_iters * params)
     if worst > MAX_EVALUATIONS:
-        raise EvaluationBudgetError(
+        raise TermBudgetError(
             f"search may take up to {worst} evaluations (cap {MAX_EVALUATIONS})"
         )
 

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .bell import (
     CERTIFY_TOL,
-    EvaluationBudgetError,
     SearchConfig,
     correlation_deviation,
     monomial_family_value,
@@ -35,7 +34,7 @@ from .bell import (
     optimize_bell,
     weyl_double,
 )
-from .gns import GramPositivityError, build_frame, collinearity_check, compress_operator
+from .gns import build_frame, collinearity_check, compress_operator
 from .reports import (
     CheckRecord,
     build_report,
@@ -657,10 +656,10 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (TermBudgetError, EvaluationBudgetError) as exc:
+    except TermBudgetError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (AssertionError, GramPositivityError) as exc:  # engine self-checks
+    except AssertionError as exc:  # engine self-checks
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, KeyError, TypeError, OSError) as exc:

@@ -40,10 +40,6 @@ from .weyl import (
 GRAM_EIGENVALUE_FLOOR = 1e-12
 
 
-class GramPositivityError(RuntimeError):
-    """A frame Gram matrix failed positive semidefiniteness (engine bug)."""
-
-
 @dataclass(frozen=True, eq=False)
 class GnsFrame:
     """An ordered family of generator vectors W(x_j) Omega with its Gram.
@@ -68,7 +64,7 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
     negated points, F(-x_j, -x_k) = G(x_k - x_j) exp{-i s(x_j, x_k)}, and
     never the corrupt control's deflated kernel.  The Gram must come out
     positive semidefinite within ``PSD_TOL`` and with unit diagonal, else the
-    engine itself is at fault.
+    engine itself is at fault and an ``AssertionError`` says so.
     """
     pts = tuple(parse_points(points))
     if len(set(pts)) != len(pts):
@@ -82,9 +78,9 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
             gram[j, k] = eval_poly(state, weyl_multiply(adjs[j], gens[k]))
     lam_min = float(np.linalg.eigvalsh(gram)[0]) if n else 0.0
     if lam_min < -PSD_TOL:
-        raise GramPositivityError(f"frame Gram is not positive: eigenvalue {lam_min}")
+        raise AssertionError(f"frame Gram is not positive: eigenvalue {lam_min}")
     if n and np.max(np.abs(np.diag(gram) - 1.0)) > IDENTITY_TOL:
-        raise GramPositivityError("frame Gram diagonal deviates from 1")
+        raise AssertionError("frame Gram diagonal deviates from 1")
     return GnsFrame(pts, gram)
 
 

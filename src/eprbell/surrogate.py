@@ -105,8 +105,10 @@ def correlation(model: MatrixModel, theta1: float, theta2: float) -> float:
 def correlation_grid(model: MatrixModel, thetas: np.ndarray) -> np.ndarray:
     """correlation() over all angle pairs, batched.
 
-    Builds every A(theta) once and takes the same pairing as correlation();
-    agreement with pointwise correlation() is part of the test suite.
+    Builds every A(theta) once and pairs them as correlation() does, but
+    its einsum sums the products in another order than correlation()'s
+    np.sum, so the two agree within 1e-14 (the test suite checks this),
+    not bit for bit.
     """
     mats = np.stack([a_theta(model, t) for t in np.asarray(thetas, dtype=float)])
     return np.real(np.einsum("jab,kba->jk", mats, mats)) / model.m

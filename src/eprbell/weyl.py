@@ -44,7 +44,8 @@ LATTICE_BITS = 4096
 
 
 class TermBudgetError(RuntimeError):
-    """A product would exceed the term cap, or a lattice ``LATTICE_BITS``."""
+    """A resource cap was hit: a product would exceed the term cap, a
+    lattice ``LATTICE_BITS``, or a Bell search its evaluation cap."""
 
 
 def _over_budget(what: str, n: int) -> TermBudgetError:
@@ -138,9 +139,8 @@ def read_number(value, what: str) -> float:
 
 
 def point(*coords: int | str | Fraction) -> Point:
-    """A point of 2 or 4 coordinates as ``read_lattice`` reads it; a ``Fraction`` is kept."""
-    den, (p,) = read_lattice([coords], None)
-    return tuple(c if type(c) is Fraction else Fraction(v, den) for c, v in zip(coords, p))
+    """A point of 2 or 4 coordinates as ``parse_points`` reads it, with no row label."""
+    return parse_points([coords], None)[0]
 
 
 def parse_points(rows: Iterable, label: str | None = "point") -> list[Point]:
@@ -223,10 +223,6 @@ class WeylPolynomial:
     @classmethod
     def identity(cls, dim: int) -> "WeylPolynomial":
         return cls(dim, {(0,) * dim: 1.0 + 0j})
-
-    @classmethod
-    def zero(cls, dim: int) -> "WeylPolynomial":
-        return cls(dim, {})
 
     @property
     def dim(self) -> int:
@@ -437,7 +433,7 @@ def from_records(records: list[dict], dim: int | None = None) -> WeylPolynomial:
     if not records:
         if dim is None:
             raise ValueError("cannot infer dimension from an empty record list")
-        return WeylPolynomial.zero(dim)
+        return WeylPolynomial(dim)
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ValueError(f"record {i}: a record is a JSON object, not {type(rec).__name__}")

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from conftest import same_bits
 from eprbell import (
     BellCandidate,
-    EvaluationBudgetError,
     SearchConfig,
     StateFunctional,
+    TermBudgetError,
     WeylPolynomial,
     adjoint,
     bell_operator,
@@ -104,7 +104,7 @@ class TestCandidates:
             BellCandidate(big, good, good, good).validate()
 
     def test_zero_component_is_valid(self):
-        zero = WeylPolynomial.zero(2)
+        zero = WeylPolynomial(2)
         good = WeylPolynomial.identity(2)
         BellCandidate(good, zero, good, zero).validate()
 
@@ -117,7 +117,7 @@ class TestBellOperator:
 
     def test_zero_second_pair(self):
         one = WeylPolynomial.identity(2)
-        zero = WeylPolynomial.zero(2)
+        zero = WeylPolynomial(2)
         a1 = _contraction(random.Random(60))
         r = bell_operator(BellCandidate(a1, zero, one, zero))
         expected = 0.5 * weyl_multiply(tensor_embed(a1, 1), tensor_embed(one, 2))
@@ -259,7 +259,7 @@ class TestOptimizer:
         monkeypatch.setattr(eprbell.bell, "MAX_EVALUATIONS", worst)
         assert optimize_bell(StateFunctional.epr(), cfg).evaluations <= worst
         monkeypatch.setattr(eprbell.bell, "MAX_EVALUATIONS", worst - 1)
-        with pytest.raises(EvaluationBudgetError, match=f"{worst} evaluations"):
+        with pytest.raises(TermBudgetError, match=f"{worst} evaluations"):
             optimize_bell(StateFunctional.epr(), cfg)
 
     def test_deterministic_and_sound(self):
@@ -378,7 +378,7 @@ def _catalog_search(orbits: int):
 
 def _reference_vectors(cfg, params) -> list:
     """The slot vectors built orbit by orbit, each orbit {x, -x} at the first
-    of its points in the support: the reference for _FastObjective.vectors."""
+    of its points in the support: the reference for _FastObjective._vector."""
     vecs, i = [], 0
     for support in cfg.supports:
         index = {x: k for k, x in enumerate(support)}
@@ -501,7 +501,8 @@ class TestIncrementalObjective:
         fast = _FastObjective(state, cfg)
         weights = _reference_weights(state, cfg)
         assert fast.n_params == len(params)
-        value = fast.start(params)
+        fast.start(params)
+        value = fast.sync()
         assert value.hex() == _objective_reference(weights, cfg, params).hex()
         for i, delta, keep in moves:
             trial = list(params)
@@ -510,15 +511,15 @@ class TestIncrementalObjective:
             assert value.hex() == _objective_reference(weights, cfg, trial).hex()
             # scoring an unrelated point leaves the current point alone
             other = [0.5 - p for p in trial]
-            fast.vectors(other)
             fast.candidate(other)
             if keep:
                 fast.accept(i, trial[i])
                 params = trial
                 assert fast.sync().hex() == value.hex()
-        for got, want in zip(fast.vectors(params), _reference_vectors(cfg, params)):
-            assert same_bits(got, want)
-        assert fast.start(params).hex() == _objective_reference(weights, cfg, params).hex()
+        for slot, want in enumerate(_reference_vectors(cfg, params)):
+            assert same_bits(fast._vector(slot, params), want)
+        fast.start(params)
+        assert fast.sync().hex() == _objective_reference(weights, cfg, params).hex()
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(_searches())
@@ -645,7 +646,8 @@ def _exact_search(state, cfg):
     for restart in range(cfg.restarts):
         rng = random.Random((cfg.seed * 1_000_003 + restart) & 0xFFFFFFFF)
         params = [rng.uniform(-1.0, 1.0) for _ in range(fast.n_params)]
-        value = fast.start(params)
+        fast.start(params)
+        value = fast.sync()
         counter += 1
         step, sweeps = STEP_INIT, 0
         while step >= STEP_FLOOR and sweeps < cfg.max_iters:

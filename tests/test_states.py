@@ -290,6 +290,14 @@ _STATES = st.one_of(
     ),
 )
 
+#: The identity checks' draws: lambda and mu in [-3, 3], and rationals with
+#: denominators up to 64 and |value| <= 16, where the phase angles, rounded
+#: to doubles, stay far inside IDENTITY_TOL.
+_IDENTITY_PARAMETER = st.floats(-3, 3)
+_IDENTITY_RATIONAL = st.fractions(min_value=-16, max_value=16, max_denominator=64)
+_IDENTITY_POINT_2 = st.tuples(*[_IDENTITY_RATIONAL] * 2)
+_IDENTITY_POINT_4 = st.tuples(*[_IDENTITY_RATIONAL] * 4)
+
 
 class TestKernelOracle:
     """kernel_matrix returns bit for bit what the scalar loop returns."""
@@ -396,7 +404,7 @@ class TestEvalPolyOracle:
         ),
         _manifold_polys(),
     )
-    @example(StateFunctional.epr(0.3, 0.7), WeylPolynomial.zero(4))
+    @example(StateFunctional.epr(0.3, 0.7), WeylPolynomial(4))
     @example(
         StateFunctional.epr(0.3, 0.7),
         WeylPolynomial(4, {("1/3", "2/7", "-1/3", "2/7"): 0.5, (1, 2, 3, 4): 1j}),
@@ -899,16 +907,11 @@ class TestUniqueness:
         res = uniqueness_support_check(StateFunctional.epr(), point(1, 1, 1, 1))
         assert res["passed"] and res["value"] == 0j
 
-    def test_battery(self):
-        rng = random.Random(39)
-        state = StateFunctional.epr(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        for i in range(200):
-            if i % 2:
-                x = rand_point(rng, 4)
-            else:
-                a, b = rand_fraction(rng), rand_fraction(rng)
-                x = (a, b, -a, b)
-            assert uniqueness_support_check(state, x)["passed"]
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_IDENTITY_PARAMETER, _IDENTITY_PARAMETER, st.one_of(
+        _IDENTITY_POINT_2.map(lambda ab: (ab[0], ab[1], -ab[0], ab[1])), _IDENTITY_POINT_4))
+    def test_battery(self, lam, mu, x):
+        assert uniqueness_support_check(StateFunctional.epr(lam, mu), x)["passed"]
 
     def test_derivation_chain_matches_direct_evaluation(self):
         # every on-manifold monomial factors as
@@ -945,17 +948,12 @@ class TestMultiplicativity:
         res = multiplicativity_check(StateFunctional.epr(2.0, 1.0), Fraction(0), Fraction(3))
         assert res["passed"]
 
-    def test_random_probes(self):
-        rng = random.Random(40)
-        state = StateFunctional.epr(1.9, -0.8)
-        for _ in range(50):
-            res = multiplicativity_check(
-                state,
-                rand_fraction(rng),
-                rand_fraction(rng),
-                probes=[rand_point(rng, 4) for _ in range(2)],
-            )
-            assert res["passed"]
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(_IDENTITY_PARAMETER, _IDENTITY_PARAMETER, _IDENTITY_RATIONAL, _IDENTITY_RATIONAL,
+           st.lists(_IDENTITY_POINT_4, min_size=2, max_size=2))
+    def test_random_probes(self, lam, mu, s, t, probes):
+        res = multiplicativity_check(StateFunctional.epr(lam, mu), s, t, probes=probes)
+        assert res["passed"]
 
 
 class TestTraciality:
@@ -971,12 +969,10 @@ class TestTraciality:
         assert res["passed"]
         assert res["forward"] == 1.0 + 0j and res["reverse"] == 1.0 + 0j
 
-    def test_random_pairs(self):
-        rng = random.Random(41)
-        state = StateFunctional.epr(3.1, 0.2)
-        for _ in range(100):
-            res = traciality_check(state, rand_point(rng, 2), rand_point(rng, 2))
-            assert res["passed"]
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_IDENTITY_PARAMETER, _IDENTITY_PARAMETER, _IDENTITY_POINT_2, _IDENTITY_POINT_2)
+    def test_random_pairs(self, lam, mu, a, b):
+        assert traciality_check(StateFunctional.epr(lam, mu), a, b)["passed"]
 
     def test_reads_its_points(self):
         # b = -a however the coordinates are written: both sides are 1

@@ -455,7 +455,7 @@ class TestNorms:
         assert one_norm(p) == 1.0
 
     def test_zero(self):
-        assert one_norm(WeylPolynomial.zero(2)) == 0.0
+        assert one_norm(WeylPolynomial(2)) == 0.0
 
     def test_self_adjoint_symmetric_pair(self):
         x = point(2, 3)
@@ -509,7 +509,7 @@ class TestCanonicalForm:
         for dim in (2, 4):
             for _ in range(10):
                 p = rand_poly(rng, dim)
-                assert p - p == WeylPolynomial.zero(dim)
+                assert p - p == WeylPolynomial(dim)
 
     def test_equality_ignores_term_order_and_written_denominators(self):
         p = WeylPolynomial(2, {("2/4", "3"): 0.5, (1, "6/3"): 1j})
@@ -576,7 +576,7 @@ class TestSerialization:
     def test_empty_needs_dim(self):
         with pytest.raises(ValueError):
             from_records([])
-        assert from_records([], dim=4) == WeylPolynomial.zero(4)
+        assert from_records([], dim=4) == WeylPolynomial(4)
 
     def test_a_given_dim_must_be_the_records(self):
         recs = [{"point": ["1", "0"], "re": 1.0, "im": 0.0}]
