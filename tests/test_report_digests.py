@@ -57,14 +57,16 @@ def _body_digest(tmp_path, argv) -> str:
         (["verify-all", "--seed", "0"], "9ceae5dc94281b8f"),
         (["verify-all", "--seed", "7"], "f6ee268d136caf9b"),
         (["verify-all", "--seed", "0", "--state", "{regular}"], "d3223bd8840f1ffa"),
+        # the default state makes every phase an exact 1, which this state does not
+        (["verify-all", "--seed", "0", "--state", "{epr}"], "026ea1c4c7606305"),
         (["surrogate", "--dim", "2"], "eb5bd3ce46a044a3"),
         (["surrogate", "--dim", "8"], "d5525e5e6bb3616b"),
         (["surrogate", "--dim", "64"], "5e13fde8bccf390e"),
         (["psd", "{points}", "--state", "{epr}"], "b0d884bab2979b19"),
         (["bell", "{config}", "--seed", "0", "--state", "{epr}"], "8386246590ed7520"),
     ],
-    ids=["verify-all-seed0", "verify-all-seed7", "verify-all-regular-seed0", "surrogate-dim2",
-         "surrogate-dim8", "surrogate-dim64", "psd-epr", "bell-epr-seed0"],
+    ids=["verify-all-seed0", "verify-all-seed7", "verify-all-regular-seed0", "verify-all-epr-seed0",
+         "surrogate-dim2", "surrogate-dim8", "surrogate-dim64", "psd-epr", "bell-epr-seed0"],
 )
 def test_report_body_digest(tmp_path, argv, digest):
     paths = {}
