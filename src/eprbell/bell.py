@@ -33,12 +33,14 @@ from .weyl import (
     Point,
     TermBudgetError,
     WeylPolynomial,
+    _merged,
+    _reduced,
     adjoint,
     is_self_adjoint,
     negate,
     one_norm,
     parse_points,
-    point,
+    read_lattice,
     tensor_embed,
     to_records,
     unit_phase,
@@ -113,13 +115,13 @@ def bell_value(state: StateFunctional, candidate: BellCandidate) -> float:
     return float(eval_poly(state, bell_operator(candidate)).real)
 
 
-def _monomial_point(a, b) -> Point:
-    """The monomial family's point (a, b), read as ``point`` reads it; it
-    must not be zero."""
-    x = point(a, b)
+def _monomial_point(a, b) -> tuple[int, tuple[int, int]]:
+    """The monomial family's point (a, b) as ``read_lattice`` reads it, its
+    least L and the point times L; it must not be zero."""
+    den, (x,) = read_lattice([(a, b)], None)
     if not any(x):
         raise ValueError("the monomial family needs a nonzero point")
-    return x
+    return den, x
 
 
 def monomial_candidate(
@@ -136,22 +138,15 @@ def monomial_candidate(
     and B_j = (e^{i beta_j} W(-a,b) + e^{-i beta_j} W(a,-b)) / 2 in factor 2.
     Each component is self-adjoint with one-norm exactly 1.
     """
-    a, b = _monomial_point(a, b)
+    den, (a, b) = _monomial_point(a, b)
 
-    def pair(pt: Point, angle: float) -> WeylPolynomial:
+    def pair(pt: tuple[int, int], angle: float) -> WeylPolynomial:
         phase = unit_phase(angle)
-        return WeylPolynomial(
-            2, {pt: 0.5 * phase, negate(pt): 0.5 * phase.conjugate()}
-        )
+        terms = _merged(2, [pt, negate(pt)], [0.5 * phase, 0.5 * phase.conjugate()])
+        return WeylPolynomial._raw(2, *_reduced(den, terms))
 
-    xa = (a, b)
-    xb = (-a, b)
-    return BellCandidate(
-        a1=pair(xa, alpha1),
-        a2=pair(xa, alpha2),
-        b1=pair(xb, beta1),
-        b2=pair(xb, beta2),
-    )
+    return BellCandidate(pair((a, b), alpha1), pair((a, b), alpha2),
+                         pair((-a, b), beta1), pair((-a, b), beta2))
 
 
 def monomial_family_value(
@@ -173,7 +168,8 @@ def monomial_family_value(
 
     p_ij = alpha_i + beta_j + shift.  The maximum over angles is sqrt(2)/2.
     """
-    shift = state.angle(*_monomial_point(a, b))
+    den, (a, b) = _monomial_point(a, b)
+    shift = state.angle(a, b, den)
     p11, p12, p21, p22 = (x + y + shift for x in (alpha1, alpha2) for y in (beta1, beta2))
     return (math.cos(p11) + math.cos(p12) + math.cos(p21) - math.cos(p22)) / 4.0
 
@@ -732,17 +728,16 @@ def weyl_double(a: Fraction, b: Fraction, state: StateFunctional) -> dict:
     and so does the deviation of the self-adjoint doubled pair
     A = U + U*, A' = U' + U'*, both computed by full engine expansion.
     """
-    a, b = point(a, b)
-    partner_point = (a, -b)
-    phase = state.phase(a, b)
-    u = WeylPolynomial.generator((a, b, 0, 0))
-    u_partner = phase * WeylPolynomial.generator((0, 0, *partner_point))
+    den, ((a, b),) = read_lattice([(a, b)], None)
+    phase = state.phase(a, b, den)
+    u = WeylPolynomial.generator((a, b, 0, 0), den)
+    u_partner = phase * WeylPolynomial.generator((0, 0, a, -b), den)
     deviation = correlation_deviation(state, u, u_partner)
     sa_deviation = correlation_deviation(
         state, u + adjoint(u), u_partner + adjoint(u_partner)
     )
     return {
-        "partner": partner_point,
+        "partner": (Fraction(a, den), Fraction(-b, den)),
         "phase": phase,
         "deviation": deviation,
         "sa_deviation": sa_deviation,

@@ -30,8 +30,7 @@ from .weyl import (
     Point,
     WeylPolynomial,
     adjoint,
-    parse_points,
-    point,
+    read_lattice,
     unit_phase,
     weyl_multiply,
 )
@@ -66,12 +65,12 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
     positive semidefinite within ``PSD_TOL`` and with unit diagonal, else the
     engine itself is at fault and an ``AssertionError`` says so.
     """
-    pts = tuple(parse_points(points))
-    if len(set(pts)) != len(pts):
+    den, ints = read_lattice(points)
+    if len(set(ints)) != len(ints):
         raise ValueError("frame points must be pairwise distinct")
-    n = len(pts)
+    n = len(ints)
     gram = np.empty((n, n), dtype=complex)
-    gens = [WeylPolynomial.generator(p) for p in pts]
+    gens = [WeylPolynomial.generator(p, den) for p in ints]
     adjs = [adjoint(g) for g in gens]
     for j in range(n):
         for k in range(n):
@@ -81,7 +80,7 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
         raise AssertionError(f"frame Gram is not positive: eigenvalue {lam_min}")
     if n and np.max(np.abs(np.diag(gram) - 1.0)) > IDENTITY_TOL:
         raise AssertionError("frame Gram diagonal deviates from 1")
-    return GnsFrame(pts, gram)
+    return GnsFrame(tuple(tuple(Fraction(v, den) for v in p) for p in ints), gram)
 
 
 def collinearity_check(
@@ -94,11 +93,12 @@ def collinearity_check(
     t = (ad + bc)/2.  This is what collapses the two-sided generator family
     onto the first factor alone.
     """
-    a, b, c, d = point(a, b, c, d)
-    psi = WeylPolynomial.generator((a, b, c, d))
-    phi = WeylPolynomial.generator((a + c, b - d, 0, 0))
+    den, ((a, b, c, d),) = read_lattice([(a, b, c, d)], None)
+    psi = WeylPolynomial.generator((a, b, c, d), den)
+    phi = WeylPolynomial.generator((a + c, b - d, 0, 0), den)
     overlap = eval_poly(state, weyl_multiply(adjoint(psi), phi))
-    expected = unit_phase(a * d + b * c, 2) * state.phase(c, 0) * state.phase(0, -d)
+    expected = (unit_phase(a * d + b * c, 2 * den * den)
+                * state.phase(c, 0, den) * state.phase(0, -d, den))
     modulus = abs(overlap)
     phase_dev = abs(overlap - expected)
     return {

@@ -35,7 +35,6 @@ from .weyl import (
     TermBudgetError,
     WeylPolynomial,
     adjoint,
-    point,
     read_lattice,
     read_number,
     tensor_embed,
@@ -215,8 +214,10 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
         raise ValueError("at least one point is required")
     if len(set(points)) != len(points):
         raise ValueError("points must be pairwise distinct")
-    if any(len(p) != 4 for p in points):
-        raise ValueError("states are defined on the dimension-4 algebra")
+    for i, p in enumerate(points):
+        if len(p) != 4:
+            raise ValueError(f"point {i}: states are defined on the dimension-4 algebra,"
+                             f" got {len(p)} coordinates")
     n = len(points)
     coords = _lattice_array(points, max(abs(v) for p in points for v in p), den)
     if state.kind == KIND_EPR:
@@ -548,24 +549,24 @@ def multiplicativity_check(
     With A = W(s,0) x W(-s,0) and B = W(0,t) x W(0,t), checks
     omega(AB) = omega(A) omega(B), and for each probe point x checks
     omega(A W(x)) = omega(A) omega(W(x)) and the reversed order, for both
-    A and B.
+    A and B.  Each probe must have 4 coordinates; an error names the probe.
     """
-    s, t = point(s, t)
-    a_poly = WeylPolynomial.generator((s, 0, -s, 0))
-    b_poly = WeylPolynomial.generator((0, t, 0, t))
-    wa = eval_poly(state, a_poly)
-    wb = eval_poly(state, b_poly)
+    den, ((s, t),) = read_lattice([(s, t)], None)
+    probe_den, probe_ints = read_lattice(probes, "probe")
+    a_poly = WeylPolynomial.generator((s, 0, -s, 0), den)
+    b_poly = WeylPolynomial.generator((0, t, 0, t), den)
+    wa, wb = eval_poly(state, a_poly), eval_poly(state, b_poly)
     deviations = [abs(eval_poly(state, weyl_multiply(a_poly, b_poly)) - wa * wb)]
-    for x in probes:
-        x_poly = WeylPolynomial.generator(x)
+    for i, x in enumerate(probe_ints):
+        if len(x) != 4:
+            raise ValueError(f"probe {i}: states are defined on the dimension-4 algebra,"
+                             f" got {len(x)} coordinates")
+        # each probe is brought to its own least L, so sharing one costs no bit
+        x_poly = WeylPolynomial.generator(x, probe_den)
         wx = eval_poly(state, x_poly)
         for fixed, wf in ((a_poly, wa), (b_poly, wb)):
-            deviations.append(
-                abs(eval_poly(state, weyl_multiply(fixed, x_poly)) - wf * wx)
-            )
-            deviations.append(
-                abs(eval_poly(state, weyl_multiply(x_poly, fixed)) - wx * wf)
-            )
+            deviations.append(abs(eval_poly(state, weyl_multiply(fixed, x_poly)) - wf * wx))
+            deviations.append(abs(eval_poly(state, weyl_multiply(x_poly, fixed)) - wx * wf))
     max_dev = float(max(deviations))
     return {"max_deviation": max_dev, "passed": max_dev <= IDENTITY_TOL}
 

@@ -12,11 +12,12 @@ dense polynomial subalgebra that every other module evaluates against.
 Support decisions (does a point vanish, do two points coincide) must be
 exact, so coordinates are exact rationals: a polynomial holds its points as
 Python ints over one common denominator, and hands them out as
-`fractions.Fraction`.  Every coordinate reaches it through ``read_lattice``,
-and no lattice passes ``LATTICE_BITS``.  Coefficients and the phases
-exp{i s(x, y)} are doubles; ``unit_phase(s, q)`` makes each phase from the
-exact angle s/q rounded to a double, so its absolute error is about
-|s/q| 2^-53, and false FAILs start at coordinates near 10^8.
+`fractions.Fraction`.  Every coordinate reaches it through ``read_lattice``
+once (``generator(row, den)`` takes the reader's own rows), and no lattice
+passes ``LATTICE_BITS``.  Coefficients and the phases exp{i s(x, y)} are
+doubles; ``unit_phase(s, q)`` makes each phase from the exact angle s/q
+rounded to a double, so its absolute error is about |s/q| 2^-53, and false
+FAILs start at coordinates near 10^8.
 """
 
 from __future__ import annotations
@@ -145,11 +146,9 @@ def point(*coords: int | str | Fraction) -> Point:
 
 def parse_points(rows: Iterable, label: str | None = "point") -> list[Point]:
     """The rows as ``read_lattice(rows, label)`` reads them, as points of
-    ``Fraction`` coordinates; a ``Fraction`` coordinate is kept as given."""
-    rows = list(rows)
+    ``Fraction`` coordinates."""
     den, ints = read_lattice(rows, label)
-    return [tuple(c if type(c) is Fraction else Fraction(v, den) for c, v in zip(row, p))
-            for row, p in zip(rows, ints)]
+    return [tuple(Fraction(v, den) for v in p) for p in ints]
 
 
 def negate(x: Point) -> Point:
@@ -180,10 +179,11 @@ class WeylPolynomial:
     Only the operations that can break canonical form restore it with
     ``_reduced``: the constructor and ``from_records`` (they merge
     duplicates and take any coefficient), sums and products (terms merge
-    and cancel) and scalar products (a coefficient can shrink or become
-    nan).  Negation, ``adjoint`` and ``tensor_embed`` keep every |c|, and
-    negating or appending zero coordinates keeps gcd(L, coordinates) at 1,
-    so they, and ``generator``, build their result with ``_raw`` directly.
+    and cancel), scalar products (a coefficient can shrink or become nan)
+    and ``generator`` (a row's given L can be more than least).  Negation,
+    ``adjoint`` and ``tensor_embed`` keep every |c|, and negating or
+    appending zero coordinates keeps gcd(L, coordinates) at 1, so they build
+    their result with ``_raw`` directly.
     """
 
     __slots__ = ("_dim", "_den", "_terms")
@@ -215,10 +215,13 @@ class WeylPolynomial:
         return self
 
     @classmethod
-    def generator(cls, pt: Point) -> "WeylPolynomial":
-        """W(pt), read onto the lattice over its least L within the budget."""
-        den, (p,) = read_lattice([pt], None)
-        return cls._raw(len(p), den, {p: 1 + 0j})
+    def generator(cls, pt: tuple, den: int | None = None) -> "WeylPolynomial":
+        """W(pt), read onto the lattice over its least L within the budget.
+        Given ``den``, ``pt`` is a row of ints over it as ``read_lattice``
+        gives them: W(pt / den) is built unread, at its least L."""
+        if den is None:
+            den, (pt,) = read_lattice([pt], None)
+        return cls._raw(len(pt), *_reduced(den, {pt: 1 + 0j}))
 
     @classmethod
     def identity(cls, dim: int) -> "WeylPolynomial":

@@ -9,7 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eprbell.bell
 import eprbell.cli
+import eprbell.gns
+import eprbell.states
+import eprbell.weyl
 from conftest import report_body_json, report_from_json
 from eprbell.cli import CHECKS, Check, main
 from eprbell.bell import CERTIFY_TOL
@@ -258,7 +262,8 @@ class TestPsd:
         "rows, message",
         [
             ([], "at least one point is required"),
-            ([["1", "2"]], "states are defined on the dimension-4 algebra"),
+            ([["1", "2"]], "point 0: states are defined on the dimension-4 algebra,"
+                           " got 2 coordinates"),
             ([["0", "0", "0", "0"], ["0", "0", "0", "0"]], "points must be pairwise distinct"),
             (5, "a points file is a JSON array, not int"),
             ({"a": 1}, "a points file is a JSON array, not dict"),
@@ -786,6 +791,23 @@ class TestVerifyAll:
         assert verdicts["gram_orthonormality"] == [True]
         assert not all(verdicts["kernel_psd"])
         assert not all(verdicts["support_rank_one"])
+
+    def test_each_exact_row_is_read_once(self, tmp_path, monkeypatch):
+        # every check reads each exact argument once and builds from the
+        # (L, ints) it gets; a re-read of a point, a generator or a
+        # Fraction view costs another call and its rows
+        reads = []
+        read = eprbell.weyl.read_lattice
+
+        def counted(rows, label="point"):
+            rows = list(rows)
+            reads.append(len(rows))
+            return read(rows, label)
+
+        for module in (eprbell.weyl, eprbell.states, eprbell.bell, eprbell.gns):
+            monkeypatch.setattr(module, "read_lattice", counted)
+        assert main(["verify-all", "--seed", "0", "--out", str(tmp_path / "rep.json")]) == 0
+        assert len(reads) <= 920 and sum(reads) <= 1260
 
     def test_identical_seeds_identical_bodies(self, tmp_path):
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")

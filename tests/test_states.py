@@ -232,6 +232,10 @@ def _kernel_reference(state: StateFunctional, points) -> np.ndarray:
         raise ValueError("at least one point is required")
     if len(set(points)) != len(points):
         raise ValueError("points must be pairwise distinct")
+    for i, p in enumerate(points):
+        if len(p) != 4:
+            raise ValueError(f"point {i}: states are defined on the dimension-4 algebra,"
+                             f" got {len(p)} coordinates")
     n = len(points)
     m = np.empty((n, n), dtype=complex)
     for j, xj in enumerate(points):
@@ -359,9 +363,12 @@ class TestKernelOracle:
         [
             ([], "at least one point is required"),
             ([(0, 0, 0, 0), (0, 0, 0, 0)], "points must be pairwise distinct"),
-            ([(1, 0), (0, 1)], "states are defined on the dimension-4 algebra"),
-            ([(1, 0, -1, 0), (0, 1)], "states are defined on the dimension-4 algebra"),
-            ([(0, 1), (1, 0, -1, 0)], "states are defined on the dimension-4 algebra"),
+            ([(1, 0), (0, 1)], "point 0: states are defined on the dimension-4 algebra, got 2"
+                               " coordinates"),
+            ([(1, 0, -1, 0), (0, 1)], "point 1: states are defined on the dimension-4 algebra,"
+                                      " got 2 coordinates"),
+            ([(0, 1), (1, 0, -1, 0)], "point 0: states are defined on the dimension-4 algebra,"
+                                      " got 2 coordinates"),
         ],
     )
     def test_rejections_keep_their_messages(self, pts, message):
@@ -952,8 +959,23 @@ class TestMultiplicativity:
     @given(_IDENTITY_PARAMETER, _IDENTITY_PARAMETER, _IDENTITY_RATIONAL, _IDENTITY_RATIONAL,
            st.lists(_IDENTITY_POINT_4, min_size=2, max_size=2))
     def test_random_probes(self, lam, mu, s, t, probes):
-        res = multiplicativity_check(StateFunctional.epr(lam, mu), s, t, probes=probes)
+        state = StateFunctional.epr(lam, mu)
+        res = multiplicativity_check(state, s, t, probes=probes)
         assert res["passed"]
+        # probes read together share one L, and each is still brought to its own
+        alone = [multiplicativity_check(state, s, t, probes=[x]) for x in probes]
+        assert res["max_deviation"] == max(r["max_deviation"] for r in alone)
+
+    def test_a_bad_probe_is_named(self):
+        probes = [(0, 0, 0, 0), (1, 0, -1, 0), (1, 0.5, 0, 0)]
+        with pytest.raises(ValueError, match="^probe 2: coordinate 1 is 0.5; give it as a"):
+            multiplicativity_check(StateFunctional.epr(), 1, 1, probes=probes)
+
+    def test_a_probe_needs_four_coordinates(self):
+        with pytest.raises(ValueError) as raised:
+            multiplicativity_check(StateFunctional.epr(), 1, 1, probes=[(0, 0, 0, 0), (1, 0)])
+        assert str(raised.value) == (
+            "probe 1: states are defined on the dimension-4 algebra, got 2 coordinates")
 
 
 class TestTraciality:

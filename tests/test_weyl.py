@@ -489,6 +489,13 @@ class TestCanonicalForm:
         p = WeylPolynomial(2, {point(1, 0): 1e-16})
         assert len(p) == 0
 
+    def test_an_operand_that_is_no_polynomial_is_not_implemented(self):
+        # each side returns NotImplemented, so == falls back to identity
+        # and + has no method left to try
+        assert (WeylPolynomial(2) == 0) is False
+        with pytest.raises(TypeError):
+            WeylPolynomial(2) + 1
+
     def test_cancellation_drops_term(self):
         g = WeylPolynomial.generator(point(1, 0))
         assert len(g - g) == 0
@@ -698,6 +705,10 @@ class TestFractionOracle:
             )
 
 
+#: Lattice coordinates of either sign, past int64 too.
+_ROW_INT = st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**20), 10**20))
+
+
 def _fraction_constructor(dim: int, terms) -> tuple[int, dict]:
     """The constructor as it summed on ``Fraction`` points, then put the kept
     points on the lattice: the reference for the denominator, keys,
@@ -767,9 +778,21 @@ class TestConstructorOracle:
         assert p.terms[point(1, "1/2")] == (0.1 + 0.2) + 0.3
         _assert_same_lattice(p, _fraction_constructor(2, terms))
 
-    def test_fraction_coordinates_are_kept_as_given(self):
-        x = Fraction(3, 4)
-        assert point(x, 1)[0] is x
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 4]).flatmap(lambda dim: st.tuples(*[_ROW_INT] * dim)),
+           st.integers(1, 10**3), st.integers(1, 60))
+    @example((0, 0), 6, 1)
+    @example((0, 0, 0, 0), 5, 12)
+    @example((-3, 2), 7, 5)
+    @example((-4, 6, 0, -10), 3, 6)
+    def test_a_row_over_a_den_is_the_generator_of_its_fractions(self, row, den, k):
+        # k is a factor the row and den share, which only _reduced removes
+        row, den = tuple(v * k for v in row), den * k
+        got = WeylPolynomial.generator(row, den)
+        want = WeylPolynomial.generator(tuple(Fraction(v, den) for v in row))
+        assert got == want
+        (got_den, got_items), (want_den, want_items) = got.lattice_items(), want.lattice_items()
+        assert got_den == want_den and list(got_items) == list(want_items)
 
 
 def _reduced_oracle(den: int, terms: dict) -> tuple[int, dict]:
