@@ -119,14 +119,14 @@ def norm_lower_bound(
     never exceed the operator norm of P: the returned value is a certified
     lower bound up to numerical error, complementing the one_norm upper
     bound.  Numerically singular Grams (common here, where many entries are
-    exact zeros and ones) are handled by flooring the eigenvalues; a warning
-    is emitted when directions had to be dropped.
+    exact zeros and ones) lose the directions whose eigenvalue is at most
+    ``GRAM_EIGENVALUE_FLOOR``, with a warning exactly when one is lost.
     """
     if not len(frame):
         return 0.0
     evals, vecs = np.linalg.eigh(frame.gram)
     keep = evals > GRAM_EIGENVALUE_FLOOR
-    if float(evals[0]) <= 1e-8:
+    if not keep.all():
         warnings.warn(
             "frame Gram is numerically singular; whitening on the"
             f" {int(np.count_nonzero(keep))}-dimensional regular part",

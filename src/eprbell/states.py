@@ -574,11 +574,12 @@ def multiplicativity_check(
 def trace_vector_check(
     state: StateFunctional, p: WeylPolynomial, q: WeylPolynomial, slot: int
 ) -> dict:
-    """omega(embed(PQ)) = omega(embed(QP)) for one-particle polynomials."""
+    """omega(embed(P) embed(Q)) = omega(embed(Q) embed(P)) for one-particle P, Q."""
     if p.dim != 2 or q.dim != 2:
         raise ValueError("trace_vector_check expects dimension-2 polynomials")
-    forward = eval_poly(state, tensor_embed(weyl_multiply(p, q), slot))
-    reverse = eval_poly(state, tensor_embed(weyl_multiply(q, p), slot))
+    p, q = tensor_embed(p, slot), tensor_embed(q, slot)
+    forward = eval_poly(state, weyl_multiply(p, q))
+    reverse = eval_poly(state, weyl_multiply(q, p))
     deviation = abs(forward - reverse)
     return {
         "forward": forward,
@@ -591,15 +592,15 @@ def trace_vector_check(
 def traciality_check(state: StateFunctional, a: Point, b: Point) -> dict:
     """omega(W(a)W(b) x I) = omega(W(b)W(a) x I) for one-particle points.
 
-    ``trace_vector_check`` on the two generators in slot 1, with a stricter
-    verdict: when b != -a both sides must also be exact zeros; when b = -a
-    both reduce to omega(I) = 1.
+    ``trace_vector_check`` on the two generators in slot 1, read together
+    and each at its own least L, with a stricter verdict: when b != -a both
+    sides must also be exact zeros; when b = -a both reduce to omega(I) = 1.
     """
-    ga, gb = WeylPolynomial.generator(a), WeylPolynomial.generator(b)
-    if ga.dim != 2 or gb.dim != 2:
+    den, (a, b) = read_lattice([a, b], None)
+    if len(a) != 2 or len(b) != 2:
         raise ValueError("traciality_check expects dimension-2 points")
+    ga, gb = WeylPolynomial.generator(a, den), WeylPolynomial.generator(b, den)
     res = trace_vector_check(state, ga, gb, 1)
-    passed = res["passed"]
-    if adjoint(ga) != gb:  # b != -a, exactly: canonical form is unique
-        passed = passed and res["forward"] == 0 and res["reverse"] == 0
+    inverse = adjoint(ga) == gb  # b = -a, exactly: canonical form is unique
+    passed = res["passed"] and (inverse or res["forward"] == res["reverse"] == 0)
     return {**res, "passed": passed}

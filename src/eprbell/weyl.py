@@ -346,7 +346,8 @@ def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
 
     Both factors are put over one denominator L, so each sum point is exact
     integer addition and each form is an integer s over 2 L^2.  Coefficients
-    and phases accumulate in double precision, p-major and q-minor.  Raises
+    and phases accumulate in double precision, p-major and q-minor; a
+    dimension-2 product is the slot-1 product with its keys read back.  Raises
     ``TermBudgetError`` when a factor or the pairwise expansion would exceed
     ``DEFAULT_TERM_CAP`` terms, or the product's least L passes ``LATTICE_BITS``.
     """
@@ -356,23 +357,19 @@ def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
     cap = DEFAULT_TERM_CAP
     if m > cap or n > cap or m * n > cap:
         raise TermBudgetError(f"product of {m} x {n} terms exceeds cap {cap}")
+    if dim == 2:
+        p, q = tensor_embed(p, 1), tensor_embed(q, 1)
     den = math.lcm(p._den, q._den)
     two_l2 = 2 * den * den
     ps, qs = p._over(den).items(), q._over(den).items()
     acc: dict[tuple[int, ...], complex] = {}
-    if dim == 2:
-        for (x0, x1), a in ps:
-            for (y0, y1), b in qs:
-                z = (x0 + y0, x1 + y1)
-                s = x0 * y1 - x1 * y0
-                acc[z] = acc.get(z, 0j) + a * b * unit_phase(s, two_l2)
-    else:
-        for (x0, x1, x2, x3), a in ps:
-            for (y0, y1, y2, y3), b in qs:
-                z = (x0 + y0, x1 + y1, x2 + y2, x3 + y3)
-                s = x0 * y1 - x1 * y0 + x2 * y3 - x3 * y2
-                acc[z] = acc.get(z, 0j) + a * b * unit_phase(s, two_l2)
-    return WeylPolynomial._raw(dim, *_reduced(den, acc))
+    for (x0, x1, x2, x3), a in ps:
+        for (y0, y1, y2, y3), b in qs:
+            z = (x0 + y0, x1 + y1, x2 + y2, x3 + y3)
+            s = x0 * y1 - x1 * y0 + x2 * y3 - x3 * y2
+            acc[z] = acc.get(z, 0j) + a * b * unit_phase(s, two_l2)
+    den, acc = _reduced(den, acc)
+    return WeylPolynomial._raw(dim, den, acc if dim == 4 else {z[:2]: c for z, c in acc.items()})
 
 
 def adjoint(p: WeylPolynomial) -> WeylPolynomial:
@@ -423,20 +420,17 @@ def to_records(p: WeylPolynomial) -> list[dict]:
     ]
 
 
-def from_records(records: list[dict], dim: int | None = None) -> WeylPolynomial:
+def from_records(records: list[dict]) -> WeylPolynomial:
     """Rebuild a polynomial from records; re-canonicalizes on load.
 
-    The dimension is inferred from the first point unless given explicitly
-    (required for an empty record list).  Points are read by
-    ``read_lattice`` and each part of a coefficient by ``read_number``; an
-    error names the record and, where it has one, the key.
+    The dimension is the first point's, so an empty record list is refused.
+    Points are read by ``read_lattice`` and each part of a coefficient by
+    ``read_number``; an error names the record and, where it has one, the key.
     """
     if not isinstance(records, (list, tuple)):
         raise ValueError(f"records are a JSON array, not {type(records).__name__}")
     if not records:
-        if dim is None:
-            raise ValueError("cannot infer dimension from an empty record list")
-        return WeylPolynomial(dim)
+        raise ValueError("cannot infer dimension from an empty record list")
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ValueError(f"record {i}: a record is a JSON object, not {type(rec).__name__}")
@@ -453,7 +447,5 @@ def from_records(records: list[dict], dim: int | None = None) -> WeylPolynomial:
                 f"record {i}: the modulus of coefficient {coeff} is not a finite double"
             )
         coeffs.append(coeff)
-    inferred = len(ints[0])
-    if dim is not None and dim != inferred:
-        raise ValueError(f"records have dimension {inferred}, expected {dim}")
-    return WeylPolynomial._raw(inferred, *_reduced(den, _merged(inferred, ints, coeffs)))
+    dim = len(ints[0])
+    return WeylPolynomial._raw(dim, *_reduced(den, _merged(dim, ints, coeffs)))

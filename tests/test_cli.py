@@ -48,15 +48,6 @@ class TestEval:
         assert main(["eval", poly]) == 0
         assert capsys.readouterr().out.strip() == "(1, 0)"
 
-    def test_wrong_dimension_exits_2(self, tmp_path):
-        poly = _write(tmp_path / "p.json", [{"point": ["1", "0"], "re": 1.0, "im": 0.0}])
-        assert main(["eval", poly]) == 2
-
-    def test_parse_failure_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["eval", str(bad)]) == 2
-
     def test_missing_file_exits_2(self):
         assert main(["eval", "/nonexistent/poly.json"]) == 2
 
@@ -240,24 +231,6 @@ class TestPsd:
         parts = timings["kernel_s"] + timings["psd_s"] + timings["support_s"]
         assert min(timings.values()) >= 0 and parts <= timings["total"]
 
-    def test_duplicate_points_exit_2(self, tmp_path):
-        pts = _write(
-            tmp_path / "pts.json",
-            [["0", "0", "0", "0"], ["0", "0", "0", "0"]],
-        )
-        assert main(["psd", pts]) == 2
-
-    def test_too_many_points_exit_2(self, tmp_path):
-        pts = _write(
-            tmp_path / "pts.json",
-            [[str(k), "0", "0", "0"] for k in range(257)],
-        )
-        assert main(["psd", pts]) == 2
-
-    def test_empty_points_exit_2(self, tmp_path):
-        pts = _write(tmp_path / "pts.json", [])
-        assert main(["psd", pts]) == 2
-
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -265,6 +238,8 @@ class TestPsd:
             ([["1", "2"]], "point 0: states are defined on the dimension-4 algebra,"
                            " got 2 coordinates"),
             ([["0", "0", "0", "0"], ["0", "0", "0", "0"]], "points must be pairwise distinct"),
+            ([[str(k), "0", "0", "0"] for k in range(257)],
+             "at most 256 points per battery, got 257"),
             (5, "a points file is a JSON array, not int"),
             ({"a": 1}, "a points file is a JSON array, not dict"),
         ],
@@ -519,9 +494,6 @@ class TestSurrogate:
         report = report_from_json(Path(out).read_text())
         chsh = next(c for c in report.checks if c.name == "surrogate_chsh")
         assert abs(chsh.measured["value"] - math.sqrt(2)) <= 1e-12
-
-    def test_odd_dim_exits_2(self):
-        assert main(["surrogate", "--dim", "5"]) == 2
 
     def test_negative_seed_is_named(self, capsys):
         assert main(["surrogate", "--dim", "4", "--seed", "-5"]) == 2
@@ -807,7 +779,27 @@ class TestVerifyAll:
         for module in (eprbell.weyl, eprbell.states, eprbell.bell, eprbell.gns):
             monkeypatch.setattr(module, "read_lattice", counted)
         assert main(["verify-all", "--seed", "0", "--out", str(tmp_path / "rep.json")]) == 0
-        assert len(reads) <= 920 and sum(reads) <= 1260
+        assert len(reads) <= 820 and sum(reads) <= 1260
+
+    @pytest.mark.parametrize("state", [None, {"kind": "epr", "lambda": 0.3, "mu": -1.1}],
+                             ids=["default", "epr"])
+    def test_every_product_is_formed_in_dimension_4(self, tmp_path, monkeypatch, state):
+        # a dimension-2 product is the slot-1 product read back, which costs
+        # two embeddings and a projection; no check should take that route
+        dims = []
+        multiply = eprbell.weyl.weyl_multiply
+
+        def counted(p, q):
+            dims.append(p.dim)
+            return multiply(p, q)
+
+        for module in (eprbell.weyl, eprbell.states, eprbell.bell, eprbell.gns):
+            monkeypatch.setattr(module, "weyl_multiply", counted)
+        argv = ["verify-all", "--seed", "0", "--out", str(tmp_path / "rep.json")]
+        if state:
+            argv += ["--state", _write(tmp_path / "state.json", state)]
+        assert main(argv) == 0
+        assert dims and set(dims) == {4}
 
     def test_identical_seeds_identical_bodies(self, tmp_path):
         out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")

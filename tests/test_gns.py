@@ -513,3 +513,12 @@ class TestNormLowerBound:
         frame = self._orthonormal_frame(state)
         norm_lower_bound(state, frame, WeylPolynomial.identity(4))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_a_small_kept_eigenvalue_does_not_warn(self, recwarn):
+        # the least Gram eigenvalue is about 1e-10: above the floor, so no
+        # direction is dropped and there is nothing to warn about
+        state = StateFunctional.regular()
+        frame = build_frame(state, [point(0, 0, 0, 0), point("1/50000", 0, 0, 0)])
+        assert eprbell.gns.GRAM_EIGENVALUE_FLOOR < np.linalg.eigvalsh(frame.gram)[0] < 1e-8
+        assert norm_lower_bound(state, frame, WeylPolynomial.identity(4)) == pytest.approx(1.0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -17,7 +17,8 @@ interpreter:
   shapes it lacks: a support with the zero point, slots of unequal
   sizes, an empty slot, and the regular state;
 - ``eval`` on records that mix ints, "p/q" strings and strings only
-  ``Fraction`` reads, two of them one point, and on a bad record;
+  ``Fraction`` reads, two of them one point, on a bad record and on an
+  empty record list;
 - ``psd`` on points written in the grammar only ``Fraction`` reads, and on
   4 points over one common denominator of 3,990 bits;
 - error cases: malformed files (bad JSON, a bad coordinate, duplicate
@@ -123,6 +124,7 @@ def _cases() -> dict[str, tuple[dict, list[str]]]:
     cases["eval mixed grammar"] = ({"poly": records, "state": epr}, evaluate)
     bad = [records[0], {"point": ["1", 0.5, "0", "0"], "re": 1.0, "im": 0.0}]
     cases["error eval bad record"] = ({"poly": bad, "state": epr}, evaluate)
+    cases["error eval empty records"] = ({"poly": [], "state": epr}, evaluate)
     fallback = [["+1", " 1/2", "-1", "0.5"], ["1e1", "0", "-10", "-0.0"],
                 ["0.25", "3", "-1/4", "+3"]]
     cases["psd fallback grammar"] = ({"points": fallback, "state": epr}, psd)
