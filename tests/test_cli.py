@@ -81,6 +81,7 @@ class TestEval:
             ([{"re": 1.0, "im": 0.0}], "record 0: key 'point' is missing"),
             ([ONE, ONE["point"]], "record 1: a record is a JSON object, not list"),
             (ONE, "records are a JSON array, not dict"),
+            ([], "cannot infer dimension from an empty record list"),
         ],
     )
     def test_a_malformed_record_exits_2_naming_record_and_key(

@@ -47,7 +47,7 @@ from eprbell import (
 import eprbell
 import eprbell.states
 from eprbell.states import PSD_TOL
-from eprbell.weyl import unit_phase
+from eprbell.weyl import TermBudgetError, unit_phase
 
 
 class TestEvalPoint:
@@ -1011,6 +1011,13 @@ class TestTraciality:
     def test_names_a_malformed_point(self):
         with pytest.raises(ValueError, match="^a point is an array of coordinates, not 5$"):
             traciality_check(StateFunctional.epr(), 5, (1, 0))
+
+    def test_a_pair_past_the_budget_is_refused_at_the_read(self):
+        # each denominator is within the budget, their lcm is not: the two
+        # points are read together, so the read refuses the second one
+        a, b = ("1/" + str(3**1400), 0), (0, "1/" + str(5**1000))
+        with pytest.raises(TermBudgetError, match="^point 1: the common denominator has 4541 bits"):
+            traciality_check(StateFunctional.epr(), a, b)
 
 
 def _assert_engine_pair(x, y):

@@ -584,6 +584,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^cannot infer dimension from an empty record list$"):
             from_records([])
 
+    def test_the_dimension_is_the_first_points(self):
+        two = {"point": ["1", "0"], "re": 1.0, "im": 0.0}
+        four = {"point": ["1", "0", "-1", "0"], "re": 1.0, "im": 0.0}
+        assert from_records([four]).dim == 4 and from_records([two]).dim == 2
+        with pytest.raises(ValueError, match="^point of length 4 in a dimension-2 polynomial$"):
+            from_records([two, four])
+        with pytest.raises(ValueError, match="^point of length 2 in a dimension-4 polynomial$"):
+            from_records([four, two])
+
     def test_records_sorted(self):
         p = WeylPolynomial(2, {point(3, 0): 1.0, point(-1, 0): 1.0})
         recs = to_records(p)
@@ -700,6 +709,24 @@ class TestFractionOracle:
             assert same_bits(
                 np.array(list(got.values()), dtype=complex),
                 np.array(list(want.values()), dtype=complex),
+            )
+
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_dimension_2_product_is_the_slot_2_product_read_back(self, data):
+        # the one-particle form is the direct-sum form restricted to either
+        # slot, so slot 2 gives the same L, keys, order and bits as slot 1
+        coord = _SCALES[data.draw(st.sampled_from(sorted(_SCALES)))]
+        p, q = data.draw(_polys(coord, 2)), data.draw(_polys(coord, 2))
+        for left, right in ((p, q), (q, p), (p, adjoint(p))):
+            got = weyl_multiply(left, right)
+            slot2 = weyl_multiply(tensor_embed(left, 2), tensor_embed(right, 2))
+            assert got.dim == 2 and got._den == slot2._den
+            assert list(got._terms) == [z[2:] for z in slot2._terms]
+            assert same_bits(
+                np.array(list(got._terms.values()), dtype=complex),
+                np.array(list(slot2._terms.values()), dtype=complex),
             )
 
 
