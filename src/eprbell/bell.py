@@ -39,7 +39,6 @@ from .weyl import (
     is_self_adjoint,
     negate,
     one_norm,
-    parse_points,
     read_lattice,
     tensor_embed,
     to_records,
@@ -178,9 +177,11 @@ def monomial_family_value(
 class SearchConfig:
     """Deterministic configuration for the derivative-free Bell search.
 
-    Each slot has its own support, rows that ``weyl.parse_points`` reads
-    (closed under negation so self-adjointness is expressible); the seed
-    fixes every random draw, making reports reproducible byte for byte.
+    Each slot has its own support, rows that ``weyl.read_lattice`` reads
+    once (closed under negation so self-adjointness is expressible); the
+    slot keeps the reader's ``(L, ints)`` in ``lattices`` and its points as
+    ``Fraction`` views in ``supports``.  The seed fixes every random draw,
+    making reports reproducible byte for byte.
     """
 
     supports: tuple[tuple[Point, ...], ...]
@@ -190,9 +191,12 @@ class SearchConfig:
 
     def __post_init__(self):
         key = "search config key 'supports'"
-        supports = tuple(tuple(parse_points(slot, f"support {s} point"))
+        lattices = tuple(read_lattice(slot, f"support {s} point")
                          for s, slot in enumerate(self.supports))
+        supports = tuple(tuple(tuple(Fraction(v, den) for v in p) for p in ints)
+                         for den, ints in lattices)
         object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "lattices", lattices)
         if len(supports) != 4:
             raise ValueError(f"{key} must hold one support per candidate slot (4),"
                              f" got {len(supports)}")
@@ -494,8 +498,10 @@ class _FastObjective:
         """The candidate whose coefficient vectors the search scores."""
         return BellCandidate(
             *(
-                WeylPolynomial(2, zip(support, self._vector(slot, params)))
-                for slot, support in enumerate(self.cfg.supports)
+                WeylPolynomial._raw(
+                    2, *_reduced(den, _merged(2, ints, self._vector(slot, params).tolist()))
+                )
+                for slot, (den, ints) in enumerate(self.cfg.lattices)
             )
         )
 

@@ -86,8 +86,38 @@ SQRT2 = math.sqrt(2.0)
 # randomized batteries
 
 
+def _draw_table() -> list[tuple[Fraction, int]]:
+    """Every coordinate a battery draws, Fraction(p, q) for p in -8..8 and
+    q in 1..6, at index 6 (p + 8) + q - 1, with the id of its value: the
+    102 entries hold 65 values, and value-equal ones, such as 1/2 and 2/4,
+    share an id."""
+    ids: dict[Fraction, int] = {}
+    return [(f, ids.setdefault(f, len(ids)))
+            for f in (Fraction(p, q) for p in range(-8, 9) for q in range(1, 7))]
+
+
+_DRAWS = _draw_table()
+
+
+def _draw(rng: random.Random) -> tuple[Fraction, int]:
+    """A battery coordinate and its value id, drawn with exactly the words
+    of ``Fraction(rng.randint(-8, 8), rng.randint(1, 6))``.  CPython's
+    ``randint`` takes ``getrandbits(k)``, k the bit length of the width (17,
+    then 6), until a word falls below the width, so every later draw from
+    ``rng`` stays the same; the stream guard in ``tests/test_cli.py``
+    checks this on each Python the CI runs."""
+    bits = rng.getrandbits
+    p = bits(5)
+    while p >= 17:
+        p = bits(5)
+    q = bits(3)
+    while q >= 6:
+        q = bits(3)
+    return _DRAWS[6 * p + q]
+
+
 def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+    return _draw(rng)[0]
 
 
 def _rand_point(rng: random.Random, dim: int) -> Point:
@@ -95,13 +125,15 @@ def _rand_point(rng: random.Random, dim: int) -> Point:
 
 
 def _distinct_points(rng: random.Random, n: int, dim: int) -> list[Point]:
+    """``n`` points drawn as ``_rand_point`` draws them, each kept unless a
+    point of equal value came before; points compare by their value ids."""
     pts: list[Point] = []
-    seen: set[Point] = set()
+    seen: set[tuple[int, ...]] = set()
     while len(pts) < n:
-        p = _rand_point(rng, dim)
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
+        pt, ids = zip(*[_draw(rng) for _ in range(dim)])
+        if ids not in seen:
+            seen.add(ids)
+            pts.append(pt)
     return pts
 
 

@@ -10,6 +10,9 @@ interpreter:
 - the pinned cases of ``tests/test_report_digests.py``;
 - ``verify-all`` on operation 0 of the ``verify_all`` workload of
   ``perfbench/gen.py`` at seeds 0-9, each with its seed and state;
+- ``verify-all`` at seeds 1-9 at the default state (no ``--state``) and at
+  the regular state, whose batteries the pins draw only at seed 0 (and the
+  default state's at seed 7);
 - ``surrogate --dim m`` for every even m in 2..64;
 - ``psd`` on the 11 ``psd_batteries`` specs of ``perfbench/gen.py`` at
   seeds 0-2;
@@ -67,6 +70,11 @@ def _cases() -> dict[str, tuple[dict, list[str]]]:
         spec = gen.spec("verify_all", seed, 0)
         argv = ["verify-all", "--seed", str(spec["seed"]), "--state", "{state}"]
         cases[f"verify_all{seed}"] = ({"state": spec["state"]}, argv)
+    for seed in range(1, 10):
+        argv = ["verify-all", "--seed", str(seed)]
+        cases[f"verify-all default seed {seed}"] = ({}, argv)
+        cases[f"verify-all regular seed {seed}"] = (
+            {"state": {"kind": "regular"}}, argv + ["--state", "{state}"])
     for m in range(2, 65, 2):
         cases[f"surrogate{m}"] = ({}, ["surrogate", "--dim", str(m)])
     for seed in range(3):
