@@ -89,9 +89,6 @@ class BellCandidate:
                     f"component {name} has one-norm {one_norm(comp)} > 1"
                 )
 
-    def term_count(self) -> int:
-        return sum(len(c) for c in self.components())
-
     def to_spec(self) -> dict:
         return {
             name: to_records(comp)
@@ -255,22 +252,6 @@ class SearchResult:
     exact_moves: int = field(default=0, compare=False)
     search_s: float = field(default=0.0, compare=False)
     certify_s: float = field(default=0.0, compare=False)
-
-
-def _candidate_order_key(candidate: BellCandidate):
-    """Total order used for deterministic tie-breaking.
-
-    Fewer terms first, then lexicographically smallest support, then the
-    serialized coefficients; combined with the value this makes the restart
-    reduction independent of completion order.
-    """
-    supports = tuple(tuple(sorted(c.terms.keys())) for c in candidate.components())
-    serialized = tuple(
-        (pt, round(c.real, 12), round(c.imag, 12))
-        for comp in candidate.components()
-        for pt, c in sorted(comp.terms.items())
-    )
-    return (candidate.term_count(), supports, serialized)
 
 
 #: The bilinear terms (i, j) of the Bell value, in the order they are summed,
@@ -627,8 +608,10 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     and every value, is bit for bit that of scoring every move exactly.
     The returned value comes from a full engine re-evaluation of the winning
     candidate, which must agree with the search value to ``CERTIFY_TOL``.
-    The trace records (evaluation index, value) at every improvement of the
-    global best.
+    Restarts run one after another in index order, and a restart replaces
+    the best only when its value is strictly higher, so of tied restarts
+    the earliest is kept.  The trace records (evaluation index, value) at
+    every strict improvement of the global best.
     """
     # the final certification multiplies A_i into (B_1 +- B_2); reject
     # configurations whose products would breach the term cap before
@@ -687,10 +670,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
                 step *= STEP_DECAY
             sweeps += 1
         value = fast.sync()
-        if value > best_value or value == best_value and (
-            _candidate_order_key(fast.candidate(fast.params))
-            < _candidate_order_key(fast.candidate(best_params))
-        ):
+        if value > best_value:
             best_value = value
             best_params = fast.params  # start makes a new list per restart
             trace.append((counter, value))

@@ -122,8 +122,6 @@ def norm_lower_bound(
     exact zeros and ones) lose the directions whose eigenvalue is at most
     ``GRAM_EIGENVALUE_FLOOR``, with a warning exactly when one is lost.
     """
-    if not len(frame):
-        return 0.0
     evals, vecs = np.linalg.eigh(frame.gram)
     keep = evals > GRAM_EIGENVALUE_FLOOR
     if not keep.all():

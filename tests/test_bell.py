@@ -34,10 +34,10 @@ from eprbell import (
     weyl_multiply,
 )
 from eprbell.bell import (
+    CERTIFY_TOL,
     STEP_DECAY,
     STEP_FLOOR,
     STEP_INIT,
-    _candidate_order_key,
     _estimate,
     _FastObjective,
 )
@@ -217,6 +217,16 @@ class TestSearchConfig:
         assert SearchConfig.from_spec(cfg.to_spec()) == cfg
 
 
+#: Every weight of this search pairs (+-1, 0) with (0, +-1), off the
+#: correlation manifold, so its objective is exactly 0.0 at every parameter.
+_ALL_TIES = {
+    "supports": [[["1", "0"], ["-1", "0"]]] * 2 + [[["0", "1"], ["0", "-1"]]] * 2,
+    "restarts": 4,
+    "max_iters": 40,
+    "seed": 0,
+}
+
+
 class TestOptimizer:
     def _family_config(self, seed=0, restarts=8, max_iters=200):
         xa, xb = point(1, 2), point(-1, 2)
@@ -275,19 +285,12 @@ class TestOptimizer:
         assert all(v <= SQRT2 + 1e-9 for _, v in first.trace)
         first.best.validate()
 
-    def test_tied_restarts_go_to_the_smallest_key(self):
-        # every weight pairs (+-1, 0) with (0, +-1), off the manifold, so the
-        # objective is exactly 0.0 at every parameter on any BLAS kernel:
+    def test_tied_restarts_keep_the_first(self):
+        # the objective is exactly 0.0 at every parameter on any BLAS kernel:
         # no move is accepted, each restart ends where it starts, and every
         # restart ties
-        spec = {
-            "supports": [[["1", "0"], ["-1", "0"]]] * 2 + [[["0", "1"], ["0", "-1"]]] * 2,
-            "restarts": 4,
-            "max_iters": 40,
-            "seed": 0,
-        }
         state = StateFunctional.epr(0.3, 0.7)
-        cfg = SearchConfig.from_spec(spec)
+        cfg = SearchConfig.from_spec(_ALL_TIES)
         result = optimize_bell(state, cfg)
         assert result.value == 0.0
         fast = _FastObjective(state, cfg)
@@ -296,17 +299,12 @@ class TestOptimizer:
         # step from STEP_INIT halved down to STEP_FLOOR
         per_restart = 1 + 2 * fast.n_params * 23
         assert result.evaluations == 4 * per_restart == 1476
-        keys = []
-        for r in range(4):
-            rng = random.Random(r)
-            start = [rng.uniform(-1.0, 1.0) for _ in range(fast.n_params)]
-            keys.append(_candidate_order_key(fast.candidate(start)))
-        # the trace records each restart that wins its tie, by a smaller key
-        won = [r for r in range(4) if r == 0 or keys[r] < min(keys[:r])]
-        assert result.trace == [((r + 1) * per_restart, 0.0) for r in won]
-        assert result.trace == [(369, 0.0), (738, 0.0), (1476, 0.0)]
-        # and the winner has the smallest key of the four
-        assert _candidate_order_key(result.best) == min(keys)
+        # no later restart beats restart 0, so the trace holds it alone and
+        # it is the one reported
+        assert result.trace == [(per_restart, 0.0)] == [(369, 0.0)]
+        rng = random.Random(0)
+        start = [rng.uniform(-1.0, 1.0) for _ in range(fast.n_params)]
+        assert result.best == fast.candidate(start)
 
 
 class TestWeylDoubles:
@@ -665,10 +663,7 @@ def _exact_search(state, cfg):
             if not improved:
                 step *= STEP_DECAY
             sweeps += 1
-        if value > best_value or value == best_value and (
-            _candidate_order_key(fast.candidate(params))
-            < _candidate_order_key(fast.candidate(best_params))
-        ):
+        if value > best_value:
             best_value, best_params = value, params
             trace.append((counter, value))
     candidate = fast.candidate(best_params)
@@ -699,6 +694,10 @@ class TestScreenedSearch:
                      + ((point(1, -2), point(-1, 2), point(0, 0)),) * 2,
                      restarts=2, max_iters=15, seed=5),
     ))
+    @example((  # every restart ties exactly
+        StateFunctional.epr(0.3, 0.7),
+        SearchConfig.from_spec({**_ALL_TIES, "restarts": 2}),
+    ))
     def test_equals_the_all_exact_search(self, search):
         state, cfg = search
         result = optimize_bell(state, cfg)
@@ -707,6 +706,10 @@ class TestScreenedSearch:
         assert [(i, v.hex()) for i, v in result.trace] == [(i, v.hex()) for i, v in trace]
         assert result.evaluations == evaluations
         assert result.best == candidate
+        # the trace holds strict improvements only, the last of them certified
+        values = [v for _, v in result.trace]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert abs(result.value - values[-1]) <= CERTIFY_TOL
 
 
 class TestTsirelsonBound:

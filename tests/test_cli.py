@@ -475,6 +475,14 @@ class TestEngineSelfChecks:
         err = capsys.readouterr().err
         assert "verification failed: model invariant VV* = P fails" in err
 
+    def test_projection_weight_exits_1(self, capsys, monkeypatch):
+        import eprbell.surrogate
+
+        monkeypatch.setattr(eprbell.surrogate, "expect_left", lambda model, a: 0.0)
+        assert main(["surrogate", "--dim", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "verification failed: projection weight <Omega, P Omega> is not 1/2" in err
+
     def test_frame_gram_positivity_exits_1(self, capsys, monkeypatch):
         import eprbell.gns
 

@@ -456,10 +456,11 @@ class TestNormLowerBound:
         value = norm_lower_bound(state, frame, WeylPolynomial.generator(point(1, 2, 0, 1)))
         assert value <= 1.0 + 1e-9
 
-    def test_empty_frame_bounds_nothing(self):
+    def test_empty_frame_bounds_nothing(self, recwarn):
         state = StateFunctional.epr()
         frame = build_frame(state, [])
         assert norm_lower_bound(state, frame, WeylPolynomial.identity(4)) == 0.0
+        assert not recwarn.list
 
     def test_scalar(self):
         state = StateFunctional.epr()

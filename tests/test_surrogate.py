@@ -126,6 +126,14 @@ class TestBuildModel:
             model = build_model(m)
             assert abs(expect_left(model, model.proj) - 0.5) <= 1e-13
 
+    def test_a_wrong_projection_weight_is_refused(self, monkeypatch):
+        import eprbell.surrogate
+
+        # the model's matrices pass their invariants; only the weight is off
+        monkeypatch.setattr(eprbell.surrogate, "expect_left", lambda model, a: 0.5 + 1e-9)
+        with pytest.raises(AssertionError, match="projection weight"):
+            build_model(2)
+
     def test_trace_vector_symmetry(self):
         rng = np.random.default_rng(71)
         for m in (2, 4):

@@ -16,9 +16,10 @@ interpreter:
 - ``surrogate --dim m`` for every even m in 2..64;
 - ``psd`` on the 11 ``psd_batteries`` specs of ``perfbench/gen.py`` at
   seeds 0-2;
-- ``bell`` on the 160 searches of the perfbench Bell catalog, and on four
+- ``bell`` on the 160 searches of the perfbench Bell catalog, and on five
   shapes it lacks: a support with the zero point, slots of unequal
-  sizes, an empty slot, and the regular state;
+  sizes, an empty slot, the regular state, and supports whose weights are
+  all zero, so that every restart ties exactly;
 - ``eval`` on records that mix ints, "p/q" strings and strings only
   ``Fraction`` reads, two of them one point, on a bad record and on an
   empty record list;
@@ -37,7 +38,9 @@ report to a file.  A case matches when the exit codes, stdouts and stderrs
 are equal and the new body, with every object key the old body lacks
 removed, serializes byte for byte as the old body.  The script prints
 each added key path, with the cases it appears in, and every mismatch with
-both stderrs and stdouts; it exits 1 on any mismatch.
+both stderrs and stdouts and each JSON leaf path of the body whose value
+moved, old -> new (a list whose length changed is one leaf); it exits 1 on
+any mismatch.
 """
 
 from __future__ import annotations
@@ -103,6 +106,9 @@ def _cases() -> dict[str, tuple[dict, list[str]]]:
                        4, 120, 2, {"kind": "epr", "lambda": 1.2, "mu": 0.4}),
         "regular state": ([orbit + zero] * 2 + [partner + zero] * 2,
                           4, 120, 3, {"kind": "regular"}),
+        # tests/test_bell.py's TestOptimizer::test_tied_restarts_keep_the_first
+        "all ties": ([[["1", "0"], ["-1", "0"]]] * 2 + [[["0", "1"], ["0", "-1"]]] * 2,
+                     4, 40, 0, {"kind": "epr", "lambda": 0.3, "mu": 0.7}),
     }
     for name, (supports, restarts, max_iters, seed, state) in shapes.items():
         config = {"supports": supports, "restarts": restarts, "max_iters": max_iters}
@@ -200,6 +206,20 @@ def _project(new, old, path: str, added: set[str]):
     return new
 
 
+def _moved(old, new, path: str):
+    """(path, old, new) for each leaf of the projected ``new`` body whose
+    JSON differs from ``old``'s, named as ``_project`` names them."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old):
+            yield from _moved(old[key], new.get(key), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (o, n) in enumerate(zip(old, new)):
+            name = n.get("name") if isinstance(n, dict) else None
+            yield from _moved(o, n, f"{path}[{name if name else i}]")
+    elif json.dumps(old) != json.dumps(new):
+        yield path or "(body)", old, new
+
+
 def _run(src: str, out: Path) -> dict:
     subprocess.run(
         [sys.executable, __file__, "--collect", str(out)],
@@ -226,7 +246,9 @@ def main(old_src: str, new_src: str) -> int:
             mismatches.append(
                 f"{name}: exit {old_code} -> {new_code}, body equal {same_body}"
                 f"\n  old stderr: {old_err!r}\n  new stderr: {new_err!r}"
-                f"\n  old stdout: {old_out!r}\n  new stdout: {new_out!r}")
+                f"\n  old stdout: {old_out!r}\n  new stdout: {new_out!r}" + "".join(
+                    f"\n  moved {path}: {json.dumps(o)} -> {json.dumps(n)}"
+                    for path, o, n in _moved(old_body, projected, "")))
     for key, names in sorted(added.items()):
         print(f"added {key}: {len(names)} cases, e.g. {names[0]}")
     for line in mismatches:
