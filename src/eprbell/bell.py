@@ -282,14 +282,6 @@ def _gather(q: np.ndarray, writes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return sign[:, :1] * q[pos[:, 0]] + sign[:, 1:] * q[pos[:, 1]]
 
 
-def _estimate(line: tuple, value: float) -> float:
-    """The screen's float estimate of the exact value of the current point
-    with ``line``'s parameter set to ``value`` (see ``_FastObjective``)."""
-    _, rest, base, partner, x0, c0, c1 = line
-    norm = base + (abs(value) if partner is None else 2.0 * math.hypot(value, partner))
-    return 0.5 * (rest + (c0 + (value - x0) * c1) / (norm if norm > 1.0 else 1.0))
-
-
 class _FastObjective:
     """Precomputed bilinear evaluation of the Bell value, kept incrementally,
     and a float screen in front of it.
@@ -328,8 +320,8 @@ class _FastObjective:
     the same order, so each value is bit for bit that of a full evaluation
     of its point, however many accepts came before the sync.
 
-    **The screen.**  ``line`` and ``_estimate`` approximate ``move`` in a
-    few Python float operations.  With p_s the parameters of slot s, the
+    **The screen.**  ``optimize_bell`` approximates ``move`` in a few
+    Python float operations.  With p_s the parameters of slot s, the
     unscaled term k = (i, j) is the real bilinear form T_k = p_i^T R_k p_j,
     where R_k is w's real form (``_real_form``) gathered by the two slots'
     writes (``_gather``, signed sums of entries, not a matrix product), and
@@ -339,20 +331,23 @@ class _FastObjective:
 
     N_s the one-norm of slot s.  A move of parameter t of slot s by d
     changes only the two terms a, b that read s, each by d g[t] with g the
-    gradient R_k p_j (or p_i^T R_k) kept per slot, and N_s by the change of
-    one orbit's share 2|z|.  Divided by the scales S_oa, S_ob of their other
-    slots oa, ob, the two moved terms are c0 + d c1, with c0 = T_a / S_oa +
-    T_b / S_ob and c1 = g_a[t] / S_oa + g_b[t] / S_ob.  ``line(i)`` forms,
-    once for both trials of parameter i, c0, c1, the sum of the two scaled
-    terms that do not read s, the slot's norm without the orbit, the orbit
-    partner's value and ``current``; ``_estimate`` then scores a trial with
-    one ``hypot`` and a few float operations.  At ``start``, and for the
-    changed slot at each ``accept``, the norms, gradients and terms, each
-    slot's sum of the scaled terms that do not read it, and ``current``, the
+    gradient R_k p_j (or p_i^T R_k), and N_s by the change of one orbit's
+    share 2|z|.  Divided by the scales S_oa, S_ob of their other slots oa,
+    ob, the two moved terms are c0 + d c1, with c0 = T_a / S_oa + T_b /
+    S_ob and c1 = g_a[t] / S_oa + g_b[t] / S_ob.  A sweep walks the slots
+    one at a time (``walks``); inside slot s no partner slot moves, so s's
+    gradients, the partners' scales, each c1 and the sum of the two scaled
+    terms that do not read s stay fixed, and ``enter(s)`` computes them
+    once: a trial costs one ``hypot`` and a few float operations.  The one
+    numpy call, ``_push(p)``, is a matrix-vector product giving, from p's
+    parameters, the gradients of p's two terms; ``enter(s)`` runs it for
+    each partner that moved (``pending``), at most four per sweep, and
+    ``start`` for two slots.  An ``accept`` in s recomputes from the
+    parameters the orbit's modulus, s's norm and scale, the two terms that
+    read s (s's gradients dotted with p_s), c0 and ``current``, the
     estimate 0.5 * (q_0 + q_1 + q_2 + q_3) of the current point from the
-    signed scaled terms q_k, are recomputed from the parameters: one
-    matrix-vector product per accepted move, and nothing carried over from
-    an earlier point, so there is no drift to bound.
+    signed scaled terms q_k.  Nothing is carried over from an earlier
+    point, so there is no drift to bound.
 
     **The bound.**  ``optimize_bell`` compares a trial's estimate with
     ``current``: it rejects the trial unscored when the estimate is below
@@ -380,8 +375,9 @@ class _FastObjective:
       within (n + 6) u; ``zgemv`` and ``zdotu`` add 2 gamma_(n+2) each, so
       each term is within (3L + 20) u, and the value, after its three
       additions, within (6L + 54) u;
-    - *the current point's estimate:* a recomputed term is within 2 (L +
-      2) u of S_i S_j (two roundings in the gather, gamma_(n_i) and
+    - *the current point's estimate:* a term, recomputed as (p_i R_k) p_j
+      or p_i (R_k p_j) from the side that moved last, is within 2 (L + 2) u
+      of S_i S_j either way (two roundings in the gather, gamma_(n_i) and
       gamma_(n_j) in the products) and each scale within (n + 4) u of
       itself, so each scaled term is within (3L + 14) u; three additions of
       partial sums at most 2, 3 and 4, then the halving: within (6L + 33) u;
@@ -423,27 +419,26 @@ class _FastObjective:
         self.plan = []  # ((position, sign), ...) per parameter
         self.orbits = []  # per slot: the parameters of each of its orbits
         self.bounds = []  # per slot: its range of parameters
-        # per parameter, what the screen reads: its slot, its index in the
-        # slot, the other parameter of its orbit (None for the zero point),
-        # its orbit's index in the slot, the slot's terms and partner slots
-        self.screen = []
+        # per slot, as the screen walks it: each parameter, the other one of
+        # its orbit (None for the zero point) and the orbit's index
+        self.walks = []
         for slot, support in enumerate(sup):
             index = {x: 2 * i for i, x in enumerate(support)}
-            lo, orbits = len(self.plan), []
+            lo, orbits, walk = len(self.plan), [], []
             for rep in (x for x in support if index[x] <= index[negate(x)]):
                 pos, neg = index[rep], index[negate(rep)]
                 re, im = ((pos, 1.0), (neg, 1.0)), ((pos + 1, 1.0), (neg + 1, -1.0))
                 orbit = [re[:1]] if pos == neg else [re, im]
                 ids = range(len(self.plan), len(self.plan) + len(orbit))
                 for n, i in enumerate(ids):
-                    other = ids[1 - n] if len(ids) == 2 else None
-                    self.screen.append((slot, i - lo, other, len(orbits),
-                                        *_SLOT_PAIRS[slot], *_PARTNERS[slot]))
+                    walk.append((i, ids[1 - n] if len(ids) == 2 else None, len(orbits)))
                 orbits.append(tuple(ids))
                 self.plan.extend(orbit)
             self.orbits.append(orbits)
             self.bounds.append((lo, len(self.plan)))
+            self.walks.append(walk)
         self.n_params = len(self.plan)
+        self.owner = [(slot, o) for slot, walk in enumerate(self.walks) for _, _, o in walk]
         # the screen's forms: p_s.dot(stacked[s]) is the gradients, with
         # respect to the other slot, of the two signed terms that read slot
         # s; each slot's writes are (m, 2) positions and signs, a single
@@ -488,14 +483,21 @@ class _FastObjective:
 
     def start(self, params):
         """Make ``params`` the current point, with every slot stale: the
-        next ``sync`` scores it."""
-        self.params = list(params)
+        next ``sync`` scores it, and the next ``enter`` settles the screen."""
+        self.params = params = list(params)
         self.mods = [[self._modulus(orbit) for orbit in orbits] for orbits in self.orbits]
-        self.norms, self.scales = [0.0] * 4, [1.0] * 4
+        self.norms = [sum(mods) for mods in self.mods]
+        self.scales = [max(1.0, norm) for norm in self.norms]
+        # grads[s][n]: the gradient, with respect to slot s, of the n-th of
+        # its two terms, which the n-th of its partners' parameters fix
         self.grads = [[None, None] for _ in range(4)]
-        self.sterms = [0.0] * 4  # signed unscaled terms sign_k T_k
-        for slot in range(4):
-            self._refresh(slot)
+        self.pending = {0, 1, 2, 3}  # slots whose partners' gradients are out of date
+        self._push(2)
+        self._push(3)
+        # the signed unscaled terms sign_k T_k, each from its factor-1 side
+        self.sterms = [sum(map(operator.mul, self.grads[i][k % 2], params[slice(*self.bounds[i])]))
+                       for k, (i, _) in enumerate(_PAIRS)]
+        self.slot = None
         self.vecs, self.left, self.terms = [None] * 4, [None] * 4, [None] * 4
         self.stale = set(range(4))
 
@@ -505,56 +507,63 @@ class _FastObjective:
             return abs(self.params[orbit[0]])
         return 2.0 * math.hypot(self.params[orbit[0]], self.params[orbit[1]])
 
-    def _refresh(self, slot: int):
-        """Recompute, from the current parameters, the screen's quantities
-        that read ``slot``: its norm and scale, the other slots' gradients
-        of its two terms, those terms, every slot's sum of the scaled terms
-        that do not read it, and the estimate ``current`` of the current
-        point."""
-        params, (lo, hi) = self.params, self.bounds[slot]
-        self.norms[slot] = norm = sum(self.mods[slot])
-        self.scales[slot] = max(1.0, norm)
-        grads = np.array(params[lo:hi]).dot(self.stacked[slot]).tolist()
-        (ka, kb), (oa, ob) = _SLOT_PAIRS[slot], _PARTNERS[slot]
-        (alo, ahi), (blo, bhi) = self.bounds[oa], self.bounds[ob]
-        ga, gb = grads[:ahi - alo], grads[ahi - alo:]
+    def _push(self, slot: int):
+        """Recompute from ``slot``'s parameters the gradients of its two
+        terms with respect to its partners: one matrix-vector product."""
+        self.pending.discard(slot)
+        (lo, hi), (oa, ob) = self.bounds[slot], _PARTNERS[slot]
+        grads = np.array(self.params[lo:hi]).dot(self.stacked[slot]).tolist()
+        split = len(self.walks[oa])
         # the pair is the (slot % 2)-th of each partner's two
-        self.grads[oa][slot % 2], self.grads[ob][slot % 2] = ga, gb
-        terms = self.sterms
-        terms[ka] = sum(map(operator.mul, ga, params[alo:ahi]))
-        terms[kb] = sum(map(operator.mul, gb, params[blo:bhi]))
-        t0, t1, t2, t3 = terms
-        s0, s1, s2, s3 = self.scales
-        q0, q1, q2, q3 = t0 / (s0 * s2), t1 / (s0 * s3), t2 / (s1 * s2), t3 / (s1 * s3)
-        self.rest = [q2 + q3, q0 + q1, q1 + q3, q0 + q2]
-        self.current = 0.5 * (q0 + q1 + q2 + q3)
+        self.grads[oa][slot % 2], self.grads[ob][slot % 2] = grads[:split], grads[split:]
 
-    def line(self, i: int) -> tuple:
-        """What the screen reads to estimate ``move(i, value)`` for any
-        value, from the current point: ``current``, the sum of the scaled
-        terms that do not read parameter i's slot, the slot's norm without
-        i's orbit, the orbit partner's value (None for the zero point), the
-        parameter's value, and the two moved terms' c0 and c1, whose sum at
-        a change d is c0 + d c1 (see the class docstring)."""
-        slot, t, other, o, ka, kb, oa, ob = self.screen[i]
-        ga, gb = self.grads[slot]
-        terms, sa, sb = self.sterms, self.scales[oa], self.scales[ob]
-        params = self.params
-        return (self.current, self.rest[slot], self.norms[slot] - self.mods[slot][o],
-                None if other is None else params[other], params[i],
-                terms[ka] / sa + terms[kb] / sb, ga[t] / sa + gb[t] / sb)
+    def _settle(self):
+        """Recompute ``current`` and the entered slot's ``c0``."""
+        t0, t1, t2, t3 = terms = self.sterms
+        s0, s1, s2, s3 = scales = self.scales
+        self.current = 0.5 * (t0 / (s0 * s2) + t1 / (s0 * s3) + t2 / (s1 * s2) + t3 / (s1 * s3))
+        (ka, kb), (oa, ob) = _SLOT_PAIRS[self.slot], _PARTNERS[self.slot]
+        self.c0 = terms[ka] / scales[oa] + terms[kb] / scales[ob]
+
+    def enter(self, slot: int) -> tuple[list[float], float]:
+        """Make ``slot`` the one whose parameters move, after pushing its
+        pending partners; return what stays fixed while only they do: each
+        parameter's c1 and the sum of the scaled terms that do not read it."""
+        for partner in _PARTNERS[slot]:
+            if partner in self.pending:
+                self._push(partner)
+        self.slot = slot
+        self._settle()
+        (ga, gb), (oa, ob), scales = self.grads[slot], _PARTNERS[slot], self.scales
+        sa, sb, sr = scales[oa], scales[ob], scales[slot ^ 1]
+        # the terms that do not read a slot are those of the other slot of
+        # its factor, which has the same partners in the same order
+        kc, kd = _SLOT_PAIRS[slot ^ 1]
+        c1 = []  # a loop, not a comprehension: cheaper for a few parameters
+        for a, b in zip(ga, gb):
+            c1.append(a / sa + b / sb)
+        return c1, self.sterms[kc] / (sr * sa) + self.sterms[kd] / (sr * sb)
 
     def accept(self, i: int, value: float):
-        """Set parameter ``i`` of the current point to ``value``.
-
-        Only the screen follows at once; the slot's vector, left products
-        and terms go stale until the next ``sync``.
-        """
-        slot, _, _, o = self.screen[i][:4]
-        self.params[i] = value
-        self.mods[slot][o] = self._modulus(self.orbits[slot][o])
-        self._refresh(slot)
+        """Set parameter ``i`` of the current point to ``value``, in its slot,
+        entered first if it is not.  The screen follows at once, with no
+        numpy call; the slot's exact state goes stale until the next
+        ``sync``, and its partners' gradients pending."""
+        slot, o = self.owner[i]
+        if slot != self.slot:
+            self.enter(slot)
+        params, mods = self.params, self.mods[slot]
+        params[i] = value
+        mods[o] = self._modulus(self.orbits[slot][o])
+        self.norms[slot] = norm = sum(mods)
+        self.scales[slot] = max(1.0, norm)
+        lo, hi = self.bounds[slot]
+        moved, (ga, gb), (ka, kb) = params[lo:hi], self.grads[slot], _SLOT_PAIRS[slot]
+        self.sterms[ka] = sum(map(operator.mul, ga, moved))
+        self.sterms[kb] = sum(map(operator.mul, gb, moved))
+        self._settle()
         self.stale.add(slot)
+        self.pending.add(slot)
 
     def sync(self) -> float:
         """The exact value of the current point, after rebuilding every stale
@@ -570,7 +579,7 @@ class _FastObjective:
         """The exact value of the current point with parameter ``i`` set to
         ``value``; the current point, which must be synced, stays as it is."""
         assert not self.stale, "move needs a synced current point"
-        slot, params = self.screen[i][0], self.params.copy()
+        slot, params = self.owner[i][0], self.params.copy()
         params[i] = value
         vecs = self.vecs.copy()
         vecs[slot] = self._vector(slot, params)
@@ -595,23 +604,21 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     Deterministic for a fixed seed.  Every evaluated parameter vector maps
     to a genuine candidate (self-adjoint components, one-norm <= 1), so each
     value seen during the search is a lower bound for the Bell supremum and
-    can never exceed sqrt(2) up to roundoff.  Evaluation inside the loop
-    uses a precomputed bilinear form, kept per slot.  Each move is first
-    judged by the screen, which compares its float estimate with the
-    estimate of the current point: a move below it by more than the
-    objective's ``bound``, more than the two estimates' errors can be, is
-    rejected, and one above it by more than that is accepted, both counted
-    as evaluations but not scored.  Only a near-tie is scored and compared
-    exactly, after the exact value of the current point is brought up to
-    date from its parameters, as it is again at the end of each restart.
-    So every decision, and with them the search path, the evaluation count
-    and every value, is bit for bit that of scoring every move exactly.
-    The returned value comes from a full engine re-evaluation of the winning
-    candidate, which must agree with the search value to ``CERTIFY_TOL``.
-    Restarts run one after another in index order, and a restart replaces
-    the best only when its value is strictly higher, so of tied restarts
-    the earliest is kept.  The trace records (evaluation index, value) at
-    every strict improvement of the global best.
+    can never exceed sqrt(2) up to roundoff.  A sweep walks the four slots
+    one at a time, and inside a slot estimates each move from what stays
+    fixed there (see ``_FastObjective``): a move whose estimate is below the
+    current point's by more than the objective's ``bound``, more than the
+    two estimates' errors can be, is rejected, and one above it by more is
+    accepted, both counted as evaluations but not scored.  Only a near-tie
+    is scored and compared exactly, after the exact value of the current
+    point is brought up to date, as it is at the end of each restart.  So
+    every decision, the search path, the evaluation count and every value
+    are bit for bit those of scoring every move exactly.  The returned value
+    comes from a full engine re-evaluation of the winning candidate, which
+    must agree with the search value to ``CERTIFY_TOL``.  Restarts run in
+    index order, and one replaces the best only when its value is strictly
+    higher, so of tied restarts the earliest is kept.  The trace records
+    (evaluation index, value) at every strict improvement of the best.
     """
     # the final certification multiplies A_i into (B_1 +- B_2); reject
     # configurations whose products would breach the term cap before
@@ -634,7 +641,7 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
 
     start = time.perf_counter()
     fast = _FastObjective(state, cfg)
-    n_params, bound = fast.n_params, fast.bound
+    n_params, bound, hypot = fast.n_params, fast.bound, math.hypot
 
     counter = exact_moves = 0
     best_value = -math.inf
@@ -644,35 +651,43 @@ def optimize_bell(state: StateFunctional, cfg: SearchConfig) -> SearchResult:
     for restart in range(cfg.restarts):
         rng = random.Random((cfg.seed * 1_000_003 + restart) & 0xFFFFFFFF)
         fast.start([rng.uniform(-1.0, 1.0) for _ in range(n_params)])
+        params = fast.params
         counter += 1
-        step = STEP_INIT
-        sweeps = 0
+        step, sweeps = STEP_INIT, 0
         while step >= STEP_FLOOR and sweeps < cfg.max_iters:
-            improved = False
-            for i in range(n_params):
-                line = fast.line(i)
-                low, high = line[0] - bound, line[0] + bound
-                for delta in (step, -step):
-                    trial = fast.params[i] + delta
-                    counter += 1
-                    estimate = _estimate(line, trial)
-                    if estimate < low:
-                        continue  # the exact value is below the current one too
-                    if not estimate > high:  # a near-tie, or NaN
-                        exact_moves += 1
-                        value = fast.sync()
-                        if not fast.move(i, trial) > value:
-                            continue
-                    fast.accept(i, trial)
-                    improved = True
-                    break
+            improved, deltas = False, (step, -step)
+            for slot, walk in enumerate(fast.walks):
+                c1s, rest = fast.enter(slot)
+                norms, mods = fast.norms, fast.mods[slot]
+                for (i, other, o), c1 in zip(walk, c1s):
+                    x0, c0, base = params[i], fast.c0, norms[slot] - mods[o]
+                    partner = None if other is None else params[other]
+                    low, high = fast.current - bound, fast.current + bound
+                    for delta in deltas:
+                        trial = x0 + delta
+                        counter += 1
+                        # the estimate of the trial's value (see _FastObjective)
+                        norm = base + (abs(trial) if partner is None
+                                       else 2.0 * hypot(trial, partner))
+                        estimate = 0.5 * (rest + (c0 + (trial - x0) * c1)
+                                          / (norm if norm > 1.0 else 1.0))
+                        if estimate < low:
+                            continue  # the exact value is below the current one too
+                        if not estimate > high:  # a near-tie, or NaN
+                            exact_moves += 1
+                            value = fast.sync()
+                            if not fast.move(i, trial) > value:
+                                continue
+                        fast.accept(i, trial)
+                        improved = True
+                        break
             if not improved:
                 step *= STEP_DECAY
             sweeps += 1
         value = fast.sync()
         if value > best_value:
             best_value = value
-            best_params = fast.params  # start makes a new list per restart
+            best_params = params  # start makes a new list per restart
             trace.append((counter, value))
 
     assert best_params is not None
