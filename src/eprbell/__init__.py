@@ -41,6 +41,7 @@ from .states import (
     SupportPartition,
     eval_point,
     eval_poly,
+    eval_product,
     kernel_matrix,
     multiplicativity_check,
     positivity_check,

@@ -24,6 +24,7 @@ from .states import (
     StateFunctional,
     compress_operator,
     eval_poly,
+    support_labels,
     trace_vector_check,
 )
 from .weyl import (
@@ -57,23 +58,30 @@ class GnsFrame:
 def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
     """Assemble the Gram matrix of the frame through the product engine.
 
-    Every entry gram[j,k] = omega(W(x_j)* W(x_k)) goes through weyl_multiply
-    + eval_poly rather than any closed-form kernel, so the frame doubles as a
-    consistency probe of the engine.  The value is the twisted kernel on the
-    negated points, F(-x_j, -x_k) = G(x_k - x_j) exp{-i s(x_j, x_k)}, and
-    never the corrupt control's deflated kernel.  The Gram must come out
-    positive semidefinite within ``PSD_TOL`` and with unit diagonal, else the
-    engine itself is at fault and an ``AssertionError`` says so.
+    gram[j,k] = omega(W(x_j)* W(x_k)) is the twisted kernel on the negated
+    points, F(-x_j, -x_k) = G(x_k - x_j) exp{-i s(x_j, x_k)}, never the
+    corrupt control's deflated kernel.  Entries between support classes
+    (``support_labels``, as the kernel's) are exact zeros, decided on the
+    invariant.  Each entry within a class goes through weyl_multiply +
+    eval_poly, in row-major order, so the frame doubles as a consistency
+    probe of the engine; a frame not all of dimension 4 is one class.  The
+    Gram must come out positive semidefinite within ``PSD_TOL`` and with
+    unit diagonal, else the engine itself is at fault and an
+    ``AssertionError`` says so.
     """
     den, ints = read_lattice(points)
     if len(set(ints)) != len(ints):
         raise ValueError("frame points must be pairwise distinct")
     n = len(ints)
-    gram = np.empty((n, n), dtype=complex)
+    gram = np.zeros((n, n), dtype=complex)
     gens = [WeylPolynomial.generator(p, den) for p in ints]
     adjs = [adjoint(g) for g in gens]
+    label = support_labels(state, ints) if all(len(p) == 4 for p in ints) else [0] * n
+    members: dict[int, list[int]] = {}
+    for k, c in enumerate(label):
+        members.setdefault(c, []).append(k)
     for j in range(n):
-        for k in range(n):
+        for k in members[label[j]]:
             gram[j, k] = eval_poly(state, weyl_multiply(adjs[j], gens[k]))
     lam_min = float(np.linalg.eigvalsh(gram)[0]) if n else 0.0
     if lam_min < -PSD_TOL:

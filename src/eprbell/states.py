@@ -30,11 +30,15 @@ import numpy as np
 
 from .weyl import (
     DEFAULT_TERM_CAP,
+    LATTICE_BITS,
     ZERO_THRESHOLD,
     Point,
     TermBudgetError,
     WeylPolynomial,
+    _expand,
+    _reduced,
     adjoint,
+    one_norm,
     read_lattice,
     read_number,
     tensor_embed,
@@ -166,6 +170,52 @@ def eval_poly(state: StateFunctional, p: WeylPolynomial) -> complex:
     return sum((c * eval_point(state, x, den) for x, c in items), 0j)
 
 
+def eval_product(state: StateFunctional, p: WeylPolynomial, q: WeylPolynomial) -> complex:
+    """omega(P Q), bit for bit ``eval_poly(state, weyl_multiply(p, q))``.
+
+    The epr state sees W(x) W(y) only when the invariants (a+c, b-d) of x
+    and y sum to 0.  So Q's terms are grouped by their exact invariant on
+    the common lattice L, and each term W(x) of P meets, through the
+    engine's own loop ``weyl._expand``, only those whose invariant is minus
+    its own.  The value keeps every bit:
+
+    - the kept pairs are a subsequence of the product's, in its order, and
+      hold every pair that lands on the manifold, so each point there sums
+      the same terms in the same order, and the points keep their order;
+    - a dropped point is off the manifold, where eval_point is 0j, and its
+      coefficient c is finite (below), so c * 0j is a zero of either sign,
+      which the sum from 0j, never -0.0, absorbs;
+    - dropping points can only raise the gcd that makes L least, which
+      moves no quotient a/L and no exact delta test.
+
+    The full product is taken for the regular state, factors not both of
+    dimension 4, a product past ``DEFAULT_TERM_CAP``, a common L past
+    ``LATTICE_BITS``, or one_norm(P) one_norm(Q) not below 2^1000.  Inside
+    these bounds the full product raises no error, and each coefficient,
+    a sum of at most ``DEFAULT_TERM_CAP`` terms within a few ulps of
+    |a| |b|, is finite.
+    """
+    m, n, den = len(p), len(q), math.lcm(p._den, q._den)
+    if (
+        state.kind != KIND_EPR
+        or p.dim != 4
+        or q.dim != 4
+        or max(m, n, m * n) > DEFAULT_TERM_CAP
+        or den.bit_length() > LATTICE_BITS
+        or not one_norm(p) * one_norm(q) < 2.0**1000
+    ):
+        return eval_poly(state, weyl_multiply(p, q))
+    by_class: dict[tuple[int, int], list] = {}
+    for y, b in q._over(den).items():
+        by_class.setdefault((y[0] + y[2], y[1] - y[3]), []).append((y, b))
+    rows = []
+    for x, a in p._over(den).items():
+        ys = by_class.get((-x[0] - x[2], x[3] - x[1]))
+        if ys:
+            rows.append((x, a, ys))
+    return eval_poly(state, WeylPolynomial._raw(4, *_reduced(den, _expand(den, rows))))
+
+
 #: Pairs of one kernel pass: a Python-int lattice holds objects, not
 #: doubles, in each temporary.
 _KERNEL_PASS_ENTRIES = 2**10
@@ -220,13 +270,8 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
                              f" got {len(p)} coordinates")
     n = len(points)
     coords = _lattice_array(points, max(abs(v) for p in points for v in p), den)
-    if state.kind == KIND_EPR:
-        classes: dict[tuple[int, int], int] = {}
-        label = [classes.setdefault((a + c, b - d), len(classes)) for a, b, c, d in points]
-    else:
-        label = [0] * n
     m = np.zeros((n, n), dtype=complex)
-    for cls in _by_size(np.array(label)):
+    for cls in _by_size(np.array(support_labels(state, points))):
         j, k = np.triu_indices(cls.shape[1])
         rows, cols = cls[:, j].ravel(), cls[:, k].ravel()
         for t in _passes(len(rows), 1, _KERNEL_PASS_ENTRIES):
@@ -237,6 +282,16 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
     if state.corrupt_kernel:
         m[n - 1, n - 1] -= 1.5
     return m
+
+
+def support_labels(state: StateFunctional, points: Sequence[tuple[int, ...]]) -> list[int]:
+    """Each dimension-4 lattice point's support class, numbered from 0 in
+    order of first appearance: for the epr state the class of its exact
+    invariant (a+c, b-d), for the regular state one class of every point."""
+    if state.kind != KIND_EPR:
+        return [0] * len(points)
+    classes: dict[tuple[int, int], int] = {}
+    return [classes.setdefault((a + c, b - d), len(classes)) for a, b, c, d in points]
 
 
 def _lattice_array(ints: list[tuple[int, ...]], big: int, scale: int) -> np.ndarray:
@@ -418,9 +473,11 @@ def positivity_check(state: StateFunctional, p: WeylPolynomial) -> float:
     assert that and also compare against the kernel quadratic form of
     P* = sum_j d_j W(y_j): omega(P*P) = sum_{j,k} d_j conj(d_k) M[j,k] with
     M = kernel_matrix(state, [y_j]).  The same form over the terms of P
-    itself is omega(P P*).
+    itself is omega(P P*).  The value is ``eval_product(state, adjoint(p),
+    p)``: for the epr state only the pairs of terms in one support class
+    are formed, and every bit is the full product's.
     """
-    value = eval_poly(state, weyl_multiply(adjoint(p), p))
+    value = eval_product(state, adjoint(p), p)
     return float(value.real)
 
 

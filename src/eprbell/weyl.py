@@ -346,10 +346,12 @@ def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
 
     Both factors are put over one denominator L, so each sum point is exact
     integer addition and each form is an integer s over 2 L^2.  Coefficients
-    and phases accumulate in double precision, p-major and q-minor; a
-    dimension-2 product is the slot-1 product with its keys read back.  Raises
-    ``TermBudgetError`` when a factor or the pairwise expansion would exceed
-    ``DEFAULT_TERM_CAP`` terms, or the product's least L passes ``LATTICE_BITS``.
+    and phases accumulate in double precision, p-major and q-minor, in
+    ``_expand``, the one product loop; a dimension-2 product is the slot-1
+    product with its keys read back.  ``states.eval_product`` runs the same
+    loop on the pairs a state can see.  Raises ``TermBudgetError`` when a
+    factor or the pairwise expansion would exceed ``DEFAULT_TERM_CAP`` terms,
+    or the product's least L passes ``LATTICE_BITS``.
     """
     dim, m, n = p._dim, len(p._terms), len(q._terms)
     if dim != q._dim:
@@ -360,16 +362,25 @@ def weyl_multiply(p: WeylPolynomial, q: WeylPolynomial) -> WeylPolynomial:
     if dim == 2:
         p, q = tensor_embed(p, 1), tensor_embed(q, 1)
     den = math.lcm(p._den, q._den)
+    qs = q._over(den).items()
+    den, acc = _reduced(den, _expand(den, [(x, a, qs) for x, a in p._over(den).items()]))
+    return WeylPolynomial._raw(dim, den, acc if dim == 4 else {z[:2]: c for z, c in acc.items()})
+
+
+def _expand(
+    den: int, rows: Iterable[tuple[tuple[int, ...], complex, Iterable]]
+) -> dict[tuple[int, ...], complex]:
+    """The products a b exp{i s(x, y)} W(x + y) of dimension-4 lattice terms
+    over ``den``, summed per point from 0j: each row (x, a, ys) pairs a W(x)
+    with the items (y, b) of ``ys`` in their order, row after row."""
     two_l2 = 2 * den * den
-    ps, qs = p._over(den).items(), q._over(den).items()
     acc: dict[tuple[int, ...], complex] = {}
-    for (x0, x1, x2, x3), a in ps:
-        for (y0, y1, y2, y3), b in qs:
+    for (x0, x1, x2, x3), a, ys in rows:
+        for (y0, y1, y2, y3), b in ys:
             z = (x0 + y0, x1 + y1, x2 + y2, x3 + y3)
             s = x0 * y1 - x1 * y0 + x2 * y3 - x3 * y2
             acc[z] = acc.get(z, 0j) + a * b * unit_phase(s, two_l2)
-    den, acc = _reduced(den, acc)
-    return WeylPolynomial._raw(dim, den, acc if dim == 4 else {z[:2]: c for z, c in acc.items()})
+    return acc
 
 
 def adjoint(p: WeylPolynomial) -> WeylPolynomial:

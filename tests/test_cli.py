@@ -486,7 +486,7 @@ class TestEngineSelfChecks:
     def test_frame_gram_positivity_exits_1(self, capsys, monkeypatch):
         import eprbell.gns
 
-        # an all -1 Gram matrix has eigenvalue -9 on the 9-point frame
+        # the 9-point frame's classes are singletons, so its Gram is -I
         monkeypatch.setattr(eprbell.gns, "eval_poly", lambda state, p: -1.0)
         assert main(["verify-all", "--seed", "0"]) == 1
         err = capsys.readouterr().err

@@ -315,6 +315,67 @@ class TestBuildFrame:
         assert float(np.linalg.eigvalsh(frame.gram)[0]) >= -1e-10
 
 
+def _gram_reference(state: StateFunctional, pts) -> np.ndarray:
+    """build_frame's Gram through the product engine at every one of the
+    n^2 entries: the oracle of the class-blocked fill."""
+    gens = [WeylPolynomial.generator(x) for x in pts]
+    return np.array(
+        [[eval_poly(state, weyl_multiply(adjoint(g), h)) for h in gens] for g in gens],
+        dtype=complex,
+    )
+
+
+def _frame_points(kind: str, rng: random.Random, n: int) -> list:
+    """n distinct points: in classes of 4 of the invariant (a+c, b-d)
+    ("clustered"), or anywhere, so mostly in classes of their own."""
+    pts = []
+    while len(pts) < n:
+        a, b = rand_point(rng, 2)
+        if kind == "clustered":
+            u, v = Fraction(len(pts) // 4, 3), Fraction(len(pts) // 4, -5)
+            p = (a, b, u - a, b - v)
+        else:
+            p = rand_point(rng, 4)
+        if p not in pts:
+            pts.append(p)
+    return pts
+
+
+class TestGramClasses:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind, state", [
+        ("clustered", StateFunctional.epr(0.3, -1.1)),
+        ("scattered", StateFunctional.epr(-2.1, 0.7)),
+        ("clustered", StateFunctional.regular()),
+        ("scattered", StateFunctional.regular()),
+    ])
+    def test_gram_matches_the_full_engine_loop(self, kind, state, seed):
+        pts = _frame_points(kind, random.Random(seed), 16)
+        assert same_bits(build_frame(state, pts).gram, _gram_reference(state, pts))
+
+    def test_frame_forms_only_the_products_within_a_class(self, monkeypatch):
+        # 32 points in classes of 4: 32 x 4 engine products, not 32 x 32
+        products = []
+
+        def counted(p, q):
+            products.append((p, q))
+            return weyl_multiply(p, q)
+
+        monkeypatch.setattr(eprbell.gns, "weyl_multiply", counted)
+        pts = _frame_points("clustered", random.Random(7), 32)
+        frame = build_frame(StateFunctional.epr(0.3, -1.1), pts)
+        assert len(products) == 128
+        assert np.count_nonzero(frame.gram) == 128
+
+    @pytest.mark.parametrize("pts, message", [
+        ([(0, 0), (1, 1)], "states are defined on the dimension-4 algebra"),
+        ([(0, 0, 0, 0), (1, 1)], "cannot multiply polynomials of different dimension"),
+    ])
+    def test_a_frame_not_of_dimension_4_raises_the_engine_error(self, pts, message):
+        with pytest.raises(ValueError, match=message):
+            build_frame(StateFunctional.epr(), pts)
+
+
 class TestCompress:
     def test_one_compression_function(self):
         assert eprbell.gns.compress_operator is eprbell.states.compress_operator

@@ -1,6 +1,7 @@
 """State functional: values, kernel positivity, support, uniqueness."""
 
 import ast
+import cmath
 import math
 import random
 import re
@@ -32,6 +33,7 @@ from eprbell import (
     adjoint,
     eval_point,
     eval_poly,
+    eval_product,
     kernel_matrix,
     multiplicativity_check,
     positivity_check,
@@ -47,7 +49,7 @@ from eprbell import (
 import eprbell
 import eprbell.states
 from eprbell.states import PSD_TOL
-from eprbell.weyl import TermBudgetError, unit_phase
+from eprbell.weyl import LATTICE_BITS, ZERO_THRESHOLD, TermBudgetError, unit_phase
 
 
 class TestEvalPoint:
@@ -518,6 +520,143 @@ class TestPositivity:
             p = rand_poly(rng, 4)
             full = eval_poly(state, weyl_multiply(adjoint(p), p))
             assert abs(full.imag) <= 1e-10
+
+
+#: Coefficient moduli on either side of the zero threshold, where canonical
+#: form drops a product term.
+_NEAR_THRESHOLD = [ZERO_THRESHOLD * (1 + k * 2.0**-50) for k in range(-3, 4)]
+
+
+@st.composite
+def _product_pairs(draw):
+    """Two dimension-4 polynomials whose terms crowd a few support classes:
+    each term of P is in a class of invariant w, each term of Q in a class of
+    -w (the partner class) or w, or either is anywhere.  Coefficients are in
+    the unit square or at the zero threshold, and a last pair of terms can
+    land on the point of an earlier pair and cancel it to below the
+    threshold."""
+    coord = _COORDS[draw(st.sampled_from(sorted(_COORDS)))]
+    invariants = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=3))
+
+    def terms(signs):
+        out = {}
+        for _ in range(draw(st.integers(0, 8))):
+            if draw(st.booleans()):
+                u, v = draw(st.sampled_from(invariants))
+                sign = draw(st.sampled_from(signs))
+                a, b = draw(coord), draw(coord)
+                x = (a, b, sign * u - a, b - sign * v)
+            else:
+                x = tuple(draw(coord) for _ in range(4))
+            if draw(st.booleans()):
+                out[x] = draw(_COEFF)
+            else:
+                angle = draw(st.floats(-math.pi, math.pi))
+                out[x] = cmath.rect(draw(st.sampled_from(_NEAR_THRESHOLD)), angle)
+        return out
+
+    p_terms, q_terms = terms([1]), terms([-1, -1, 1])
+    if p_terms and q_terms and draw(st.booleans()):
+        # a W(x) b W(y) + c W(x') W(y') with x' + y' = x + y and c chosen so
+        # that the two products cancel, up to rounding
+        x, y = draw(st.sampled_from(sorted(p_terms))), draw(st.sampled_from(sorted(q_terms)))
+        x2 = tuple(draw(coord) for _ in range(4))
+        y2 = tuple(u + v - w for u, v, w in zip(x, y, x2))
+        if x2 not in p_terms and y2 not in q_terms:
+            first = p_terms[x] * q_terms[y] * unit_phase(direct_sum_form(x, y))
+            p_terms[x2] = -first / unit_phase(direct_sum_form(x2, y2))
+            q_terms[y2] = 1.0
+    return WeylPolynomial(4, p_terms), WeylPolynomial(4, q_terms)
+
+
+def _assert_same_product(state, p, q):
+    """eval_product and the full product give the same bits, or both raise
+    the same error."""
+    try:
+        want = eval_poly(state, weyl_multiply(p, q))
+    except (ValueError, TermBudgetError) as exc:
+        with pytest.raises(type(exc)) as got:
+            eval_product(state, p, q)
+        assert str(got.value) == str(exc)
+        return
+    got = eval_product(state, p, q)
+    assert same_bits(np.array([got]), np.array([want])), (got, want)
+
+
+class TestEvalProduct:
+    """eval_product is bit for bit eval_poly of the full product."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_IDENTITY_PARAMETER, _IDENTITY_PARAMETER, _product_pairs())
+    @example(0.3, -1.1, (WeylPolynomial(4), WeylPolynomial.identity(4)))
+    @example(0.3, -1.1, (
+        WeylPolynomial(4, {(1, 2, -1, 2): 0.5, ("1/3", 0, "2/3", 1): 1j}),
+        WeylPolynomial(4, {(-1, 0, 0, 1): -0.25, (2, 1, "-3", 0): 1.0}),
+    ))
+    def test_matches_the_full_product(self, lam, mu, pair):
+        p, q = pair
+        for state in (StateFunctional.epr(lam, mu), StateFunctional.regular()):
+            for f, g in ((p, q), (q, p), (adjoint(p), p), (adjoint(q), q)):
+                _assert_same_product(state, f, g)
+
+    def test_huge_coefficients_in_two_classes_give_nan_on_both_sides(self):
+        # the products across classes overflow to a non-finite coefficient,
+        # and its 0j value is a nan in the full sum
+        p = WeylPolynomial(4, {(1, 0, -1, 0): 1e200, (0, 1, 1, 0): 1.0})
+        q = WeylPolynomial(4, {(0, 0, -1, 1): 1e200, (2, 0, -2, 0): 1.0})
+        state = StateFunctional.epr(0.3, -1.1)
+        assert cmath.isnan(eval_product(state, p, q))
+        _assert_same_product(state, p, q)
+
+    def test_over_the_term_cap_raises_the_same_error(self):
+        p = WeylPolynomial(4, {(k, 0, -k, 0): 1.0 for k in range(65)})
+        q = WeylPolynomial(4, {(0, k, 0, k): 1.0 for k in range(64)})
+        with pytest.raises(TermBudgetError, match="65 x 64 terms"):
+            eval_product(StateFunctional.epr(), p, q)
+        _assert_same_product(StateFunctional.epr(), p, q)
+
+    def test_dimension_2_factors_raise_the_same_error(self):
+        state = StateFunctional.epr()
+        one = WeylPolynomial(2, {(1, 2): 1.0, (0, 0): 0.5})
+        for p, q in ((one, one), (one, tensor_embed(one, 1)), (tensor_embed(one, 2), one)):
+            with pytest.raises(ValueError):
+                eval_product(state, p, q)
+            _assert_same_product(state, p, q)
+
+    def test_common_denominator_past_the_budget_gives_the_same_error(self):
+        # 2^2048 and 3^2048 are each within the budget, their lcm is not
+        half = LATTICE_BITS // 2
+        p = WeylPolynomial(4, {(Fraction(1, 2**half), 0, 0, 0): 1.0})
+        q = WeylPolynomial(4, {(Fraction(-1, 3**half), 0, 0, 0): 1.0, (0, 0, 0, 0): 1j})
+        with pytest.raises(TermBudgetError, match="common denominator"):
+            eval_product(StateFunctional.epr(), p, q)
+        _assert_same_product(StateFunctional.epr(), p, q)
+
+    def test_overflowing_angle_gives_the_same_error(self):
+        state = StateFunctional.epr(1e308, 0.0)
+        p = WeylPolynomial(4, {(2, 0, 0, 0): 1.0, (1, 0, 0, 0): 1.0})
+        q = WeylPolynomial(4, {(0, 0, -2, 0): 1.0, (0, 0, -1, 0): 1.0})
+        with pytest.raises(ValueError, match="a = 2, b = 0"):
+            eval_product(state, p, q)
+        _assert_same_product(state, p, q)
+
+    def test_positivity_forms_only_the_pairs_within_a_class(self, monkeypatch):
+        # 64 terms in 8 classes of 8: P* P meets each term with the 8 of its
+        # own class, 512 phases where the full product makes 4,096
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return unit_phase(*args)
+
+        monkeypatch.setattr(eprbell.weyl, "unit_phase", counted)
+        terms = {(a, k, u - a, k): complex(1 / (1 + a), k) for u in range(8) for a, k in (
+            (u + j, j) for j in range(8))}
+        p = WeylPolynomial(4, terms)
+        assert len(p) == 64
+        value = positivity_check(StateFunctional.epr(0.3, -1.1), p)
+        assert len(calls) == 512
+        assert value > 0
 
 
 class TestSupport:
