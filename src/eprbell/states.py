@@ -36,9 +36,7 @@ from .weyl import (
     TermBudgetError,
     WeylPolynomial,
     _expand,
-    _reduced,
     adjoint,
-    one_norm,
     read_lattice,
     read_number,
     tensor_embed,
@@ -174,19 +172,27 @@ def eval_product(state: StateFunctional, p: WeylPolynomial, q: WeylPolynomial) -
     """omega(P Q), bit for bit ``eval_poly(state, weyl_multiply(p, q))``.
 
     The epr state sees W(x) W(y) only when the invariants (a+c, b-d) of x
-    and y sum to 0.  So Q's terms are grouped by their exact invariant on
-    the common lattice L, and each term W(x) of P meets, through the
-    engine's own loop ``weyl._expand``, only those whose invariant is minus
-    its own.  The value keeps every bit:
+    and y sum to 0.  So the support is decided first: Q's terms are grouped
+    by their exact invariant, each read on Q's own lattice L_q times
+    L / L_q for the common lattice L, and each term W(x) of P, read the same
+    way, meets only the group whose invariant is minus its own.  Only those
+    rows are put over L and run through the engine's own loop
+    ``weyl._expand``, and c * eval_point is summed from 0j over its points
+    in their order, each c that canonical form would drop skipped.  The
+    value keeps every bit:
 
     - the kept pairs are a subsequence of the product's, in its order, and
       hold every pair that lands on the manifold, so each point there sums
-      the same terms in the same order, and the points keep their order;
+      the same terms in the same order, is kept or dropped as canonical
+      form decides, and the points keep their order;
     - a dropped point is off the manifold, where eval_point is 0j, and its
       coefficient c is finite (below), so c * 0j is a zero of either sign,
-      which the sum from 0j, never -0.0, absorbs;
-    - dropping points can only raise the gcd that makes L least, which
-      moves no quotient a/L and no exact delta test.
+      which the sum from 0j, never -0.0, absorbs; so a product none of
+      whose pairs lands on the manifold is a sum of such zeros, 0j;
+    - the points stay over the common L, not the least one; but a/L is
+      int true division, correctly rounded, so each angle is the double of
+      the exact quotient, as on the least lattice, and the delta tests are
+      exact either way.
 
     The full product is taken for the regular state, factors not both of
     dimension 4, a product past ``DEFAULT_TERM_CAP``, a common L past
@@ -195,25 +201,35 @@ def eval_product(state: StateFunctional, p: WeylPolynomial, q: WeylPolynomial) -
     a sum of at most ``DEFAULT_TERM_CAP`` terms within a few ulps of
     |a| |b|, is finite.
     """
-    m, n, den = len(p), len(q), math.lcm(p._den, q._den)
+    p_terms, q_terms = p._terms, q._terms
+    m, n, den = len(p_terms), len(q_terms), math.lcm(p._den, q._den)
     if (
         state.kind != KIND_EPR
-        or p.dim != 4
-        or q.dim != 4
+        or p._dim != 4
+        or q._dim != 4
         or max(m, n, m * n) > DEFAULT_TERM_CAP
         or den.bit_length() > LATTICE_BITS
-        or not one_norm(p) * one_norm(q) < 2.0**1000
+        # one_norm(p) * one_norm(q), summed as it sums
+        or not sum(map(abs, p_terms.values())) * sum(map(abs, q_terms.values())) < 2.0**1000
     ):
         return eval_poly(state, weyl_multiply(p, q))
+    kp, kq = den // p._den, den // q._den
     by_class: dict[tuple[int, int], list] = {}
-    for y, b in q._over(den).items():
-        by_class.setdefault((y[0] + y[2], y[1] - y[3]), []).append((y, b))
+    for y, b in q_terms.items():
+        by_class.setdefault(((y[0] + y[2]) * kq, (y[1] - y[3]) * kq), []).append((y, b))
     rows = []
-    for x, a in p._over(den).items():
-        ys = by_class.get((-x[0] - x[2], x[3] - x[1]))
+    for x, a in p_terms.items():
+        ys = by_class.get((-(x[0] + x[2]) * kp, (x[3] - x[1]) * kp))
         if ys:
+            if kp > 1:
+                x = tuple([v * kp for v in x])
+            if kq > 1:
+                ys = [(tuple([v * kq for v in y]), b) for y, b in ys]
             rows.append((x, a, ys))
-    return eval_poly(state, WeylPolynomial._raw(4, *_reduced(den, _expand(den, rows))))
+    if not rows:
+        return 0j
+    return sum((c * eval_point(state, z, den) for z, c in _expand(den, rows).items()
+                if abs(c) >= ZERO_THRESHOLD), 0j)
 
 
 #: Pairs of one kernel pass: a Python-int lattice holds objects, not
@@ -362,13 +378,19 @@ def compress_operator(state: StateFunctional, frame, p: WeylPolynomial) -> np.nd
     and a dimension-4 P of at most ``DEFAULT_TERM_CAP`` terms, the engine's cap.
 
     Each entry is the double eval_poly gives of the engine's product
-    (W(x_j)* P) W(x_k), replayed on the integer lattice a block of P's
-    terms c W(y) at a time: (1-0j) c times the phase of s(-x_j, y), then
-    (1+0j) and the phase of s(y - x_j, x_k), each product's term dropped
-    below ``ZERO_THRESHOLD`` as canonical form drops it, then eval_point at
-    y - x_j + x_k, summed from 0j in P's order.  Every complex * is written
-    out over real and imaginary parts as Python computes it; canonical
-    form's 0j + v only clears a zero's sign, as the sum from 0j does.
+    (W(x_j)* P) W(x_k).  ``_replay`` forms the term of each triple of a term
+    c W(y) of P and a pair (j, k), on the integer lattice of the frame's
+    ``lattice`` and of P, and C adds the triples' values term by term in
+    P's order, from +0.0.  The regular state replays every triple, a block
+    of terms at a time.  For the epr state only the triples whose point
+    y - x_j + x_k is on the manifold are formed: those with
+    inv(x_k) = inv(x_j) - inv(y) for the exact invariant inv = (a+c, b-d).
+    Each term and class of x_j is matched, on the exact ints, with the
+    class x_k must be in, and the triples are picked by comparing class
+    labels, a block of terms at a time.  A triple left out would add the
+    zero that a kept term, which is finite, times 0j gives, cleared to
+    +0.0 by the sum from 0j; C's accumulators start at +0.0, so they never
+    hold -0.0, and adding +0.0 to them moves no bit.
     """
     if p.dim != 4:
         raise ValueError("compress_operator expects a dimension-4 polynomial")
@@ -376,45 +398,74 @@ def compress_operator(state: StateFunctional, frame, p: WeylPolynomial) -> np.nd
         raise TermBudgetError(f"product of 1 x {len(p)} terms exceeds cap {DEFAULT_TERM_CAP}")
     n = len(frame)
     out = np.zeros((n, n), dtype=complex)
-    den, items = p.lattice_items()
-    if not n or not items:
+    if not n or not len(p):
         return out
-    frame_den, frame_ints = read_lattice(frame.points)
-    scale = math.lcm(den, frame_den)
-    xs = [tuple(v * (scale // frame_den) for v in q) for q in frame_ints]
-    terms, coeffs = zip(*items)
-    ys = [tuple(v * (scale // den) for v in q) for q in terms]
+    frame_den, frame_ints = frame.lattice
+    scale = math.lcm(p._den, frame_den)
+    k = scale // frame_den
+    xs = frame_ints if k == 1 else [tuple([v * k for v in q]) for q in frame_ints]
+    ys, coeffs = zip(*p._over(scale).items())
     # coordinates of y - x_j reach twice the largest input coordinate
-    big = 2 * max(abs(v) for q in xs + ys for v in q)
+    big = 2 * max(abs(v) for q in (*xs, *ys) for v in q)
     x, y = _lattice_array(xs, big, scale), _lattice_array(ys, big, scale)
-    c = np.array(coeffs)
-    a_re, a_im = 1.0 * c.real - -0.0 * c.imag, 1.0 * c.imag + -0.0 * c.real
+    coef = np.array(coeffs)
+    if state.kind == KIND_EPR:
+        classes: dict[tuple[int, int], int] = {}
+        label = np.array([classes.setdefault((a + c, b - d), len(classes)) for a, b, c, d in xs])
+        # the class of x_k for each term and class of x_j, -1 for none
+        target = np.array([[classes.get((u - y0 - y2, v - y1 + y3), -1) for u, v in classes]
+                           for y0, y1, y2, y3 in ys])
     re, im = np.zeros((n, n)), np.zeros((n, n))
     for t in _passes(len(ys), n * n, _PASS_ENTRIES):
-        z1 = y[t, None] - x  # terms by j
-        p_re, p_im = _phase(_form(-x, y[t, None]), 2 * scale * scale)
-        ar, ai = a_re[t, None], a_im[t, None]
-        re1, im1 = ar * p_re - ai * p_im, ar * p_im + ai * p_re
-        keep = np.hypot(re1, im1) >= ZERO_THRESHOLD
-        b_re = (re1 * 1.0 - im1 * 0.0)[..., None]
-        b_im = (re1 * 0.0 + im1 * 1.0)[..., None]
-        q_re, q_im = _phase(_form(z1[:, :, None], x), 2 * scale * scale)
-        re2, im2 = b_re * q_re - b_im * q_im, b_re * q_im + b_im * q_re
-        keep = keep[..., None] & (np.hypot(re2, im2) >= ZERO_THRESHOLD)
-        z2 = [z1[:, :, None, i] + x[:, i] for i in range(4)]
         if state.kind == KIND_EPR:
-            # off the manifold eval_point is 0j, and a kept term, which is
-            # finite, times 0j is a zero the sum absorbs: only kept terms get a phase
-            keep &= (z2[0] + z2[2] == 0) & (z2[1] - z2[3] == 0)
-            z2[:2] = [np.where(keep, v, 0) for v in z2[:2]]
-        g_re, g_im = _state_factor(state, z2, scale)
-        terms_re = np.where(keep, re2 * g_re - im2 * g_im, 0.0)
-        terms_im = np.where(keep, re2 * g_im + im2 * g_re, 0.0)
+            chosen = label == target[t][:, label, None]  # terms by j by k
+            tt, jj, kk = np.nonzero(chosen)
+            tt += t.start
+            terms_re, terms_im = np.zeros(chosen.shape), np.zeros(chosen.shape)
+            terms_re[chosen], terms_im[chosen] = _replay(
+                state, coef.real[tt], coef.imag[tt], y[tt], x[jj], x[kk], scale)
+        else:
+            terms_re, terms_im = _replay(
+                state, coef.real[t, None, None], coef.imag[t, None, None], y[t, None, None],
+                x[:, None], x, scale)
         for term_re, term_im in zip(terms_re, terms_im):
             re += term_re
             im += term_im
     out.real, out.imag = re, im
     return out
+
+
+def _replay(
+    state: StateFunctional, c_re: np.ndarray, c_im: np.ndarray,
+    y: np.ndarray, xj: np.ndarray, xk: np.ndarray, scale: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the term the engine's product
+    (W(x_j)* c W(y)) W(x_k) gives eval_poly, over broadcastable arrays of
+    the parts of c and of scaled integer points, coordinates last: (1-0j) c
+    times the phase of s(-x_j, y), then (1+0j) and the phase of
+    s(y - x_j, x_k), each product's term dropped below ``ZERO_THRESHOLD`` as
+    canonical form drops it (a dropped term is 0.0), then eval_point at
+    y - x_j + x_k.  Every complex * is written out over real and imaginary
+    parts as Python computes it; canonical form's 0j + v only clears a
+    zero's sign, as the sum from 0j does.  For the epr state every point
+    y - x_j + x_k is on the manifold."""
+    two_l2 = 2 * scale * scale
+    a_re, a_im = 1.0 * c_re - -0.0 * c_im, 1.0 * c_im + -0.0 * c_re
+    z1 = y - xj
+    p_re, p_im = _phase(_form(-xj, y), two_l2)
+    re1, im1 = a_re * p_re - a_im * p_im, a_re * p_im + a_im * p_re
+    keep = np.hypot(re1, im1) >= ZERO_THRESHOLD
+    b_re, b_im = re1 * 1.0 - im1 * 0.0, re1 * 0.0 + im1 * 1.0
+    q_re, q_im = _phase(_form(z1, xk), two_l2)
+    re2, im2 = b_re * q_re - b_im * q_im, b_re * q_im + b_im * q_re
+    keep = keep & (np.hypot(re2, im2) >= ZERO_THRESHOLD)
+    z2 = [z1[..., i] + xk[..., i] for i in range(4)]
+    if state.kind == KIND_EPR:
+        # only kept terms get a phase, whose angle may overflow elsewhere
+        z2[:2] = [np.where(keep, v, 0) for v in z2[:2]]
+    g_re, g_im = _state_factor(state, z2, scale)
+    return (np.where(keep, re2 * g_re - im2 * g_im, 0.0),
+            np.where(keep, re2 * g_im + im2 * g_re, 0.0))
 
 
 def psd_check(m: np.ndarray) -> dict:
@@ -607,13 +658,16 @@ def multiplicativity_check(
     omega(AB) = omega(A) omega(B), and for each probe point x checks
     omega(A W(x)) = omega(A) omega(W(x)) and the reversed order, for both
     A and B.  Each probe must have 4 coordinates; an error names the probe.
+    Each product is ``eval_product``'s, so for the epr state a probe off the
+    manifold {c = -a, d = b}, which A and B are on, forms no product term:
+    both sides of its identities are exact zeros.
     """
     den, ((s, t),) = read_lattice([(s, t)], None)
     probe_den, probe_ints = read_lattice(probes, "probe")
     a_poly = WeylPolynomial.generator((s, 0, -s, 0), den)
     b_poly = WeylPolynomial.generator((0, t, 0, t), den)
     wa, wb = eval_poly(state, a_poly), eval_poly(state, b_poly)
-    deviations = [abs(eval_poly(state, weyl_multiply(a_poly, b_poly)) - wa * wb)]
+    deviations = [abs(eval_product(state, a_poly, b_poly) - wa * wb)]
     for i, x in enumerate(probe_ints):
         if len(x) != 4:
             raise ValueError(f"probe {i}: states are defined on the dimension-4 algebra,"
@@ -622,8 +676,8 @@ def multiplicativity_check(
         x_poly = WeylPolynomial.generator(x, probe_den)
         wx = eval_poly(state, x_poly)
         for fixed, wf in ((a_poly, wa), (b_poly, wb)):
-            deviations.append(abs(eval_poly(state, weyl_multiply(fixed, x_poly)) - wf * wx))
-            deviations.append(abs(eval_poly(state, weyl_multiply(x_poly, fixed)) - wx * wf))
+            deviations.append(abs(eval_product(state, fixed, x_poly) - wf * wx))
+            deviations.append(abs(eval_product(state, x_poly, fixed) - wx * wf))
     max_dev = float(max(deviations))
     return {"max_deviation": max_dev, "passed": max_dev <= IDENTITY_TOL}
 
@@ -631,12 +685,16 @@ def multiplicativity_check(
 def trace_vector_check(
     state: StateFunctional, p: WeylPolynomial, q: WeylPolynomial, slot: int
 ) -> dict:
-    """omega(embed(P) embed(Q)) = omega(embed(Q) embed(P)) for one-particle P, Q."""
+    """omega(embed(P) embed(Q)) = omega(embed(Q) embed(P)) for one-particle P, Q.
+
+    Both sides are ``eval_product``'s: for the epr state a pair of terms is
+    formed only when its points sum to 0 in the slot, which the embedded
+    invariant (a, b) or (c, -d) decides."""
     if p.dim != 2 or q.dim != 2:
         raise ValueError("trace_vector_check expects dimension-2 polynomials")
     p, q = tensor_embed(p, slot), tensor_embed(q, slot)
-    forward = eval_poly(state, weyl_multiply(p, q))
-    reverse = eval_poly(state, weyl_multiply(q, p))
+    forward = eval_product(state, p, q)
+    reverse = eval_product(state, q, p)
     deviation = abs(forward - reverse)
     return {
         "forward": forward,

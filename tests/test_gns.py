@@ -32,6 +32,7 @@ from eprbell import (
     weyl_multiply,
 )
 import eprbell.gns
+import eprbell.states
 from eprbell.states import kernel_matrix
 from eprbell.weyl import negate, unit_phase
 
@@ -374,6 +375,98 @@ class TestGramClasses:
     def test_a_frame_not_of_dimension_4_raises_the_engine_error(self, pts, message):
         with pytest.raises(ValueError, match=message):
             build_frame(StateFunctional.epr(), pts)
+
+
+def _lattice_coord(rng: random.Random, den: int) -> Fraction:
+    """A coordinate whose reduced denominator is ``den``."""
+    return Fraction(1 + den * rng.randint(-3, 3), den)
+
+
+class TestCompressClasses:
+    """For the epr state compress_operator forms only the triples (y, j, k)
+    whose point y - x_j + x_k is on the manifold, with the engine's bits."""
+
+    def test_frame_forms_only_the_triples_on_the_manifold(self, monkeypatch):
+        # 32 points in classes of 4 and 8 moves between them, as the
+        # algebra_products frames: two forms per triple on the manifold,
+        # where the dense pass formed 8 x 32 + 8 x 32 x 32 = 8,448
+        rng = random.Random(11)
+        pts = _frame_points("clustered", rng, 32)
+        moves = {}
+        while len(moves) < 8:
+            j, k = rng.randrange(32), rng.randrange(32)
+            moves[tuple(u - v for u, v in zip(pts[j], pts[k]))] = complex(
+                rng.uniform(-1, 1), rng.uniform(-1, 1))
+        p = WeylPolynomial(4, moves)
+        assert len(p) == 8
+        state = StateFunctional.epr(0.3, -1.1)
+        frame = build_frame(state, pts)
+
+        def inv(x):
+            return x[0] + x[2], x[1] - x[3]
+
+        on = sum(inv(y)[0] - inv(xj)[0] + inv(xk)[0] == 0 and inv(y)[1] - inv(xj)[1] + inv(xk)[1] == 0
+                 for y in p.points() for xj in frame.points for xk in frame.points)
+        forms = []
+        form = eprbell.states._form
+
+        def counted(x, y):
+            s = form(x, y)
+            forms.append(np.size(s))
+            return s
+
+        monkeypatch.setattr(eprbell.states, "_form", counted)
+        comp = compress_operator(state, frame, p)
+        assert sum(forms) == 2 * on
+        assert on < 8 * 32 * 32 // 8
+        assert same_bits(comp, _compress_reference(state, frame.points, p))
+
+    @pytest.mark.parametrize("state", [StateFunctional.epr(0.3, -1.1), StateFunctional.epr()])
+    def test_no_term_meets_a_class_pair(self, state):
+        # classes of invariant (0, 0) and (1, 0); no term's invariant is a
+        # difference of two of them, so every triple is off the manifold
+        pts = [(0, 0, 0, 0), ("1/2", 1, "-1/2", 1), (1, 0, 0, 0), (2, 1, -1, 1)]
+        p = WeylPolynomial(4, {(5, 0, 0, 0): 1.0, (0, 7, 0, 0): 0.5j, ("1/3", 0, 0, 0): -1.0})
+        frame = build_frame(state, pts)
+        comp = compress_operator(state, frame, p)
+        assert same_bits(comp, np.zeros((4, 4), dtype=complex))
+        assert same_bits(comp, _compress_reference(state, frame.points, p))
+
+    def test_a_dropped_term_on_the_manifold_gets_no_phase(self):
+        # y - x + x is on the manifold, where a * lambda overflows, but the
+        # engine drops the product's term below the zero threshold before
+        # any eval_point, so the entry is 0 and no error is raised
+        state = StateFunctional.epr(1e308, 0.0)
+        frame = build_frame(state, [("1/3", "-5/4", 0, "-7/3")])
+        p = WeylPolynomial(4, {(2, 1, -2, 1): -4.459695039208359e-16 + 8.950481560075992e-16j})
+        assert len(p) == 1
+        comp = compress_operator(state, frame, p)
+        assert same_bits(comp, np.zeros((1, 1), dtype=complex))
+        assert same_bits(comp, _compress_reference(state, frame.points, p))
+
+    @pytest.mark.parametrize("frame_den, p_den", [(3, 5), (6, 4), (2, 8), (8, 2)])
+    @pytest.mark.parametrize("state", [StateFunctional.epr(0.3, -1.1), StateFunctional.regular()])
+    def test_a_frame_on_another_lattice_than_p(self, state, frame_den, p_den):
+        # classes of integer invariants, (0, 0), (1, -1) and (2, -2), so that
+        # terms on P's lattice can move between them
+        rng = random.Random(10 * frame_den + p_den)
+        pts = []
+        while len(pts) < 12:
+            u = len(pts) // 4
+            a, b = _lattice_coord(rng, frame_den), Fraction(rng.randint(-8, 8), frame_den)
+            x = (a, b, u - a, b + u)
+            if x not in pts:
+                pts.append(x)
+        terms = {}
+        for du, dv in ((1, -1), (0, 0), (-2, 2), (1, 1)):
+            a, b = _lattice_coord(rng, p_den), Fraction(rng.randint(-8, 8), p_den)
+            terms[(a, b, du - a, b - dv)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        p = WeylPolynomial(4, terms)
+        frame = build_frame(state, pts)
+        assert (frame.lattice[0], p._den) == (frame_den, p_den)
+        comp = compress_operator(state, frame, p)
+        assert np.count_nonzero(comp)
+        assert same_bits(comp, _compress_reference(state, frame.points, p))
 
 
 class TestCompress:

@@ -583,6 +583,50 @@ def _assert_same_product(state, p, q):
     assert same_bits(np.array([got]), np.array([want])), (got, want)
 
 
+#: Denominators of P's and Q's lattices, neither dividing the other, so that
+#: the common L is a proper multiple of both.
+_LATTICE_DENS = [(2, 3), (3, 5), (4, 6), (9, 4), (7, 10)]
+
+
+@st.composite
+def _lattice_pairs(draw):
+    """P and Q on lattices of their own, of denominators from
+    ``_LATTICE_DENS``: each point's first coordinate has a numerator prime
+    to its denominator, which, as the first term's coefficient is a unit,
+    is then the factor's least L.  P's terms are in the class of an integer
+    invariant w; Q's are in the partner class -w, where every pair lands on
+    the manifold, or in w itself, where none does unless w = 0, or
+    anywhere.  A factor of one term is a single generator."""
+    dp, dq = draw(st.sampled_from(_LATTICE_DENS))
+    w = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+
+    def coord(den):
+        return Fraction(1 + den * draw(st.integers(-3, 3)), den)
+
+    def terms(den, sign, kinds):
+        out = {}
+        for i in range(draw(st.integers(1, 4))):
+            a, b = coord(den), Fraction(draw(st.integers(-6, 6)), den)
+            kind = draw(st.sampled_from(kinds))
+            if kind == "class":
+                x = (a, b, sign * w[0] - a, b - sign * w[1])
+            else:
+                x = (a, b, coord(den), Fraction(draw(st.integers(-6, 6)), den))
+            if not i:  # a unit coefficient, so the factor keeps its lattice
+                out[x] = cmath.rect(1.0, draw(st.floats(-math.pi, math.pi)))
+            elif draw(st.booleans()):
+                out[x] = draw(_COEFF)
+            else:
+                angle = draw(st.floats(-math.pi, math.pi))
+                out[x] = cmath.rect(draw(st.sampled_from(_NEAR_THRESHOLD)), angle)
+        return out
+
+    p = WeylPolynomial(4, terms(dp, 1, ["class"]))
+    q_sign = draw(st.sampled_from([-1, 1]))
+    q = WeylPolynomial(4, terms(dq, q_sign, ["class", "class", "any"]))
+    return p, q
+
+
 class TestEvalProduct:
     """eval_product is bit for bit eval_poly of the full product."""
 
@@ -657,6 +701,79 @@ class TestEvalProduct:
         value = positivity_check(StateFunctional.epr(0.3, -1.1), p)
         assert len(calls) == 512
         assert value > 0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_IDENTITY_PARAMETER, _IDENTITY_PARAMETER, _lattice_pairs())
+    # single generators on the manifold and off it, and two terms each in one
+    # class that has no partner
+    @example(0.3, -1.1, (WeylPolynomial.generator(("1/2", 1, "-1/2", 1)),
+                         WeylPolynomial.generator(("1/3", "2/3", "-1/3", "2/3"))))
+    @example(0.3, -1.1, (WeylPolynomial.generator(("1/2", 1, "3/2", 1)),
+                         WeylPolynomial.generator(("1/3", 0, 0, "2/3"))))
+    @example(0.3, -1.1, (WeylPolynomial(4, {("1/2", 0, "1/2", 0): 1.0, ("3/2", 1, "-1/2", 1): 1j}),
+                         WeylPolynomial(4, {("1/3", 0, "2/3", 0): 0.5, ("-1/3", 2, "4/3", 2): 1.0})))
+    def test_matches_the_full_product_across_lattices(self, lam, mu, pair):
+        p, q = pair
+        common = math.lcm(p._den, q._den)
+        assert common > p._den and common > q._den
+        for state in (StateFunctional.epr(lam, mu), StateFunctional.regular()):
+            for f, g in ((p, q), (q, p)):
+                _assert_same_product(state, f, g)
+
+    @pytest.mark.parametrize("p_coeff, q_coeff", [(complex(math.inf, 0.0), 0.5 - 2j), (1e200, 1e200)])
+    def test_a_non_finite_product_off_the_manifold_is_the_engines_nan(self, p_coeff, q_coeff):
+        # no pair lands on the manifold, but the one-norm guard takes the
+        # full product, whose non-finite coefficient times 0j is a nan
+        p = WeylPolynomial(4, {(1, 0, 0, 0): p_coeff})
+        q = WeylPolynomial(4, {(0, 1, 0, 0): q_coeff})
+        state = StateFunctional.epr(0.3, -1.1)
+        assert cmath.isnan(eval_product(state, p, q))
+        _assert_same_product(state, p, q)
+
+    @pytest.mark.parametrize("p, q, message", [
+        # 65 x 64 terms of which no pair lands on the manifold
+        (WeylPolynomial(4, {(k, 0, 0, 0): 1.0 for k in range(1, 66)}),
+         WeylPolynomial(4, {(0, k, 0, 0): 1.0 for k in range(1, 65)}), "65 x 64 terms"),
+        # two single generators off the manifold, whose common L has
+        # 5,295 bits where each has at most 3,247
+        (WeylPolynomial.generator((Fraction(1, 2**2048), 0, 0, 0)),
+         WeylPolynomial.generator((0, Fraction(1, 3**2048), 0, 0)), "common denominator"),
+    ], ids=["term-cap", "lattice-bits"])
+    def test_an_unmatched_product_past_a_budget_raises_the_engines_error(self, p, q, message):
+        with pytest.raises(TermBudgetError, match=message):
+            eval_product(StateFunctional.epr(0.3, -1.1), p, q)
+        _assert_same_product(StateFunctional.epr(0.3, -1.1), p, q)
+
+    @staticmethod
+    def _count_expand(monkeypatch) -> list:
+        calls = []
+        expand = eprbell.weyl._expand
+
+        def counted(den, rows):
+            calls.append(den)
+            return expand(den, rows)
+
+        for module in (eprbell.weyl, eprbell.states):
+            monkeypatch.setattr(module, "_expand", counted)
+        return calls
+
+    def test_multiplicativity_forms_only_the_products_on_the_manifold(self, monkeypatch):
+        # A B and the four products of the probe on the manifold reach the
+        # engine's loop; the eight products of the two probes off it do not
+        calls = self._count_expand(monkeypatch)
+        probes = [(1, 2, 3, 4), ("1/2", 0, 5, 1), ("1/2", "1/5", "-1/2", "1/5")]
+        res = multiplicativity_check(StateFunctional.epr(0.3, -1.1), Fraction(1, 3),
+                                     Fraction(2, 5), probes=probes)
+        assert res["passed"]
+        assert len(calls) == 5
+
+    def test_traciality_off_the_inverse_forms_no_product(self, monkeypatch):
+        calls = self._count_expand(monkeypatch)
+        res = traciality_check(StateFunctional.epr(0.3, -1.1), ("1/2", 1), ("1/3", 2))
+        assert res["passed"] and res["forward"] == res["reverse"] == 0
+        assert calls == []
+        traciality_check(StateFunctional.epr(0.3, -1.1), ("1/2", 1), ("-1/2", -1))
+        assert len(calls) == 2
 
 
 class TestSupport:
