@@ -47,17 +47,15 @@ class GnsFrame:
     gram[j,k] = omega(W(x_j)* W(x_k)); diagonal entries are 1 because the
     generators are unitary.  Equality is identity: the Gram is an array.
     ``lattice`` is the points as ``read_lattice`` reads them, their least L
-    and each point times L: ``build_frame`` passes the read it made, and a
-    frame made from points alone reads them here, once.
+    and each point times L, read once, here.
     """
 
     points: tuple[Point, ...]
     gram: np.ndarray
-    lattice: tuple[int, list[tuple[int, ...]]] | None = field(default=None, repr=False)
+    lattice: tuple[int, list[tuple[int, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.lattice is None:
-            object.__setattr__(self, "lattice", read_lattice(self.points))
+        object.__setattr__(self, "lattice", read_lattice(self.points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -96,7 +94,7 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
         raise AssertionError(f"frame Gram is not positive: eigenvalue {lam_min}")
     if n and np.max(np.abs(np.diag(gram) - 1.0)) > IDENTITY_TOL:
         raise AssertionError("frame Gram diagonal deviates from 1")
-    return GnsFrame(tuple(tuple(Fraction(v, den) for v in p) for p in ints), gram, (den, ints))
+    return GnsFrame(tuple(tuple(Fraction(v, den) for v in p) for p in ints), gram)
 
 
 def collinearity_check(

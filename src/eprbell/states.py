@@ -37,6 +37,7 @@ from .weyl import (
     WeylPolynomial,
     _expand,
     adjoint,
+    one_norm,
     read_lattice,
     read_number,
     tensor_embed,
@@ -209,8 +210,7 @@ def eval_product(state: StateFunctional, p: WeylPolynomial, q: WeylPolynomial) -
         or q._dim != 4
         or max(m, n, m * n) > DEFAULT_TERM_CAP
         or den.bit_length() > LATTICE_BITS
-        # one_norm(p) * one_norm(q), summed as it sums
-        or not sum(map(abs, p_terms.values())) * sum(map(abs, q_terms.values())) < 2.0**1000
+        or not one_norm(p) * one_norm(q) < 2.0**1000
     ):
         return eval_poly(state, weyl_multiply(p, q))
     kp, kq = den // p._den, den // q._den
@@ -381,16 +381,15 @@ def compress_operator(state: StateFunctional, frame, p: WeylPolynomial) -> np.nd
     (W(x_j)* P) W(x_k).  ``_replay`` forms the term of each triple of a term
     c W(y) of P and a pair (j, k), on the integer lattice of the frame's
     ``lattice`` and of P, and C adds the triples' values term by term in
-    P's order, from +0.0.  The regular state replays every triple, a block
-    of terms at a time.  For the epr state only the triples whose point
-    y - x_j + x_k is on the manifold are formed: those with
-    inv(x_k) = inv(x_j) - inv(y) for the exact invariant inv = (a+c, b-d).
-    Each term and class of x_j is matched, on the exact ints, with the
-    class x_k must be in, and the triples are picked by comparing class
-    labels, a block of terms at a time.  A triple left out would add the
-    zero that a kept term, which is finite, times 0j gives, cleared to
-    +0.0 by the sum from 0j; C's accumulators start at +0.0, so they never
-    hold -0.0, and adding +0.0 to them moves no bit.
+    P's order, from +0.0.  Only the triples whose point y - x_j + x_k is in
+    the state's support are formed, a block of terms at a time: those with
+    inv(x_k) = inv(x_j) - inv(y), compared on the exact ints, for the
+    state's invariant (``_invariant``).  For the epr state that is the
+    manifold; a triple left out would add the zero that a kept term, which
+    is finite, times 0j gives, cleared to +0.0 by the sum from 0j; C's
+    accumulators start at +0.0, so they never hold -0.0, and adding +0.0
+    to them moves no bit.  The regular state's invariant has no coordinate,
+    so it forms every triple.
     """
     if p.dim != 4:
         raise ValueError("compress_operator expects a dimension-4 polynomial")
@@ -409,30 +408,30 @@ def compress_operator(state: StateFunctional, frame, p: WeylPolynomial) -> np.nd
     big = 2 * max(abs(v) for q in (*xs, *ys) for v in q)
     x, y = _lattice_array(xs, big, scale), _lattice_array(ys, big, scale)
     coef = np.array(coeffs)
-    if state.kind == KIND_EPR:
-        classes: dict[tuple[int, int], int] = {}
-        label = np.array([classes.setdefault((a + c, b - d), len(classes)) for a, b, c, d in xs])
-        # the class of x_k for each term and class of x_j, -1 for none
-        target = np.array([[classes.get((u - y0 - y2, v - y1 + y3), -1) for u, v in classes]
-                           for y0, y1, y2, y3 in ys])
+    inv_x, inv_y = _invariant(state, x), _invariant(state, y)
     re, im = np.zeros((n, n)), np.zeros((n, n))
     for t in _passes(len(ys), n * n, _PASS_ENTRIES):
-        if state.kind == KIND_EPR:
-            chosen = label == target[t][:, label, None]  # terms by j by k
-            tt, jj, kk = np.nonzero(chosen)
-            tt += t.start
-            terms_re, terms_im = np.zeros(chosen.shape), np.zeros(chosen.shape)
-            terms_re[chosen], terms_im[chosen] = _replay(
-                state, coef.real[tt], coef.imag[tt], y[tt], x[jj], x[kk], scale)
-        else:
-            terms_re, terms_im = _replay(
-                state, coef.real[t, None, None], coef.imag[t, None, None], y[t, None, None],
-                x[:, None], x, scale)
+        # terms by j by k: inv(x_k) = inv(x_j) - inv(y)
+        chosen = (inv_x[:, None, None] == inv_x[:, None, :, None] - inv_y[:, t, None, None]).all(0)
+        tt, jj, kk = np.nonzero(chosen)
+        tt += t.start
+        terms_re, terms_im = np.zeros(chosen.shape), np.zeros(chosen.shape)
+        terms_re[chosen], terms_im[chosen] = _replay(
+            state, coef.real[tt], coef.imag[tt], y[tt], x[jj], x[kk], scale)
         for term_re, term_im in zip(terms_re, terms_im):
             re += term_re
             im += term_im
     out.real, out.imag = re, im
     return out
+
+
+def _invariant(state: StateFunctional, pts: np.ndarray) -> np.ndarray:
+    """The exact support invariant of scaled integer points, coordinates
+    last, with its own coordinates first: (a+c, b-d) for the epr state, and
+    none for the regular state, whose support is every point."""
+    if state.kind != KIND_EPR:
+        return np.empty((0, *pts.shape[:-1]), pts.dtype)
+    return np.stack((pts[..., 0] + pts[..., 2], pts[..., 1] - pts[..., 3]))
 
 
 def _replay(

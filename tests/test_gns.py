@@ -389,7 +389,8 @@ class TestCompressClasses:
     def test_frame_forms_only_the_triples_on_the_manifold(self, monkeypatch):
         # 32 points in classes of 4 and 8 moves between them, as the
         # algebra_products frames: two forms per triple on the manifold,
-        # where the dense pass formed 8 x 32 + 8 x 32 x 32 = 8,448
+        # against 8 x 32 + 8 x 32 x 32 = 8,448 for a dense pass over every
+        # triple that forms s(-x_j, y) once per term and j
         rng = random.Random(11)
         pts = _frame_points("clustered", rng, 32)
         moves = {}
