@@ -248,6 +248,15 @@ def _measure_kernel(state: StateFunctional, pts: list) -> tuple[float, dict | No
     return min_eig, rank, timings
 
 
+def _kernel_records(state: StateFunctional, inputs: dict, measured: dict, rank) -> list:
+    """The kernel_psd record of ``measured`` on ``inputs`` and the state, then
+    the support_rank_one record of ``rank`` on ``inputs`` unless it is None."""
+    records = [CHECKS["kernel_psd"].record({**inputs, "state": state.to_spec()}, measured)]
+    if rank is not None:
+        records.append(CHECKS["support_rank_one"].record(inputs, rank))
+    return records
+
+
 def _correlation_grid_dev(model, points: int) -> float:
     """Worst |correlation - cos(t1 - t2)| over an even grid on [0, 2 pi]."""
     grid = np.linspace(0.0, 2 * math.pi, points)
@@ -307,17 +316,15 @@ def _check_kernel_psd(state: StateFunctional, rng: random.Random) -> list[CheckR
         min_eig, rank, _ = _measure_kernel(state, _distinct_points(rng, points_per, 4))
         min_eigs.append(min_eig)
         ranks.append(rank)
-    inputs = {"batteries": batteries, "points": points_per}
-    measured = {"min_eigenvalue": min(min_eigs)}
-    records = [CHECKS["kernel_psd"].record({**inputs, "state": state.to_spec()}, measured)]
+    worst = None
     if state.kind == KIND_EPR:
         # the first battery whose support relation failed, else the worst
         # deviations over all of them
         worst = next((rank for rank in ranks if "error" in rank), None) or {
             key: max(rank[key] for rank in ranks) for key in _RANK_ONE_KEYS
         }
-        records.append(CHECKS["support_rank_one"].record(inputs, worst))
-    return records
+    inputs = {"batteries": batteries, "points": points_per}
+    return _kernel_records(state, inputs, {"min_eigenvalue": min(min_eigs)}, worst)
 
 
 def _check_uniqueness(state: StateFunctional, rng: random.Random) -> list[CheckRecord]:
@@ -551,14 +558,8 @@ def cmd_psd(args) -> int:
     start = time.perf_counter()
     with _naming(args.points):
         min_eig, rank, timings = _measure_kernel(state, raw)
-    checks = [
-        CHECKS["kernel_psd"].record(
-            {"points": raw, "state": state.to_spec()},
-            {"min_eigenvalue": min_eig, "points": len(raw)},
-        )
-    ]
-    if rank is not None:
-        checks.append(CHECKS["support_rank_one"].record({"points": raw}, rank))
+    checks = _kernel_records(
+        state, {"points": raw}, {"min_eigenvalue": min_eig, "points": len(raw)}, rank)
     timings["total"] = time.perf_counter() - start
     return _emit_report(state_spec, checks, timings, args.out)
 

@@ -11,7 +11,7 @@ and the norm bounds those compressions certify.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,21 +44,23 @@ GRAM_EIGENVALUE_FLOOR = 1e-12
 class GnsFrame:
     """An ordered family of generator vectors W(x_j) Omega with its Gram.
 
-    gram[j,k] = omega(W(x_j)* W(x_k)); diagonal entries are 1 because the
-    generators are unitary.  Equality is identity: the Gram is an array.
     ``lattice`` is the points as ``read_lattice`` reads them, their least L
-    and each point times L, read once, here.
+    and each point times L; ``points`` and the length are read from it, so
+    nothing can disagree with it.  gram[j,k] = omega(W(x_j)* W(x_k));
+    diagonal entries are 1 because the generators are unitary.  Equality is
+    identity: the Gram is an array.
     """
 
-    points: tuple[Point, ...]
+    lattice: tuple[int, list[tuple[int, ...]]]
     gram: np.ndarray
-    lattice: tuple[int, list[tuple[int, ...]]] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lattice", read_lattice(self.points))
+    @property
+    def points(self) -> tuple[Point, ...]:
+        den, ints = self.lattice
+        return tuple(tuple(Fraction(v, den) for v in p) for p in ints)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.lattice[1])
 
 
 def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
@@ -68,33 +70,30 @@ def build_frame(state: StateFunctional, points: Sequence[Point]) -> GnsFrame:
     points, F(-x_j, -x_k) = G(x_k - x_j) exp{-i s(x_j, x_k)}, never the
     corrupt control's deflated kernel.  Entries between support classes
     (``support_labels``, as the kernel's) are exact zeros, decided on the
-    invariant.  Each entry within a class goes through weyl_multiply +
+    invariant.  Each pair (j, k) of one class goes through weyl_multiply +
     eval_poly, in row-major order, so the frame doubles as a consistency
     probe of the engine; a frame not all of dimension 4 is one class.  The
     Gram must come out positive semidefinite within ``PSD_TOL`` and with
     unit diagonal, else the engine itself is at fault and an
-    ``AssertionError`` says so.
+    ``AssertionError`` says so.  The frame keeps the points as this one
+    ``read_lattice`` read them.
     """
-    den, ints = read_lattice(points)
+    den, ints = lattice = read_lattice(points)
     if len(set(ints)) != len(ints):
         raise ValueError("frame points must be pairwise distinct")
     n = len(ints)
     gram = np.zeros((n, n), dtype=complex)
     gens = [WeylPolynomial.generator(p, den) for p in ints]
     adjs = [adjoint(g) for g in gens]
-    label = support_labels(state, ints) if all(len(p) == 4 for p in ints) else [0] * n
-    members: dict[int, list[int]] = {}
-    for k, c in enumerate(label):
-        members.setdefault(c, []).append(k)
-    for j in range(n):
-        for k in members[label[j]]:
-            gram[j, k] = eval_poly(state, weyl_multiply(adjs[j], gens[k]))
+    label = np.array(support_labels(state, ints) if all(len(p) == 4 for p in ints) else [0] * n)
+    for j, k in zip(*np.nonzero(label[:, None] == label)):
+        gram[j, k] = eval_poly(state, weyl_multiply(adjs[j], gens[k]))
     lam_min = float(np.linalg.eigvalsh(gram)[0]) if n else 0.0
     if lam_min < -PSD_TOL:
         raise AssertionError(f"frame Gram is not positive: eigenvalue {lam_min}")
     if n and np.max(np.abs(np.diag(gram) - 1.0)) > IDENTITY_TOL:
         raise AssertionError("frame Gram diagonal deviates from 1")
-    return GnsFrame(tuple(tuple(Fraction(v, den) for v in p) for p in ints), gram)
+    return GnsFrame(lattice, gram)
 
 
 def collinearity_check(

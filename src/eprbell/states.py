@@ -269,11 +269,11 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
     exactly when the points are.  For the epr state only entries within a
     class of the invariant (a+c, b-d) are computed, and all others are exact
     zeros, so M is block diagonal up to a permutation of its indices.  The
-    regular state is one class of every point.  The pairs j <= k of the
-    classes of one size are stacked and computed together, a bounded pass at
+    regular state is one class of every point.  The pairs j <= k within a
+    class (``support_labels``) are one flat list, computed a bounded pass at
     a time, and ``_kernel_entries`` gives each entry with its mirror (k, j);
-    each entry is computed on its own, so the stacking leaves every bit as
-    it is.
+    each entry is computed on its own, so the passes leave every bit as it
+    is.
     """
     den, points = read_lattice(points)
     if not points:
@@ -287,14 +287,12 @@ def kernel_matrix(state: StateFunctional, points: Sequence[Point]) -> np.ndarray
     n = len(points)
     coords = _lattice_array(points, max(abs(v) for p in points for v in p), den)
     m = np.zeros((n, n), dtype=complex)
-    for cls in _by_size(np.array(support_labels(state, points))):
-        j, k = np.triu_indices(cls.shape[1])
-        rows, cols = cls[:, j].ravel(), cls[:, k].ravel()
-        for t in _passes(len(rows), 1, _KERNEL_PASS_ENTRIES):
-            r, c = rows[t], cols[t]
-            m.real[r, c], m.imag[r, c], m.real[c, r], m.imag[c, r] = _kernel_entries(
-                state, coords[r], coords[c], den
-            )
+    label = np.array(support_labels(state, points))
+    rows, cols = np.nonzero(np.triu(label[:, None] == label))
+    for t in _passes(len(rows), 1, _KERNEL_PASS_ENTRIES):
+        r, c = rows[t], cols[t]
+        m.real[r, c], m.imag[r, c], m.real[c, r], m.imag[c, r] = _kernel_entries(
+            state, coords[r], coords[c], den)
     if state.corrupt_kernel:
         m[n - 1, n - 1] -= 1.5
     return m
@@ -380,16 +378,17 @@ def compress_operator(state: StateFunctional, frame, p: WeylPolynomial) -> np.nd
     Each entry is the double eval_poly gives of the engine's product
     (W(x_j)* P) W(x_k).  ``_replay`` forms the term of each triple of a term
     c W(y) of P and a pair (j, k), on the integer lattice of the frame's
-    ``lattice`` and of P, and C adds the triples' values term by term in
-    P's order, from +0.0.  Only the triples whose point y - x_j + x_k is in
-    the state's support are formed, a block of terms at a time: those with
-    inv(x_k) = inv(x_j) - inv(y), compared on the exact ints, for the
-    state's invariant (``_invariant``).  For the epr state that is the
-    manifold; a triple left out would add the zero that a kept term, which
-    is finite, times 0j gives, cleared to +0.0 by the sum from 0j; C's
-    accumulators start at +0.0, so they never hold -0.0, and adding +0.0
-    to them moves no bit.  The regular state's invariant has no coordinate,
-    so it forms every triple.
+    ``lattice`` and of P, and ``np.add.at`` adds each triple's value into C
+    at (j, k) in the (term, j, k) order ``np.nonzero`` gives, so each entry
+    sums its terms in P's order, from +0.0.  Only the triples whose point
+    y - x_j + x_k is in the state's support are formed, a block of terms at
+    a time: those with inv(x_k) = inv(x_j) - inv(y), compared on the exact
+    ints, for the state's invariant (``_invariant``).  For the epr state
+    that is the manifold; the engine adds for a triple left out the zero
+    that a kept term, which is finite, times 0j gives, cleared to +0.0 by
+    the sum from 0j; C's entries start at +0.0, so they never hold -0.0,
+    and a +0.0 left out moves no bit.  The regular state's invariant has no
+    coordinate, so it forms every triple.
     """
     if p.dim != 4:
         raise ValueError("compress_operator expects a dimension-4 polynomial")
@@ -409,19 +408,14 @@ def compress_operator(state: StateFunctional, frame, p: WeylPolynomial) -> np.nd
     x, y = _lattice_array(xs, big, scale), _lattice_array(ys, big, scale)
     coef = np.array(coeffs)
     inv_x, inv_y = _invariant(state, x), _invariant(state, y)
-    re, im = np.zeros((n, n)), np.zeros((n, n))
     for t in _passes(len(ys), n * n, _PASS_ENTRIES):
         # terms by j by k: inv(x_k) = inv(x_j) - inv(y)
-        chosen = (inv_x[:, None, None] == inv_x[:, None, :, None] - inv_y[:, t, None, None]).all(0)
-        tt, jj, kk = np.nonzero(chosen)
+        tt, jj, kk = np.nonzero(
+            (inv_x[:, None, None] == inv_x[:, None, :, None] - inv_y[:, t, None, None]).all(0))
         tt += t.start
-        terms_re, terms_im = np.zeros(chosen.shape), np.zeros(chosen.shape)
-        terms_re[chosen], terms_im[chosen] = _replay(
-            state, coef.real[tt], coef.imag[tt], y[tt], x[jj], x[kk], scale)
-        for term_re, term_im in zip(terms_re, terms_im):
-            re += term_re
-            im += term_im
-    out.real, out.imag = re, im
+        term_re, term_im = _replay(state, coef.real[tt], coef.imag[tt], y[tt], x[jj], x[kk], scale)
+        np.add.at(out.real, (jj, kk), term_re)
+        np.add.at(out.imag, (jj, kk), term_im)
     return out
 
 

@@ -1,6 +1,7 @@
 """Finite frames: Gram matrices, compressions, collinearity, norm bounds."""
 
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -34,7 +35,7 @@ from eprbell import (
 import eprbell.gns
 import eprbell.states
 from eprbell.states import kernel_matrix
-from eprbell.weyl import negate, unit_phase
+from eprbell.weyl import negate, read_lattice, unit_phase
 
 
 def _compress_reference(
@@ -120,7 +121,7 @@ def _checked_frame(state: StateFunctional, pts) -> GnsFrame:
     except AssertionError as exc:
         assert str(exc).startswith("frame Gram"), exc
         assert float(np.linalg.eigvalsh(want)[0]) < -1e-10
-        return GnsFrame(pts, want)
+        return GnsFrame(read_lattice(pts), want)
     assert same_bits(frame.gram, want)
     return frame
 
@@ -315,6 +316,31 @@ class TestBuildFrame:
         frame = build_frame(state, pts)
         assert float(np.linalg.eigvalsh(frame.gram)[0]) >= -1e-10
 
+    def test_reads_its_points_once(self, monkeypatch):
+        reads = []
+        read = eprbell.gns.read_lattice
+
+        def counted(rows, label="point"):
+            reads.append(rows)
+            return read(rows, label)
+
+        monkeypatch.setattr(eprbell.gns, "read_lattice", counted)
+        pts = [point(0, 0, 0, 0), point("1/2", 1, "-1/2", 1), point(1, "1/3", 0, 0)]
+        frame = build_frame(StateFunctional.epr(0.3, -1.1), pts)
+        assert reads == [pts]
+        assert frame.lattice == read(pts)
+
+    def test_points_and_length_come_from_the_lattice(self):
+        frame = GnsFrame((6, [(3, 2, -3, 2), (0, 0, 0, 0), (6, 0, 0, -1)]), np.eye(3))
+        assert [f.name for f in dataclasses.fields(GnsFrame)] == ["lattice", "gram"]
+        assert frame.points == (
+            (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 2), Fraction(1, 3)),
+            (0, 0, 0, 0),
+            (1, 0, 0, Fraction(-1, 6)),
+        )
+        assert len(frame) == 3
+        assert len(GnsFrame((1, []), np.empty((0, 0)))) == 0
+
 
 def _gram_reference(state: StateFunctional, pts) -> np.ndarray:
     """build_frame's Gram through the product engine at every one of the
@@ -467,6 +493,22 @@ class TestCompressClasses:
         assert (frame.lattice[0], p._den) == (frame_den, p_den)
         comp = compress_operator(state, frame, p)
         assert np.count_nonzero(comp)
+        assert same_bits(comp, _compress_reference(state, frame.points, p))
+
+    def test_each_entry_adds_its_terms_in_the_order_of_p(self):
+        # three terms land on every (j, k); with b = d = 0 everywhere and
+        # lambda = mu = 0 every phase is 1, so each term's value is its
+        # coefficient.  Their moduli are in the ratio 1 : 2^-53 : 1 (times
+        # 2^53, as canonical form drops a coefficient below the zero
+        # threshold): in P's order the sum is 0.0, in reverse order 1.0
+        big = 2.0**53
+        assert (big + 1.0) - big == 0.0 and (-big + 1.0) + big == 1.0
+        state = StateFunctional.epr()
+        frame = build_frame(state, [(0, 0, 0, 0), (1, 0, -1, 0)])
+        p = WeylPolynomial(4, {(0, 0, 0, 0): big, (2, 0, -2, 0): 1.0, (3, 0, -3, 0): -big})
+        assert list(p.terms.values()) == [big, 1.0, -big]
+        comp = compress_operator(state, frame, p)
+        assert same_bits(comp, np.zeros((2, 2), dtype=complex))
         assert same_bits(comp, _compress_reference(state, frame.points, p))
 
 
